@@ -77,7 +77,6 @@ from .steady_state import (
     NessReport,
     StationaryState,
     build_biased_gibbs,
-    expectation,
     state_summary,
     verify_ness,
 )

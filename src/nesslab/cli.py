@@ -17,6 +17,7 @@ import configparser
 import io
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -111,6 +112,20 @@ def _parse_tuple(text: str, cast):
     return tuple(cast(p) for p in parts if p)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
 def parse_config(text: str, env: dict | None = None) -> ExperimentConfig:
     """Parse INI text, apply NESSLAB_<SECTION>__<KEY> environment overrides."""
     env = dict(os.environ) if env is None else env
@@ -144,27 +159,29 @@ def parse_config(text: str, env: dict | None = None) -> ExperimentConfig:
         label=get("run", "label", str, "experiment"),
         seed=get("run", "seed", int, 0),
         model_kind=get("model", "kind", str, "xx"),
-        lambda_aniso=get("model", "lambda_aniso", float, 0.0),
-        t_hop=get("model", "t_hop", float, 1.0),
-        v=get("model", "v", lambda s: _parse_tuple(s, float), (0.5,)),
+        lambda_aniso=get("model", "lambda_aniso", _finite, 0.0),
+        t_hop=get("model", "t_hop", _finite, 1.0),
+        v=get("model", "v", lambda s: _parse_tuple(s, _finite), (0.5,)),
         n_sites=get("chain", "n_sites", int, 12),
         boundary=get("chain", "boundary", str, "periodic"),
-        beta=get("bias", "beta", float, 1.0),
-        lam=get("bias", "lambda", float, 0.5),
+        beta=get("bias", "beta", _positive, 1.0),
+        lam=get("bias", "lambda", _finite, 0.5),
         M=get("geometry", "m", int, 3),
         L=get("geometry", "l", int, 7),
         window_kind=get("window", "kind", str, "hann"),
-        window_T=get("window", "t", float, 2.0),
+        window_T=get("window", "t", _positive, 2.0),
         x_values=get("scan", "x_values", lambda s: _parse_tuple(s, int), (3, 4, 5)),
-        t_values=get("scan", "t_values", lambda s: _parse_tuple(s, float),
+        t_values=get("scan", "t_values", lambda s: _parse_tuple(s, _finite),
                      (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
         M_values=get("scan", "m_values", lambda s: _parse_tuple(s, int), (2, 3, 4)),
-        sum_rule_rel_err=get("checks", "sum_rule_rel_err", float, 0.05),
-        derivative_rel_err=get("checks", "derivative_rel_err", float, 0.10),
-        conservation_tol=get("checks", "conservation_tol", float, 1e-12),
+        sum_rule_rel_err=get("checks", "sum_rule_rel_err", _finite, 0.05),
+        derivative_rel_err=get("checks", "derivative_rel_err", _finite, 0.10),
+        conservation_tol=get("checks", "conservation_tol", _finite, 1e-12),
         epsilon_windows=get("checks", "epsilon_windows",
                             lambda s: _parse_tuple(s, float), (0.2, 0.5, 1.0)),
     )
+    if cfg.n_sites < 2:
+        raise ConfigError(f"[chain] n_sites must be >= 2, got {cfg.n_sites}")
     if cfg.model_kind not in ("xx", "xxz", "fermion"):
         raise ConfigError(f"unknown model kind {cfg.model_kind!r}")
     if cfg.boundary not in ("periodic", "open"):
@@ -238,6 +255,7 @@ class _Workspace:
                 f"window T = {self.window.T} exceeds the wrap horizon of this chain"
             )
         self._state = None
+        self._report = None
 
     def state(self):
         if self._state is None:
@@ -248,6 +266,13 @@ class _Workspace:
                 self.chain,
             )
         return self._state
+
+    def report(self):
+        if self._report is None:
+            from .steady_state import verify_ness
+
+            self._report = verify_ness(self.state(), self.phi, self.spec, self.chain)
+        return self._report
 
 
 def _cmd_build(ws: _Workspace, out: str) -> int:
@@ -299,11 +324,9 @@ def _cmd_verify_lr(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_ness(ws: _Workspace, out: str) -> int:
-    from .steady_state import state_summary, verify_ness
+    from .steady_state import state_summary
 
-    state = ws.state()
-    report = verify_ness(state, ws.phi, ws.spec, ws.chain)
-    _write_json(os.path.join(out, "ness.json"), state_summary(state, report))
+    _write_json(os.path.join(out, "ness.json"), state_summary(ws.state(), ws.report()))
     return _EXIT_OK
 
 
@@ -316,7 +339,7 @@ def _cmd_sumrule(ws: _Workspace, out: str) -> int:
     curve = kernel.curve(ts)
     lines = ["t,C"] + [f"{t!r},{c!r}" for t, c in zip(ts.tolist(), curve.tolist())]
     _atomic_write(os.path.join(out, "c_curve.csv"), "\n".join(lines) + "\n")
-    res = sum_rule_check(state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain)
+    res = sum_rule_check(state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain, kernel=kernel)
     _write_json(os.path.join(out, "sumrule.json"), res)
     if res["rel_err"] > ws.cfg.sum_rule_rel_err:
         raise NumericalCheckError(
@@ -333,10 +356,8 @@ def _cmd_spectral(ws: _Workspace, out: str) -> int:
         singularity_diagnostic,
         spectral_function_rho,
     )
-    from .steady_state import verify_ness
-
     state = ws.state()
-    report = verify_ness(state, ws.phi, ws.spec, ws.chain)
+    report = ws.report()
     if report.symmetry_residual > 1e-10:
         raise PreconditionError(
             "state breaks the charge symmetry; the symmetric-branch identity "
@@ -396,23 +417,12 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
     parser.add_argument("--config", required=True, help="experiment config (INI)")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"])
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                         format="%(levelname)s %(name)s: %(message)s")
-
-    if args.threads is not None:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", str(args.threads))
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(limits=args.threads)
-        except ImportError:
-            pass
 
     try:
         cfg = load_config(args.config)

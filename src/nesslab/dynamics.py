@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NumericalCheckError, PreconditionError
 from .operators import (
     ChainConfig,
     LocalOperator,
     apply_local,
     commutator_with_local,
     embed,
+    embedded_diagonal,
     operator_norm,
     translate,
 )
@@ -49,7 +50,7 @@ class EvolutionContext:
         evals, evecs = np.linalg.eigh(H)
         res = np.linalg.norm((evecs * evals) @ evecs.conj().T - H)
         if res > residual_tol * max(1.0, np.linalg.norm(H)):
-            raise RuntimeError(f"eigendecomposition residual {res:.3e} too large")
+            raise NumericalCheckError(f"eigendecomposition residual {res:.3e} too large")
         return cls(energies=evals, vectors=evecs, chain=chain)
 
     @classmethod
@@ -135,29 +136,6 @@ class LRScanRow:
     excluded: bool
 
 
-def _comm_norm_warm(C: np.ndarray, warm: dict, key, tol: float = 1e-8) -> float:
-    """Norm of a commutator of Hermitian operators, warm-starting across calls."""
-    from .operators import _lanczos_abs_max
-
-    n = C.shape[0]
-    fro = float(np.linalg.norm(C))
-    if fro <= 1e-11:
-        return fro
-    if n <= 1024:
-        return operator_norm(C)
-    val, vec = _lanczos_abs_max(1j * C, tol, v0=warm.get(key))
-    warm[key] = vec
-    return val
-
-
-def _embedded_diag_or_none(op: LocalOperator, chain: ChainConfig):
-    from .operators import embedded_diagonal
-
-    if np.count_nonzero(op.coeffs - np.diag(np.diag(op.coeffs))):
-        return None
-    return embedded_diagonal(op, chain)
-
-
 def _lr_scan_blockwise(phi, chain, A, shifted, x_values, t_values, v_emp, V,
                        d1, d2, normA, normB):
     """Scan kernel for diagonal observables.
@@ -175,12 +153,12 @@ def _lr_scan_blockwise(phi, chain, A, shifted, x_values, t_values, v_emp, V,
     comps = [np.flatnonzero(labels == c) for c in range(n_comp)]
     Hd = H.toarray()
     blocks = []
-    a_diag = _embedded_diag_or_none(A, chain)
+    a_diag = embedded_diagonal(A, chain)
     for idx in comps:
         Hc = Hd[np.ix_(idx, idx)]
         evals, vecs = np.linalg.eigh(Hc)
         blocks.append((idx, evals, vecs, a_diag[idx]))
-    b_diags = {x: _embedded_diag_or_none(op, chain) for x, op in shifted.items()}
+    b_diags = {x: embedded_diagonal(op, chain) for x, op in shifted.items()}
 
     rows = []
     n = chain.n_sites
@@ -193,7 +171,12 @@ def _lr_scan_blockwise(phi, chain, A, shifted, x_values, t_values, v_emp, V,
                 ph = np.exp(1j * evals * t)
                 W = vecs * ph
                 M = (vecs.conj().T * a_c) @ vecs
-                at_blocks.append(W @ M @ W.conj().T)
+                X = W @ M @ W.conj().T
+                # W M W^H is Hermitian only to rounding, and the commutator
+                # below cancels its diagonal, which lifts the relative deviation
+                # over operator_norm's 1e-13 test; symmetrized, every block is
+                # exactly anti-Hermitian and takes the eigvalsh path, not an SVD
+                at_blocks.append((X + X.conj().T) / 2)
         for x in x_values:
             params = LRBoundParams(d1=d1, d2=d2, x=x, normA=normA, normB=normB,
                                    V=V, site_dim=chain.site_dim)
@@ -238,9 +221,8 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     # open chains have no translation automorphism, so B is placed at +x there
     step = -1 if chain.periodic else 1
     shifted = {x: translate(B, step * x, chain) for x in x_values}
-    if (ctx is None and _embedded_diag_or_none(A, chain) is not None
-            and all(_embedded_diag_or_none(op, chain) is not None
-                    for op in shifted.values())):
+    if (ctx is None and embedded_diagonal(A, chain) is not None
+            and all(embedded_diagonal(op, chain) is not None for op in shifted.values())):
         rows = _lr_scan_blockwise(phi, chain, A, shifted, x_values, t_values,
                                   v_emp, V, d1, d2, normA, normB)
         if rows and all(r.excluded for r in rows):
@@ -253,7 +235,6 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     rows = []
     Vb = ctx.vectors
     A_eig = Vb.conj().T @ apply_local(Vb, A, chain, side="left")
-    warm: dict = {}
     for t in sorted(set(float(t) for t in t_values)):
         live = [x for x in x_values if abs(x) + 2.0 * v_emp * abs(t) < n]
         if t == 0.0:
@@ -269,7 +250,7 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
                                       bound=lr_bound(params, t), excluded=True))
                 continue
             C = commutator_with_local(At, shifted[x], chain)
-            rows.append(LRScanRow(x=x, t=t, empirical=_comm_norm_warm(C, warm, x),
+            rows.append(LRScanRow(x=x, t=t, empirical=operator_norm(C),
                                   bound=lr_bound(params, t), excluded=False))
     if rows and all(r.excluded for r in rows):
         raise PreconditionError("every requested scan point lies beyond the wrap horizon")

@@ -17,15 +17,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import GeometryError, PreconditionError
+from .errors import GeometryError, NumericalCheckError, PreconditionError
 from .operators import (
     ChainConfig,
     LocalOperator,
     arc_sites,
     commutator,
     embed,
-    embed_sparse,
+    embedded_entries,
     extract_local,
     kron_le,
     operator_norm,
@@ -216,11 +217,12 @@ def build_fermion_model(t_hop: float, v) -> tuple:
     dressed = -t_hop * (c1.conj().T @ c0 + c0.conj().T @ c1)
     if v:
         dressed = dressed + v[0] * n_ops[0] @ n_ops[1]
-    assert np.linalg.norm(dressed - embed(LocalOperator((0, 1), terms[0][1]), chain)) < 1e-12, \
-        "Jordan-Wigner string failed to cancel on the hopping term"
-    for s in range(2, r + 1):
-        dressed_s = v[s - 1] * n_ops[0] @ n_ops[s]
-        assert np.linalg.norm(dressed_s - embed(LocalOperator((0, s), terms[s - 1][1]), chain)) < 1e-12
+    checks = [(dressed, terms[0])]
+    checks += [(v[s - 1] * n_ops[0] @ n_ops[s], terms[s - 1]) for s in range(2, r + 1)]
+    for want, (offsets, mat) in checks:
+        if not np.linalg.norm(want - embed(LocalOperator(offsets, mat), chain)) < 1e-12:
+            raise NumericalCheckError(
+                f"Jordan-Wigner string failed to cancel on the term at {offsets}")
 
     phi = Interaction(site_dim=2, r=r, terms=tuple(terms))
     return phi, ChargeSpec(FERMION_NUMBER)
@@ -247,103 +249,72 @@ def _window_chain(length: int, site_dim: int) -> ChainConfig:
     return ChainConfig(length, site_dim, "open", dim_cap=site_dim**length)
 
 
-def _window_hamiltonian(phi: Interaction, length: int) -> np.ndarray:
-    """H of an open window of the given length, in window coordinates 0..length-1."""
-    d = phi.site_dim
-    dim = d**length
-    H = np.zeros((dim, dim), dtype=np.complex128)
-    if length == 1:
-        for offsets, mat in phi.terms:
-            if offsets == (0,):
-                H += mat
-        return H
-    chain = _window_chain(length, d)
+def _onsite(phi: Interaction) -> np.ndarray:
+    """Sum of the single-site terms (the whole Hamiltonian of a one-site window)."""
+    h = np.zeros((phi.site_dim, phi.site_dim), dtype=np.complex128)
     for offsets, mat in phi.terms:
-        width = offsets[-1]
-        for u in range(0, length - width):
-            sites = tuple(o + u for o in offsets)
-            H += embed(LocalOperator(sites, mat), chain)
-    return H
+        if offsets == (0,):
+            h = h + mat
+    return h
 
 
-def local_hamiltonian(phi: Interaction, window, chain: ChainConfig) -> np.ndarray:
-    """H_window = sum of all interaction translates contained in the window.
+def _assemble(ops, chain: ChainConfig) -> sp.csr_matrix:
+    """Sum of embedded local operators, built as one COO matrix."""
+    D = chain.dim
+    entries = [embedded_entries(op, chain) for op in ops]
+    if not entries:
+        return sp.csr_matrix((D, D), dtype=np.complex128)
+    rows, cols, data = (np.concatenate(part) for part in zip(*entries))
+    out = sp.coo_matrix((data, (rows, cols)), shape=(D, D)).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def _translates(phi: Interaction, lo: int, width: int, chain: ChainConfig) -> list:
+    """Interaction translates inside the arc of ``width`` sites starting at lo.
+
+    An arc covering a whole periodic ring also takes the wrapped translates,
+    so it yields the translation-invariant Hamiltonian.
+    """
+    wrap = chain.periodic and width == chain.n_sites
+    return [translate(LocalOperator(offsets, mat), lo + u, chain)
+            for offsets, mat in phi.terms
+            for u in range(width if wrap else width - offsets[-1])]
+
+
+def hamiltonian(phi: Interaction, chain: ChainConfig, sparse: bool = False):
+    """Full-chain Hamiltonian; on a periodic chain every translate wraps in."""
+    if phi.site_dim != chain.site_dim:
+        raise ValueError("interaction and chain site dimensions differ")
+    H = _assemble(_translates(phi, 0, chain.n_sites, chain), chain)
+    return H if sparse else H.toarray()
+
+
+def window_hamiltonian_sparse(phi: Interaction, window, chain: ChainConfig):
+    """Sparse H_window = sum of all interaction translates contained in the window.
 
     ``window`` is an inclusive interval (lo, hi) in signed coordinates.  On a
     periodic chain a window covering the whole ring includes the wrapped
     translates, so the result is the translation-invariant Hamiltonian.
     """
     lo, hi = int(window[0]), int(window[1])
-    sites = arc_sites(lo, hi, chain)
-    w = len(sites)
-    if chain.periodic and w == chain.n_sites:
-        return hamiltonian(phi, chain)
-    local = _window_hamiltonian(phi, w)
-    return embed(translate(LocalOperator(tuple(range(w)), local), lo, chain), chain)
+    return _assemble(_translates(phi, lo, len(arc_sites(lo, hi, chain)), chain), chain)
 
 
-def hamiltonian(phi: Interaction, chain: ChainConfig, sparse: bool = False):
-    """Full-chain Hamiltonian; on a periodic chain every translate wraps in."""
-    n = chain.n_sites
-    if phi.site_dim != chain.site_dim:
-        raise ValueError("interaction and chain site dimensions differ")
-    pieces = []
-    for offsets, mat in phi.terms:
-        base = LocalOperator(offsets, mat)
-        anchors = range(n) if chain.periodic else range(n - offsets[-1])
-        for u in anchors:
-            pieces.append(translate(base, u, chain))
-    if sparse:
-        D = chain.dim
-        import scipy.sparse as sp
-
-        H = sp.csr_matrix((D, D), dtype=np.complex128)
-        for op in pieces:
-            H = H + embed_sparse(op, chain)
-        return H
-    H = np.zeros((chain.dim, chain.dim), dtype=np.complex128)
-    for op in pieces:
-        H += embed(op, chain)
-    return H
-
-
-def window_hamiltonian_sparse(phi: Interaction, window, chain: ChainConfig):
-    """Sparse H_window, summed translate by translate (proper sub-arc windows only)."""
-    import scipy.sparse as sp
-
-    lo, hi = int(window[0]), int(window[1])
-    sites = arc_sites(lo, hi, chain)
-    w = len(sites)
-    if chain.periodic and w == chain.n_sites:
-        return hamiltonian(phi, chain, sparse=True)
-    H = sp.csr_matrix((chain.dim, chain.dim), dtype=np.complex128)
-    for offsets, mat in phi.terms:
-        width = offsets[-1]
-        base = LocalOperator(offsets, mat)
-        for u in range(0, w - width):
-            H = H + embed_sparse(translate(base, lo + u, chain), chain)
-    return H
-
-
-def charge_operator(spec: ChargeSpec, window, chain: ChainConfig) -> np.ndarray:
-    """N_window = sum of the single-site charge over the window arc."""
-    lo, hi = int(window[0]), int(window[1])
-    sites = arc_sites(lo, hi, chain)
-    N = np.zeros((chain.dim, chain.dim), dtype=np.complex128)
-    for x in sites:
-        N += embed(LocalOperator((x,), spec.n0), chain)
-    return N
+def local_hamiltonian(phi: Interaction, window, chain: ChainConfig) -> np.ndarray:
+    """Dense :func:`window_hamiltonian_sparse`."""
+    return window_hamiltonian_sparse(phi, window, chain).toarray()
 
 
 def charge_sparse(spec: ChargeSpec, window, chain: ChainConfig):
-    import scipy.sparse as sp
-
+    """Sparse N_window = sum of the single-site charge over the window arc."""
     lo, hi = int(window[0]), int(window[1])
-    sites = arc_sites(lo, hi, chain)
-    N = sp.csr_matrix((chain.dim, chain.dim), dtype=np.complex128)
-    for x in sites:
-        N = N + embed_sparse(LocalOperator((x,), spec.n0), chain)
-    return N
+    return _assemble([LocalOperator((x,), spec.n0) for x in arc_sites(lo, hi, chain)], chain)
+
+
+def charge_operator(spec: ChargeSpec, window, chain: ChainConfig) -> np.ndarray:
+    """Dense :func:`charge_sparse`."""
+    return charge_sparse(spec, window, chain).toarray()
 
 
 def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
@@ -353,26 +324,21 @@ def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
     Both operators translate covariantly, so only the window size matters and
     each commutator is evaluated on the window factor alone.
     """
-    d = phi.site_dim
-    worst = 0.0
+    worst = operator_norm(commutator(spec.n0, _onsite(phi)))
     top = min(max_window, chain.n_sites - 1 if chain.periodic else chain.n_sites)
-    for w in range(1, top + 1):
-        H = _window_hamiltonian(phi, w)
-        if w == 1:
-            N = spec.n0.copy()
-        else:
-            wchain = _window_chain(w, d)
-            N = np.zeros_like(H)
-            for x in range(w):
-                N += embed(LocalOperator((x,), spec.n0), wchain)
+    for w in range(2, top + 1):
+        wchain = _window_chain(w, phi.site_dim)
+        H = hamiltonian(phi, wchain)
+        N = charge_operator(spec, (0, w - 1), wchain)
         worst = max(worst, operator_norm(commutator(N, H)))
     return worst
 
 
-def _accumulate_current(phi: Interaction, spec: ChargeSpec, M: int):
-    """i [N_{z<=0 part}, H_[-M,M]] accumulated on the window [-M, r].
+def _current_block(phi: Interaction, spec: ChargeSpec, M: int) -> np.ndarray:
+    """Coefficients of j_0 on its support [1-r, r] (positions 0 .. 2r-1).
 
-    Only interaction translates that meet the charge window contribute; for a
+    i [N_{z<=0 part}, H_[-M,M]] is accumulated on the window [-M, r].  Only
+    interaction translates that meet the charge window contribute; for a
     conserving interaction everything inside cancels and the sum is supported
     on [1-r, r].
     """
@@ -381,7 +347,7 @@ def _accumulate_current(phi: Interaction, spec: ChargeSpec, M: int):
     lo, hi = -M, r
     width = hi - lo + 1
     wchain = _window_chain(width, d)
-    acc = np.zeros((d**width, d**width), dtype=np.complex128)
+    lifted = []
     for offsets, mat in phi.terms:
         span = offsets[-1]
         for u in range(-M, M - span + 1):
@@ -396,16 +362,21 @@ def _accumulate_current(phi: Interaction, spec: ChargeSpec, M: int):
                 rel = tuple(s - sites[0] for s in sites)
                 relchain = _window_chain(rel[-1] + 1, d)
                 term = embed(LocalOperator(rel, mat), relchain)
-                n_part = np.zeros_like(term)
-                for z in charge_sites:
-                    n_part += embed(LocalOperator((z - sites[0],), spec.n0), relchain)
-                c = extract_local(1j * commutator(n_part, term),
-                                  tuple(range(rel[-1] + 1)), relchain, verify_tol=None).coeffs
+                n_part = _assemble([LocalOperator((z - sites[0],), spec.n0)
+                                    for z in charge_sites], relchain).toarray()
+                c = 1j * commutator(n_part, term)
             # lift onto the accumulation window
-            rel_width = (sites[-1] - sites[0]) + 1
-            lifted = LocalOperator(tuple(range(sites[0] - lo, sites[0] - lo + rel_width)), c)
-            acc += embed(lifted, wchain)
-    return acc, wchain, lo
+            lifted.append(LocalOperator(tuple(range(sites[0] - lo, sites[-1] - lo + 1)), c))
+    acc = _assemble(lifted, wchain).toarray()
+    try:
+        block = extract_local(acc, tuple(range((1 - r) - lo, r - lo + 1)), wchain,
+                              verify_tol=1e-12)
+    except PreconditionError as exc:
+        raise PreconditionError(
+            "current is not supported on [1-r, r]; the interaction does not "
+            f"conserve the given charge ({exc})"
+        ) from exc
+    return block.coeffs
 
 
 def current_operator(phi: Interaction, spec: ChargeSpec, geom: CurrentGeometry,
@@ -421,39 +392,21 @@ def current_operator(phi: Interaction, spec: ChargeSpec, geom: CurrentGeometry,
         raise ValueError("interaction and chain site dimensions differ")
     geom.validate_for_chain(chain)
     r = phi.r
-    acc, wchain, lo = _accumulate_current(phi, spec, geom.M)
-    try:
-        block = extract_local(acc, tuple(range((1 - r) - lo, r - lo + 1)), wchain,
-                              verify_tol=1e-12)
-    except PreconditionError as exc:
-        raise PreconditionError(
-            "current is not supported on [1-r, r]; the interaction does not "
-            f"conserve the given charge ({exc})"
-        ) from exc
-    base = LocalOperator(tuple(range(2 * r)), block.coeffs)
+    base = LocalOperator(tuple(range(2 * r)), _current_block(phi, spec, geom.M))
     return translate(base, 1 - r, chain)
 
 
 def current_local(phi: Interaction, spec: ChargeSpec, chain: ChainConfig) -> LocalOperator:
-    """j_0 on the given chain, computed with a minimal admissible geometry.
+    """j_0 on the given chain, computed with the minimal admissible window M = 2r.
 
     Usable on chains too short to host any admissible (L, M) pair directly;
     the current is a fixed local operator on [1-r, r] regardless.
     """
     r = phi.r
-    geom = CurrentGeometry(L=4 * r + 1, M=2 * r, r=r)
-    n_scratch = geom.L + geom.M + 1
-    scratch = ChainConfig(n_scratch, phi.site_dim, "periodic",
-                          dim_cap=max(phi.site_dim**n_scratch, 2**14))
-    j = current_operator(phi, spec, geom, scratch)
-    # re-anchor on the target chain
-    width = 2 * r
-    if width > chain.n_sites:
+    coeffs = _current_block(phi, spec, 2 * r)
+    if 2 * r > chain.n_sites:
         raise GeometryError("chain shorter than the current's support")
-    base_support = tuple(range(width))
-    base = translate(j, r - 1, scratch)  # move support to [0, 2r-1]
-    assert base.support == base_support
-    return translate(LocalOperator(base_support, base.coeffs), 1 - r, chain)
+    return translate(LocalOperator(tuple(range(2 * r)), coeffs), 1 - r, chain)
 
 
 def total_current(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
@@ -462,17 +415,8 @@ def total_current(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
     if not chain.periodic:
         raise PreconditionError("total current is defined on the periodic chain")
     j0 = current_local(phi, spec, chain)
-    if sparse:
-        import scipy.sparse as sp
-
-        J = sp.csr_matrix((chain.dim, chain.dim), dtype=np.complex128)
-        for x in range(chain.n_sites):
-            J = J + embed_sparse(translate(j0, x, chain), chain)
-        return J
-    J = np.zeros((chain.dim, chain.dim), dtype=np.complex128)
-    for x in range(chain.n_sites):
-        J += embed(translate(j0, x, chain), chain)
-    return J
+    J = _assemble([translate(j0, x, chain) for x in range(chain.n_sites)], chain)
+    return J if sparse else J.toarray()
 
 
 def energy_current_operators(phi: Interaction, M: int, chain: ChainConfig):
@@ -497,8 +441,7 @@ def energy_current_operators(phi: Interaction, M: int, chain: ChainConfig):
         else:
             lo, hi = -M - r, -M + 2 * r - 1
         width = hi - lo + 1
-        wchain = _window_chain(width, d)
-        acc = np.zeros((d**width, d**width), dtype=np.complex128)
+        terms = []
         for offsets, mat in phi.terms:
             span = offsets[-1]
             for u in range(-M - r, M + r - span + 1):
@@ -506,7 +449,8 @@ def energy_current_operators(phi: Interaction, M: int, chain: ChainConfig):
                 inside = X[0] >= -M and X[-1] <= M
                 right = X[-1] > M
                 left = X[0] < -M
-                assert not (right and left), "boundary zones overlap; M too small"
+                if right and left:
+                    raise GeometryError("boundary zones overlap; M too small")
                 if inside or (side == "right" and not right) or (side == "left" and not left):
                     continue
                 # commute with every window term it touches
@@ -521,15 +465,10 @@ def energy_current_operators(phi: Interaction, M: int, chain: ChainConfig):
                         relchain = _window_chain(joint[-1] - rel0 + 1, d)
                         GX = embed(LocalOperator(tuple(s - rel0 for s in X), mat), relchain)
                         GY = embed(LocalOperator(tuple(s - rel0 for s in Y), mat_y), relchain)
-                        c = 1j * commutator(GY, GX)
-                        cl = extract_local(c, tuple(range(joint[-1] - rel0 + 1)),
-                                           relchain, verify_tol=None)
-                        acc += embed(
-                            LocalOperator(tuple(range(rel0 - lo, joint[-1] - lo + 1)), cl.coeffs),
-                            wchain,
-                        )
-        base = LocalOperator(tuple(range(width)), acc)
-        return translate(base, lo, chain)
+                        terms.append(LocalOperator(tuple(range(rel0 - lo, joint[-1] - lo + 1)),
+                                                   1j * commutator(GY, GX)))
+        acc = _assemble(terms, _window_chain(width, d)).toarray()
+        return translate(LocalOperator(tuple(range(width)), acc), lo, chain)
 
     j_plus = straddle_sum("right")
     j_minus_raw = straddle_sum("left")
@@ -550,19 +489,12 @@ def energy_density(phi: Interaction, chain: ChainConfig) -> LocalOperator:
     hi = r_eff - (r_eff // 2)
     width = max(hi - lo + 1, 1)
     if width == 1:
-        h = np.zeros((d, d), dtype=np.complex128)
-        for offsets, mat in phi.terms:
-            if offsets == (0,):
-                h = h + mat
-        return translate(LocalOperator((0,), h), 0, chain)
-    wchain = _window_chain(width, d)
-    acc = np.zeros((d**width, d**width), dtype=np.complex128)
-    for offsets, mat in phi.terms:
-        span = offsets[-1]
-        shift = -(span // 2) - lo  # class anchored at -(span//2), in window coords
-        acc += embed(LocalOperator(tuple(o + shift for o in offsets), mat), wchain)
-    base = LocalOperator(tuple(range(width)), acc)
-    return translate(base, lo, chain)
+        return translate(LocalOperator((0,), _onsite(phi)), 0, chain)
+    # each class is anchored at -(span // 2), shifted here into window coordinates
+    classes = [LocalOperator(tuple(o - offsets[-1] // 2 - lo for o in offsets), mat)
+               for offsets, mat in phi.terms]
+    acc = _assemble(classes, _window_chain(width, d)).toarray()
+    return translate(LocalOperator(tuple(range(width)), acc), lo, chain)
 
 
 def boundary_complements(phi: Interaction, M: int, chain: ChainConfig):
@@ -584,11 +516,7 @@ def boundary_complements(phi: Interaction, M: int, chain: ChainConfig):
             lo, hi = M - 2 * r_eff, M
         lo, hi = min(lo, hi), max(lo, hi)
         width = hi - lo + 1
-        if width == 1:
-            acc = np.zeros((d, d), dtype=np.complex128)
-        else:
-            wchain = _window_chain(width, d)
-            acc = np.zeros((d**width, d**width), dtype=np.complex128)
+        terms = []
         for offsets, mat in phi.terms:
             span = offsets[-1]
             covered_lo = -M + r_eff - (span // 2)
@@ -599,13 +527,14 @@ def boundary_complements(phi: Interaction, M: int, chain: ChainConfig):
                 anchors = range(max(covered_hi + 1, -M), M - span + 1)
             for u in anchors:
                 X = tuple(o + u for o in offsets)
-                assert lo <= X[0] and X[-1] <= hi, "complement support claim violated"
-                if width == 1:
-                    acc = acc + mat
-                else:
-                    acc += embed(LocalOperator(tuple(s - lo for s in X), mat), wchain)
-        base = LocalOperator(tuple(range(max(width, 1))), acc)
-        return translate(base, lo, chain)
+                if not (lo <= X[0] and X[-1] <= hi):
+                    raise NumericalCheckError(f"complement term at {X} leaves [{lo}, {hi}]")
+                terms.append(LocalOperator(tuple(s - lo for s in X), mat))
+        if width == 1:
+            acc = sum((op.coeffs for op in terms), np.zeros((d, d), dtype=np.complex128))
+        else:
+            acc = _assemble(terms, _window_chain(width, d)).toarray()
+        return translate(LocalOperator(tuple(range(width)), acc), lo, chain)
 
     return gather("left"), gather("right")
 

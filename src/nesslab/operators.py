@@ -157,8 +157,8 @@ def embed(op: LocalOperator, chain: ChainConfig) -> np.ndarray:
     return G
 
 
-def embed_sparse(op: LocalOperator, chain: ChainConfig) -> sp.csr_matrix:
-    """Sparse CSR variant of :func:`embed`; zero entries of coeffs are dropped."""
+def embedded_entries(op: LocalOperator, chain: ChainConfig) -> tuple:
+    """(rows, cols, values) of the nonzero entries of embed(op)."""
     op.validate_for(chain)
     g = _global_indices(op.support, chain)
     mS, mR = g.shape
@@ -166,8 +166,14 @@ def embed_sparse(op: LocalOperator, chain: ChainConfig) -> sp.csr_matrix:
     cols = np.broadcast_to(g[None, :, :], (mS, mS, mR)).ravel()
     data = np.broadcast_to(op.coeffs[:, :, None], (mS, mS, mR)).ravel()
     keep = data != 0
+    return rows[keep], cols[keep], data[keep]
+
+
+def embed_sparse(op: LocalOperator, chain: ChainConfig) -> sp.csr_matrix:
+    """Sparse CSR variant of :func:`embed`; zero entries of coeffs are dropped."""
+    rows, cols, data = embedded_entries(op, chain)
     D = chain.dim
-    return sp.coo_matrix((data[keep], (rows[keep], cols[keep])), shape=(D, D)).tocsr()
+    return sp.coo_matrix((data, (rows, cols)), shape=(D, D)).tocsr()
 
 
 def _digit_permutation_matrix(perm, d: int) -> np.ndarray:
@@ -295,8 +301,10 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
-def embedded_diagonal(op: LocalOperator, chain: ChainConfig) -> np.ndarray:
-    """Diagonal of embed(op) for an op with diagonal coefficient matrix."""
+def embedded_diagonal(op: LocalOperator, chain: ChainConfig) -> np.ndarray | None:
+    """Diagonal of embed(op), or None when op's coefficient matrix is not diagonal."""
+    if np.count_nonzero(op.coeffs - np.diag(np.diag(op.coeffs))):
+        return None
     g = _global_indices(op.support, chain)
     d = np.empty(chain.dim, dtype=np.complex128)
     vals = np.diag(op.coeffs)
@@ -310,8 +318,8 @@ def commutator_with_local(G: np.ndarray, op: LocalOperator, chain: ChainConfig) 
     Diagonal local operators get an elementwise fast path; the general case
     costs two support-digit contractions.
     """
-    if np.count_nonzero(op.coeffs - np.diag(np.diag(op.coeffs))) == 0:
-        d = embedded_diagonal(op, chain)
+    d = embedded_diagonal(op, chain)
+    if d is not None:
         return G * (d[None, :] - d[:, None])
     return apply_local(G, op, chain, side="right") - apply_local(G, op, chain, side="left")
 

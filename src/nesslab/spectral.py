@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import PreconditionError
+from .errors import NumericalCheckError, PreconditionError
 from .operators import ChainConfig, LocalOperator, apply_local, shift_index_map
 from . import models
 
@@ -93,6 +93,11 @@ class JointBasis:
     def momenta(self) -> np.ndarray:
         return 2.0 * math.pi * centered_mode(self.mode, self.chain.n_sites) / self.chain.n_sites
 
+    def matrix_elements(self, A) -> np.ndarray:
+        """<m|A|n> over the basis vectors; A may be dense, sparse or a LocalOperator."""
+        V = self.vectors
+        return V.conj().T @ _apply_to_vectors(A, V, self.chain)
+
     def energy_block_ids(self, tol: float = 1e-8) -> np.ndarray:
         """Group (sorted) energies into degenerate blocks; returns a block id per state."""
         E = self.energies
@@ -156,7 +161,6 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
         bias_vals = None
         if bias_sp is not None:
             bias_vals = np.zeros(dm)
-            JQ = bias_sp @ Q
             # refine each degenerate energy block with the bias operator
             start = 0
             while start < dm:
@@ -170,7 +174,6 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
                 vectors[:, start:stop] = W @ ju
                 bias_vals[start:stop] = jv
                 start = stop
-            del JQ
         vec_parts.append(vectors)
         E_parts.append(evals)
         mode_parts.append(np.full(dm, m, dtype=np.int64))
@@ -178,7 +181,7 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
             bias_parts.append(bias_vals)
 
     if total_dim != chain.dim:
-        raise RuntimeError("momentum sectors do not span the full space")
+        raise NumericalCheckError("momentum sectors do not span the full space")
     V = np.concatenate(vec_parts, axis=1)
     E = np.concatenate(E_parts)
     mode = np.concatenate(mode_parts)
@@ -305,11 +308,9 @@ class CommutatorKernel:
 
     def __init__(self, state, A, B):
         basis = state.basis
-        V = basis.vectors
-        chain = basis.chain
         p = np.asarray(state.probs)
-        At = V.conj().T @ _apply_to_vectors(A, V, chain)
-        Bt = V.conj().T @ _apply_to_vectors(B, V, chain)
+        At = basis.matrix_elements(A)
+        Bt = basis.matrix_elements(B)
         K = 1j * (p[:, None] - p[None, :]) * At
         self._W = K * Bt.T
         self._E = basis.energies
@@ -320,7 +321,7 @@ class CommutatorKernel:
         WP = self._W @ P
         vals = np.einsum("nj,nj->j", P.conj(), WP)
         if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals.real))):
-            raise RuntimeError("commutator correlator came out complex")
+            raise NumericalCheckError("commutator correlator came out complex")
         return vals.real
 
     def at(self, t: float) -> float:
@@ -360,14 +361,19 @@ def correlation_C(state, phi, spec, geom, t: float, chain: ChainConfig,
 
 
 def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainConfig,
-                   quad_tol: float = 1e-8) -> dict:
-    """Windowed current sum rule: int C(t) f_T(t) dt against sqrt(2 pi) w(j_0) ft(0)."""
+                   quad_tol: float = 1e-8, kernel: CommutatorKernel | None = None) -> dict:
+    """Windowed current sum rule: int C(t) f_T(t) dt against sqrt(2 pi) w(j_0) ft(0).
+
+    ``kernel`` is the :func:`correlation_kernel` of the same arguments, built
+    here when not given.
+    """
     horizon = wrap_horizon(phi, chain)
     if window.T > horizon:
         raise PreconditionError(
             f"window support T = {window.T} exceeds the wrap horizon {horizon:.3f}"
         )
-    kernel = correlation_kernel(state, phi, spec, geom, chain)
+    if kernel is None:
+        kernel = correlation_kernel(state, phi, spec, geom, chain)
     lhs = integrate_windowed(kernel.curve, window, tol=quad_tol)
     j0 = models.current_local(phi, spec, chain)
     current = float(np.real(state.expect(j0)))
@@ -439,12 +445,9 @@ def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator,
     """
     basis = state.basis if basis is None else basis
     chain = basis.chain
-    V = basis.vectors
     p = np.asarray(state.probs)
-    n_hat = _centered(n_op, state)
-    h_hat = _centered(h_op, state)
-    Nt = V.conj().T @ _apply_to_vectors(n_hat, V, chain)
-    Ht = V.conj().T @ _apply_to_vectors(h_hat, V, chain)
+    Nt = basis.matrix_elements(_centered(n_op, state))
+    Ht = basis.matrix_elements(_centered(h_op, state))
     W = 1j * p[:, None] * Nt * Ht.T
 
     # aggregate by (energy block, momentum) classes first, then by transfer
@@ -490,7 +493,7 @@ def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator,
             np.sum(p * np.einsum("nm,mn->n", Nt, Ht))
         )
         if abs(total - direct) > 1e-10 * max(1.0, abs(direct)):
-            raise RuntimeError(
+            raise NumericalCheckError(
                 f"spectral completeness violated: {total} vs {direct}"
             )
         # conjugate pairing: conj(w_AB(dk, de)) = -w_BA(dk, de)
@@ -500,7 +503,7 @@ def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator,
         dev = np.max(np.abs(np.conj(Wcls) + Wcls_ba))
         scale = max(1.0, np.max(np.abs(Wcls)))
         if dev > 1e-10 * scale:
-            raise RuntimeError(f"hermitian pairing violated: {dev:.3e}")
+            raise NumericalCheckError(f"hermitian pairing violated: {dev:.3e}")
     return out
 
 

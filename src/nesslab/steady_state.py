@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import PreconditionError
-from .operators import ChainConfig, LocalOperator, shift_index_map
+from .errors import NumericalCheckError, PreconditionError
+from .operators import ChainConfig, shift_unitary
 from . import models
 from .spectral import JointBasis, _apply_to_vectors, joint_spectrum
 
@@ -63,14 +63,9 @@ class StationaryState:
         diag = np.einsum("in,in->n", V.conj(), AV)
         return complex(np.dot(self.probs, diag))
 
-    def density_matrix(self) -> np.ndarray:
-        V = self.basis.vectors
-        return (V * self.probs) @ V.conj().T
-
     def commutant_residual(self, A) -> float:
         """Frobenius norm of [rho, A] (an upper bound on the operator norm)."""
-        V = self.basis.vectors
-        At = V.conj().T @ _apply_to_vectors(A, V, self.chain)
+        At = self.basis.matrix_elements(A)
         R = (self.probs[:, None] - self.probs[None, :]) * At
         return float(np.linalg.norm(R))
 
@@ -78,20 +73,13 @@ class StationaryState:
         return self.commutant_residual(H)
 
     def translation_residual(self) -> float:
-        t = shift_index_map(self.chain)
-        D = self.chain.dim
-        T = sp.coo_matrix((np.ones(D), (t, np.arange(D))), shape=(D, D)).tocsr()
-        return self.commutant_residual(T)
+        return self.commutant_residual(shift_unitary(self.chain, dense=False))
 
     def spectrum_rows(self):
         """Per-eigenvector (energy, momentum, probability) rows."""
         return list(zip(self.basis.energies.tolist(),
                         self.basis.momenta.tolist(),
                         self.probs.tolist()))
-
-
-def expectation(state: StationaryState, A) -> complex:
-    return state.expect(A)
 
 
 def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
@@ -134,7 +122,7 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
     stat = state.stationarity_residual(H)
     trans = state.translation_residual()
     if stat > RESIDUAL_TOL or trans > RESIDUAL_TOL:
-        raise RuntimeError(
+        raise NumericalCheckError(
             f"constructed state violates residual tolerances: [rho,H] {stat:.2e}, "
             f"[rho,T] {trans:.2e}"
         )
@@ -183,7 +171,7 @@ def verify_ness(state: StationaryState, phi: models.Interaction,
     j0 = models.current_local(phi, spec, chain)
     current = state.expect(j0)
     if abs(current.imag) > 1e-10:
-        raise RuntimeError(f"current expectation came out complex: {current}")
+        raise NumericalCheckError(f"current expectation came out complex: {current}")
     N_tot = models.charge_sparse(spec, (0, chain.n_sites - 1), chain)
     sym = state.commutant_residual(N_tot)
     is_stationary = stat <= RESIDUAL_TOL

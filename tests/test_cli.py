@@ -150,6 +150,29 @@ class TestSubcommands:
         assert code == 4
         assert os.path.exists(os.path.join(out, "sumrule.json"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("NESSLAB_CHAIN__N_SITES", "1"),
+        ("NESSLAB_BIAS__BETA", "-1"),
+        ("NESSLAB_BIAS__BETA", "nan"),
+        ("NESSLAB_WINDOW__T", "0"),
+        ("NESSLAB_WINDOW__T", "inf"),
+    ])
+    def test_exit_code_bad_value(self, small_cfg_path, tmp_path, monkeypatch, key, value):
+        out = str(tmp_path / "bad")
+        monkeypatch.setenv(key, value)
+        assert cli.main(["ness", "--config", small_cfg_path, "--out", out]) == 2
+        err = json.loads(open(os.path.join(out, "error.json")).read())
+        assert err["error"] == "config"
+        assert not os.path.exists(os.path.join(out, "config.resolved.ini"))
+
+    def test_exit_code_self_check(self, small_cfg_path, tmp_path, monkeypatch):
+        # a failed internal residual check is a numerical-check failure, not a crash
+        monkeypatch.setattr(nl.steady_state, "RESIDUAL_TOL", -1.0)
+        out = str(tmp_path / "self")
+        assert cli.main(["ness", "--config", small_cfg_path, "--out", out]) == 4
+        err = json.loads(open(os.path.join(out, "error.json")).read())
+        assert err["error"] == "numerical-check"
+
     def test_fail_fast_before_heavy_work(self, small_cfg_path, tmp_path):
         # an inadmissible geometry must be rejected before artifacts appear
         out = str(tmp_path / "fast")

@@ -168,6 +168,20 @@ class TestLRScan:
             assert abs(r.empirical - ref) < 1e-8 * max(1e-12, ref)
             assert r.empirical <= r.bound
 
+    def test_blockwise_norms_need_no_svd(self, xx_model, monkeypatch):
+        # every commutator block is exactly anti-Hermitian, so operator_norm
+        # takes its eigvalsh path instead of falling back to an SVD
+        phi, _ = xx_model
+        chain = nl.ChainConfig(8, 2)
+        sz = nl.LocalOperator((0,), PAULI_Z, hermitian=True)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a commutator block fell back to an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rows = nl.lr_scan(phi, sz, sz, [3, 4], [0.1, 0.3], chain)
+        assert all(r.empirical > 0 for r in rows)
+
     def test_csv_round_trip_floats(self, xx8):
         phi, _, chain, ctx = xx8
         sz = nl.LocalOperator((0,), PAULI_Z, hermitian=True)

@@ -13,6 +13,7 @@ from nesslab.models import (
     PAULI_X,
     PAULI_Z,
     SPIN_HALF,
+    charge_sparse,
     window_hamiltonian_sparse,
 )
 
@@ -110,12 +111,66 @@ class TestWindowHamiltonian:
         T = nl.shift_unitary(chain)
         assert nl.comm_norm(H, T) < 1e-12
 
-    def test_sparse_matches_dense(self, xx_model):
-        phi, _ = xx_model
-        chain = nl.ChainConfig(8, 2)
-        Hs = window_hamiltonian_sparse(phi, (-3, 3), chain)
-        Hd = nl.local_hamiltonian(phi, (-3, 3), chain)
-        assert np.linalg.norm(Hs.toarray() - Hd) < 1e-13
+
+def _assembly_model(name):
+    if name == "xx":
+        return nl.build_xx_model()
+    if name == "xxz":
+        return nl.build_xxz_model(0.5)
+    if name == "fermion_r2":
+        return nl.build_fermion_model(1.0, [0.5, 0.25])
+    # range 2 on qutrits, with an on-site term; it conserves no charge
+    phi = nl.build_random_interaction(2, 3, np.random.default_rng(7))
+    return phi, nl.ChargeSpec(np.diag([1.0, 0.0, -1.0]))
+
+
+def _embed_sum(ops, chain):
+    """Oracle: the explicit sum of dense embeddings."""
+    out = np.zeros((chain.dim, chain.dim), dtype=np.complex128)
+    for op in ops:
+        out += nl.embed(op, chain)
+    return out
+
+
+class TestAssembly:
+    """Assembled operators against an explicit embed(translate(...)) sum."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("name", ["xx", "xxz", "fermion_r2", "random_r2_d3"])
+    def test_against_embed_oracle(self, name, boundary):
+        phi, spec = _assembly_model(name)
+        chain = nl.ChainConfig(6 if phi.site_dim == 2 else 5, phi.site_dim, boundary)
+        n = chain.n_sites
+
+        def translates(anchors, hi=None):
+            ops = []
+            for offsets, mat in phi.terms:
+                for u in anchors:
+                    if hi is None or u + offsets[-1] <= hi:
+                        ops.append(nl.translate(nl.LocalOperator(offsets, mat), u, chain))
+            return ops
+
+        H = _embed_sum(translates(range(n), None if chain.periodic else n - 1), chain)
+        assert np.linalg.norm(nl.hamiltonian(phi, chain) - H) < 1e-12
+        assert np.linalg.norm(nl.hamiltonian(phi, chain, sparse=True).toarray() - H) < 1e-12
+
+        lo, hi = (-2, 1) if chain.periodic else (1, 4)
+        H_w = _embed_sum(translates(range(lo, hi + 1), hi), chain)
+        assert np.linalg.norm(window_hamiltonian_sparse(phi, (lo, hi), chain).toarray()
+                              - H_w) < 1e-12
+        assert np.linalg.norm(nl.local_hamiltonian(phi, (lo, hi), chain) - H_w) < 1e-12
+
+        N_w = _embed_sum([nl.LocalOperator((x % n,), spec.n0) for x in range(lo, hi + 1)],
+                         chain)
+        assert np.linalg.norm(charge_sparse(spec, (lo, hi), chain).toarray() - N_w) < 1e-12
+        assert np.linalg.norm(nl.charge_operator(spec, (lo, hi), chain) - N_w) < 1e-12
+
+        if chain.periodic and name != "random_r2_d3":
+            j0 = nl.current_local(phi, spec, chain)
+            J = _embed_sum([nl.translate(j0, x, chain) for x in range(n)], chain)
+            assert np.linalg.norm(nl.total_current(phi, spec, chain) - J) < 1e-12
+            assert np.linalg.norm(
+                nl.total_current(phi, spec, chain, sparse=True).toarray() - J) < 1e-12
 
 
 class TestCharge:

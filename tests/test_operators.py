@@ -232,6 +232,7 @@ class TestApplyLocal:
         op = nl.LocalOperator((1,), PAULI_Z)
         d = embedded_diagonal(op, chain)
         assert np.allclose(np.diag(d), nl.embed(op, chain))
+        assert embedded_diagonal(nl.LocalOperator((1,), PAULI_X), chain) is None
 
 
 class TestExtractLocal:
