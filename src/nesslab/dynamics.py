@@ -11,68 +11,122 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .errors import NumericalCheckError, PreconditionError
 from .operators import (
     ChainConfig,
     LocalOperator,
     apply_local,
-    commutator_with_local,
+    comm_norm,
     embed,
-    embedded_diagonal,
+    embed_sparse,
     operator_norm,
     translate,
 )
 from . import models
-from .spectral import JointBasis, empirical_velocity, joint_spectrum
+from .spectral import JointBasis, empirical_velocity
+
+
+def _eigh_checked(H, residual_tol: float) -> tuple:
+    """eigh of a dense or sparse Hermitian H, certified by ||H W - W E||_F, which
+    equals ||H - W E W^H||_F for unitary W and costs a sparse product."""
+    Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
+    evals, evecs = np.linalg.eigh(Hd)
+    res = np.linalg.norm(H @ evecs - evecs * evals)
+    if res > residual_tol * max(1.0, np.linalg.norm(Hd)):
+        raise NumericalCheckError(f"eigendecomposition residual {res:.3e} too large")
+    return evals, evecs
 
 
 @dataclass(frozen=True)
-class EvolutionContext:
-    """Eigendecomposition of a Hamiltonian, reused across evolution calls."""
+class Sector:
+    """Basis states ``index`` spanning an H-invariant subspace, with the
+    eigenpairs of H restricted to it (``vectors`` in the sector's own basis)."""
 
+    index: np.ndarray = field(repr=False)
     energies: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
-    chain: ChainConfig
 
-    def __post_init__(self):
-        E = np.asarray(self.energies, dtype=float)
+    def propagator(self, t: float) -> np.ndarray:
+        """W exp(iEt): the sector block of exp(iHt) is propagator(t) @ W^H."""
+        return self.vectors * np.exp(1j * self.energies * t)
+
+
+class EvolutionContext:
+    """Eigendecomposition of a Hamiltonian, kept per H-invariant ``sectors``.
+
+    Every context holds ``sectors`` and ``chain`` only; ``energies``
+    (ascending) and the D x D ``vectors`` are views of the single sector of a
+    full eigendecomposition and are assembled on first use otherwise.
+    """
+
+    def __init__(self, energies, vectors, chain: ChainConfig):
+        E = np.asarray(energies, dtype=float)
         if np.any(np.diff(E) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
-        object.__setattr__(self, "energies", E)
+        self._set(chain, (Sector(np.arange(len(E)), E, np.asarray(vectors)),))
+
+    def _set(self, chain: ChainConfig, sectors: tuple) -> "EvolutionContext":
+        self.chain, self.sectors = chain, sectors
+        return self
 
     @classmethod
     def from_dense(cls, H: np.ndarray, chain: ChainConfig,
                    residual_tol: float = 1e-10) -> "EvolutionContext":
-        H = np.asarray(H)
-        evals, evecs = np.linalg.eigh(H)
-        res = np.linalg.norm((evecs * evals) @ evecs.conj().T - H)
-        if res > residual_tol * max(1.0, np.linalg.norm(H)):
-            raise NumericalCheckError(f"eigendecomposition residual {res:.3e} too large")
+        evals, evecs = _eigh_checked(H, residual_tol)
         return cls(energies=evals, vectors=evecs, chain=chain)
 
     @classmethod
     def from_joint(cls, basis: JointBasis) -> "EvolutionContext":
         order = np.argsort(basis.energies, kind="stable")
-        return cls(
-            energies=basis.energies[order],
-            vectors=np.ascontiguousarray(basis.vectors[:, order]),
-            chain=basis.chain,
-        )
+        return cls(basis.energies[order], np.ascontiguousarray(basis.vectors[:, order]),
+                   basis.chain)
 
     @classmethod
     def for_interaction(cls, phi: models.Interaction, chain: ChainConfig) -> "EvolutionContext":
-        """Context for the full-chain Hamiltonian; periodic chains go sector-wise."""
-        if chain.periodic:
-            H = models.hamiltonian(phi, chain, sparse=True)
-            return cls.from_joint(joint_spectrum(H, chain))
-        return cls.from_dense(models.hamiltonian(phi, chain), chain)
+        """Context for the full-chain Hamiltonian, diagonalized sector by sector.
+
+        The sectors are the connected components of H's sparsity graph: the
+        charge sectors of the XX, XXZ and fermion models, a single sector for
+        an interaction that conserves nothing.
+        """
+        H = models.hamiltonian(phi, chain, sparse=True)
+        n_comp, labels = csgraph.connected_components(abs(H), directed=False)
+        return cls.__new__(cls)._set(chain, tuple(
+            Sector(idx, *_eigh_checked(H[idx][:, idx], 1e-10))
+            for idx in (np.flatnonzero(labels == c) for c in range(n_comp))))
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        if len(self.sectors) == 1:  # identity index, ascending energies
+            return self.sectors[0].energies
+        return np.sort(np.concatenate([s.energies for s in self.sectors]), kind="stable")
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Eigenvectors as D x D columns, in the order of ``energies``."""
+        if len(self.sectors) == 1:
+            return self.sectors[0].vectors
+        rank = np.argsort(np.argsort(np.concatenate([s.energies for s in self.sectors]),
+                                     kind="stable"))
+        V = np.zeros((len(rank), len(rank)), dtype=np.complex128)
+        start = 0
+        for s in self.sectors:
+            V[np.ix_(s.index, rank[start:start + len(s.index)])] = s.vectors
+            start += len(s.index)
+        return V
 
     def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(1j * self.energies * t)
-        return (self.vectors * phases) @ self.vectors.conj().T
+        D = sum(len(s.index) for s in self.sectors)
+        U = np.zeros((D, D), dtype=np.complex128)
+        for s in self.sectors:
+            U[np.ix_(s.index, s.index)] = s.propagator(t) @ s.vectors.conj().T
+        return U
 
 
 def evolve(A, ctx: EvolutionContext, t: float) -> np.ndarray:
@@ -136,68 +190,56 @@ class LRScanRow:
     excluded: bool
 
 
-def _lr_scan_blockwise(phi, chain, A, shifted, x_values, t_values, v_emp, V,
-                       d1, d2, normA, normB):
-    """Scan kernel for diagonal observables.
+def _sector_couplings(op: sp.spmatrix, labels: np.ndarray, n_sectors: int) -> sp.csr_matrix:
+    """Symmetric S with S[c, k] > 0 where op has an entry between sectors c and k."""
+    coo = op.tocoo()
+    rows, cols = labels[coo.row], labels[coo.col]
+    return sp.csr_matrix((np.ones(2 * coo.nnz), (np.r_[rows, cols], np.r_[cols, rows])),
+                         shape=(n_sectors, n_sectors))
 
-    The evolution unitary is block diagonal over the connected components of
-    the Hamiltonian's sparsity graph (the conserved-charge sectors of the
-    built-in models), and diagonal observables never couple components, so
-    every commutator norm is a maximum over small dense blocks.
+
+def _sector_groups(sectors, labels: np.ndarray, S_A: sp.csr_matrix,
+                   B: sp.csr_matrix) -> list:
+    """The blocks of [A, B] over groups R of sectors, as (shape, placements, B[R, K]).
+
+    The groups are the connected components of the sector graph of A.B + B.A.
+    K holds the sectors B couples to R, so on R the commutator is Z^H - Z with
+    Z = B[R, K] A(t)[K, R]; a placement puts block A(t)[k, r] at (k, r, rows, cols).
+    A group with empty K, where the commutator is exactly 0, is left out.
     """
-    import scipy.sparse.csgraph as csgraph
+    S_B = _sector_couplings(B, labels, len(sectors))
+    n_grp, glabels = csgraph.connected_components(S_A @ S_B + S_B @ S_A, directed=False)
+    groups = []
+    for g in range(n_grp):
+        R = np.flatnonzero(glabels == g)
+        K = np.flatnonzero(np.asarray(S_B[:, R].sum(axis=1)).ravel())
+        if K.size == 0:
+            continue
+        row0 = np.cumsum([0] + [len(sectors[k].index) for k in K])
+        col0 = np.cumsum([0] + [len(sectors[r].index) for r in R])
+        place = [(k, r, slice(row0[i], row0[i + 1]), slice(col0[j], col0[j + 1]))
+                 for i, k in enumerate(K) for j, r in enumerate(R) if S_A[k, r]]
+        idx_R, idx_K = (np.concatenate([sectors[c].index for c in cs]) for cs in (R, K))
+        groups.append(((row0[-1], col0[-1]), place, B[idx_R][:, idx_K]))
+    return groups
 
-    H = models.hamiltonian(phi, chain, sparse=True)
-    pattern = (abs(H) + abs(H).T).tocsr()
-    n_comp, labels = csgraph.connected_components(pattern, directed=False)
-    comps = [np.flatnonzero(labels == c) for c in range(n_comp)]
-    Hd = H.toarray()
-    blocks = []
-    a_diag = embedded_diagonal(A, chain)
-    for idx in comps:
-        Hc = Hd[np.ix_(idx, idx)]
-        evals, vecs = np.linalg.eigh(Hc)
-        blocks.append((idx, evals, vecs, a_diag[idx]))
-    b_diags = {x: embedded_diagonal(op, chain) for x, op in shifted.items()}
 
-    rows = []
-    n = chain.n_sites
-    for t in sorted(set(float(t) for t in t_values)):
-        live = [x for x in x_values if abs(x) + 2.0 * v_emp * abs(t) < n]
-        at_blocks = None
-        if t != 0.0 and live:
-            at_blocks = []
-            for idx, evals, vecs, a_c in blocks:
-                ph = np.exp(1j * evals * t)
-                W = vecs * ph
-                M = (vecs.conj().T * a_c) @ vecs
-                X = W @ M @ W.conj().T
-                # W M W^H is Hermitian only to rounding, and the commutator
-                # below cancels its diagonal, which lifts the relative deviation
-                # over operator_norm's 1e-13 test; symmetrized, every block is
-                # exactly anti-Hermitian and takes the eigvalsh path, not an SVD
-                at_blocks.append((X + X.conj().T) / 2)
-        for x in x_values:
-            params = LRBoundParams(d1=d1, d2=d2, x=x, normA=normA, normB=normB,
-                                   V=V, site_dim=chain.site_dim)
-            if x not in live:
-                rows.append(LRScanRow(x=x, t=t, empirical=math.nan,
-                                      bound=lr_bound(params, t), excluded=True))
-                continue
-            if t == 0.0:
-                # diagonal operators commute exactly
-                rows.append(LRScanRow(x=x, t=t, empirical=0.0,
-                                      bound=lr_bound(params, t), excluded=False))
-                continue
-            bd = b_diags[x]
-            emp = 0.0
-            for (idx, _, _, _), At_c in zip(blocks, at_blocks):
-                b_c = bd[idx]
-                C = At_c * (b_c[None, :] - b_c[:, None])
-                emp = max(emp, operator_norm(C))
-            rows.append(LRScanRow(x=x, t=t, empirical=emp,
-                                  bound=lr_bound(params, t), excluded=False))
-    return rows
+def _group_commutator(group, at: dict) -> np.ndarray:
+    shape, place, B_RK = group
+    A_KR = np.zeros(shape, dtype=np.complex128)
+    for k, r, rows, cols in place:
+        A_KR[rows, cols] = at[k, r]
+    Z = B_RK @ A_KR  # sparse rows times a C-ordered block: no transposed copy
+    return Z.conj().T - Z
+
+
+def _local_comm_norm(A: LocalOperator, B: LocalOperator, site_dim: int) -> float:
+    """||[A, B]|| on the union of the two supports; exactly 0 when disjoint."""
+    sites = sorted(set(A.support) | set(B.support))
+    hull = ChainConfig(max(2, len(sites)), site_dim)
+    a, b = (embed(LocalOperator(tuple(sites.index(s) for s in op.support), op.coeffs), hull)
+            for op in (A, B))
+    return comm_norm(a, b)
 
 
 def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
@@ -206,13 +248,19 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
             v_emp: float | None = None) -> list:
     """Empirical commutator norms ||[tau_x alpha_t(A), B]|| against the bound.
 
-    Grid points whose light cones could wrap the ring (|x| + 2 v_emp |t| >=
-    n_sites) are excluded from the comparison and flagged in the output.
+    Runs per sector of ``ctx`` (built from ``phi`` if omitted): A(t) is kept
+    as its blocks between the sectors A couples, and each norm is a maximum
+    over the groups of sectors that [A(t), tau_x B] leaves invariant.  t = 0
+    takes the local commutator, exactly 0 for disjoint supports.  Points
+    whose light cones could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are
+    excluded from the comparison and flagged in the output.
     """
     if not (A.hermitian and B.hermitian):
         raise PreconditionError("scan operators must be flagged Hermitian")
     if v_emp is None:
         v_emp = empirical_velocity(phi)
+    if ctx is None:
+        ctx = EvolutionContext.for_interaction(phi, chain)
     V = models.lr_velocity(phi)
     d1, d2 = A.width(), B.width()
     normA, normB = A.norm(), B.norm()
@@ -221,37 +269,45 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     # open chains have no translation automorphism, so B is placed at +x there
     step = -1 if chain.periodic else 1
     shifted = {x: translate(B, step * x, chain) for x in x_values}
-    if (ctx is None and embedded_diagonal(A, chain) is not None
-            and all(embedded_diagonal(op, chain) is not None for op in shifted.values())):
-        rows = _lr_scan_blockwise(phi, chain, A, shifted, x_values, t_values,
-                                  v_emp, V, d1, d2, normA, normB)
-        if rows and all(r.excluded for r in rows):
-            raise PreconditionError(
-                "every requested scan point lies beyond the wrap horizon")
-        rows.sort(key=lambda r: (r.x, r.t))
-        return rows
-    if ctx is None:
-        ctx = EvolutionContext.for_interaction(phi, chain)
+
+    sectors = ctx.sectors
+    labels = np.empty(sum(len(s.index) for s in sectors), dtype=np.int64)
+    for c, s in enumerate(sectors):
+        labels[s.index] = c
+    A_sp = embed_sparse(A, chain)
+    S_A = _sector_couplings(A_sp, labels, len(sectors))
+    pairs = sp.triu(S_A).tocoo()
+    A_eig = {}
+    for c, k in zip(pairs.row, pairs.col):
+        A_ck = A_sp[sectors[c].index][:, sectors[k].index]
+        A_eig[c, k] = (sectors[c].vectors.conj().T @ A_ck) @ sectors[k].vectors
+    groups = {x: _sector_groups(sectors, labels, S_A, embed_sparse(op, chain))
+              for x, op in shifted.items()}
+
     rows = []
-    Vb = ctx.vectors
-    A_eig = Vb.conj().T @ apply_local(Vb, A, chain, side="left")
     for t in sorted(set(float(t) for t in t_values)):
         live = [x for x in x_values if abs(x) + 2.0 * v_emp * abs(t) < n]
-        if t == 0.0:
-            At = embed(A, chain)
-        elif live:
-            phases = np.exp(1j * ctx.energies * t)
-            At = (Vb * phases) @ A_eig @ (Vb * phases).conj().T
+        at = {}
+        if t != 0.0 and live:
+            P = [s.propagator(t) for s in sectors]
+            for (c, k), M in A_eig.items():
+                X = (P[c] @ M) @ P[k].conj().T
+                if c == k:  # exactly Hermitian A(t): no norm falls back to an SVD
+                    at[c, c] = (X + X.conj().T) / 2
+                else:
+                    at[c, k], at[k, c] = X, X.conj().T
         for x in x_values:
             params = LRBoundParams(d1=d1, d2=d2, x=x, normA=normA, normB=normB,
                                    V=V, site_dim=chain.site_dim)
             if x not in live:
-                rows.append(LRScanRow(x=x, t=t, empirical=math.nan,
-                                      bound=lr_bound(params, t), excluded=True))
-                continue
-            C = commutator_with_local(At, shifted[x], chain)
-            rows.append(LRScanRow(x=x, t=t, empirical=operator_norm(C),
-                                  bound=lr_bound(params, t), excluded=False))
+                emp = math.nan
+            elif t == 0.0:
+                emp = _local_comm_norm(A, shifted[x], chain.site_dim)
+            else:
+                emp = max((operator_norm(_group_commutator(g, at)) for g in groups[x]),
+                          default=0.0)
+            rows.append(LRScanRow(x=x, t=t, empirical=emp, bound=lr_bound(params, t),
+                                  excluded=x not in live))
     if rows and all(r.excluded for r in rows):
         raise PreconditionError("every requested scan point lies beyond the wrap horizon")
     rows.sort(key=lambda r: (r.x, r.t))

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 import nesslab as nl
 from nesslab.errors import PreconditionError
-from nesslab.models import PAULI_Z
+from nesslab.models import PAULI_X, PAULI_Z
 from nesslab.spectral import empirical_velocity, wrap_horizon
 
 
@@ -44,6 +44,30 @@ class TestEvolutionContext:
         with pytest.raises(ValueError):
             nl.EvolutionContext(energies=np.array([1.0, 0.0, 2.0, 3.0]),
                                 vectors=np.eye(4, dtype=complex), chain=chain)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_single_sector_fallback(self, rng, boundary):
+        # an interaction that conserves nothing leaves H one connected block
+        phi = nl.build_random_interaction(1, 2, rng)
+        chain = nl.ChainConfig(6, 2, boundary)
+        ctx = nl.EvolutionContext.for_interaction(phi, chain)
+        dense = nl.EvolutionContext.from_dense(nl.hamiltonian(phi, chain), chain)
+        assert len(ctx.sectors) == 1
+        assert np.allclose(ctx.energies, dense.energies, atol=1e-10)
+        A = nl.embed(nl.LocalOperator((2,), PAULI_X), chain)
+        assert np.linalg.norm(nl.evolve(A, ctx, 0.37) - nl.evolve(A, dense, 0.37)) < 1e-9
+
+    def test_charge_sectors(self):
+        phi, _ = nl.build_xxz_model(0.5)
+        chain = nl.ChainConfig(8, 2)
+        ctx = nl.EvolutionContext.for_interaction(phi, chain)
+        assert len(ctx.sectors) > 1
+        assert sorted(np.concatenate([s.index for s in ctx.sectors])) == list(range(256))
+        # the assembled D x D eigenvectors reproduce H in ascending order
+        H = nl.hamiltonian(phi, chain)
+        rebuilt = (ctx.vectors * ctx.energies) @ ctx.vectors.conj().T
+        assert np.all(np.diff(ctx.energies) >= 0)
+        assert np.linalg.norm(rebuilt - H) <= 1e-10 * np.linalg.norm(H)
 
 
 class TestEvolve:
@@ -180,6 +204,68 @@ class TestLRScan:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         rows = nl.lr_scan(phi, sz, sz, [3, 4], [0.1, 0.3], chain)
+        assert all(r.empirical > 0 for r in rows)
+
+    @staticmethod
+    def assert_matches_expm(phi, A, rows, chain, B=None):
+        # lr_scan places B at -x on a ring and at +x on an open chain
+        H = nl.hamiltonian(phi, chain)
+        step = -1 if chain.periodic else 1
+        for r in rows:
+            U = sla.expm(1j * H * r.t)
+            At = U @ nl.embed(A, chain) @ U.conj().T
+            Bx = nl.embed(nl.translate(A if B is None else B, step * r.x, chain), chain)
+            ref = nl.operator_norm(At @ Bx - Bx @ At)
+            assert abs(r.empirical - ref) < 1e-8 * max(1e-12, ref)
+            assert r.empirical <= r.bound
+
+    @pytest.mark.parametrize("context", [None, "interaction", "joint"])
+    def test_offdiagonal_against_expm(self, context):
+        # sigma_x couples neighbouring charge sectors of XXZ
+        phi, _ = nl.build_xxz_model(0.5)
+        chain = nl.ChainConfig(8, 2)
+        ctx = None
+        if context == "interaction":
+            ctx = nl.EvolutionContext.for_interaction(phi, chain)
+        elif context == "joint":
+            H = nl.hamiltonian(phi, chain, sparse=True)
+            ctx = nl.EvolutionContext.from_joint(nl.joint_spectrum(H, chain))
+        sx = nl.LocalOperator((0,), PAULI_X, hermitian=True)
+        rows = nl.lr_scan(phi, sx, sx, [3], [0.0, 0.2, 0.4], chain, ctx=ctx)
+        assert len(rows) == 3 and not any(r.excluded for r in rows)
+        assert rows[0].empirical == 0.0  # disjoint supports commute exactly
+        self.assert_matches_expm(phi, sx, rows, chain)
+
+    def test_offdiagonal_open_chain_against_expm(self, xx_model):
+        phi, _ = xx_model
+        chain = nl.ChainConfig(8, 2, "open")
+        sx = nl.LocalOperator((0,), PAULI_X, hermitian=True)
+        rows = nl.lr_scan(phi, sx, sx, [3], [0.0, 0.2, 0.4], chain)
+        self.assert_matches_expm(phi, sx, rows, chain)
+
+    def test_sector_without_b_entries(self, xx_model):
+        # n_j vanishes on the all-down sector, which sigma_z couples to no
+        # other sector: that sector's commutator block is exactly zero
+        phi, _ = xx_model
+        chain = nl.ChainConfig(8, 2)
+        sz = nl.LocalOperator((0,), PAULI_Z, hermitian=True)
+        nj = nl.LocalOperator((0,), np.diag([0.0, 1.0]), hermitian=True)
+        rows = nl.lr_scan(phi, sz, nj, [3], [0.0, 0.2, 0.4], chain)
+        assert rows[0].empirical == 0.0 and rows[1].empirical > 0
+        self.assert_matches_expm(phi, sz, rows, chain, B=nj)
+
+    def test_offdiagonal_norms_need_no_svd(self, monkeypatch):
+        # sigma_x twin of test_blockwise_norms_need_no_svd: the commutator on
+        # every sector group is built exactly anti-Hermitian
+        phi, _ = nl.build_xxz_model(0.5)
+        chain = nl.ChainConfig(8, 2)
+        sx = nl.LocalOperator((0,), PAULI_X, hermitian=True)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a commutator block fell back to an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rows = nl.lr_scan(phi, sx, sx, [3, 4], [0.1, 0.3], chain)
         assert all(r.empirical > 0 for r in rows)
 
     def test_csv_round_trip_floats(self, xx8):
