@@ -11,7 +11,6 @@ from .errors import ConfigError, GeometryError, NumericalCheckError, Preconditio
 from .operators import (
     ChainConfig,
     LocalOperator,
-    MatrixUnitBasis,
     arc_sites,
     comm_norm,
     commutator,

@@ -10,7 +10,7 @@ periodic chain only pre-wrap points are admitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +29,8 @@ from .operators import (
     translate,
 )
 from . import models
-from .spectral import JointBasis, empirical_velocity
+from .spectral import (JointBasis, Sector, empirical_velocity, sector_blocks, sector_couplings,
+                       sector_labels)
 
 
 def _eigh_checked(H, residual_tol: float) -> tuple:
@@ -43,26 +44,13 @@ def _eigh_checked(H, residual_tol: float) -> tuple:
     return evals, evecs
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Basis states ``index`` spanning an H-invariant subspace, with the
-    eigenpairs of H restricted to it (``vectors`` in the sector's own basis)."""
-
-    index: np.ndarray = field(repr=False)
-    energies: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
-
-    def propagator(self, t: float) -> np.ndarray:
-        """W exp(iEt): the sector block of exp(iHt) is propagator(t) @ W^H."""
-        return self.vectors * np.exp(1j * self.energies * t)
-
-
 class EvolutionContext:
     """Eigendecomposition of a Hamiltonian, kept per H-invariant ``sectors``.
 
     Every context holds ``sectors`` and ``chain`` only; ``energies``
     (ascending) and the D x D ``vectors`` are views of the single sector of a
-    full eigendecomposition and are assembled on first use otherwise.
+    full eigendecomposition and are assembled on first use otherwise.  A
+    joint basis lends its sectors as they are.
     """
 
     def __init__(self, energies, vectors, chain: ChainConfig):
@@ -83,9 +71,7 @@ class EvolutionContext:
 
     @classmethod
     def from_joint(cls, basis: JointBasis) -> "EvolutionContext":
-        order = np.argsort(basis.energies, kind="stable")
-        return cls(basis.energies[order], np.ascontiguousarray(basis.vectors[:, order]),
-                   basis.chain)
+        return cls.__new__(cls)._set(basis.chain, basis.sectors)
 
     @classmethod
     def for_interaction(cls, phi: models.Interaction, chain: ChainConfig) -> "EvolutionContext":
@@ -192,10 +178,8 @@ class LRScanRow:
 
 def _sector_couplings(op: sp.spmatrix, labels: np.ndarray, n_sectors: int) -> sp.csr_matrix:
     """Symmetric S with S[c, k] > 0 where op has an entry between sectors c and k."""
-    coo = op.tocoo()
-    rows, cols = labels[coo.row], labels[coo.col]
-    return sp.csr_matrix((np.ones(2 * coo.nnz), (np.r_[rows, cols], np.r_[cols, rows])),
-                         shape=(n_sectors, n_sectors))
+    S = sector_couplings(op, labels, n_sectors)
+    return S + S.T
 
 
 def _sector_groups(sectors, labels: np.ndarray, S_A: sp.csr_matrix,
@@ -204,7 +188,8 @@ def _sector_groups(sectors, labels: np.ndarray, S_A: sp.csr_matrix,
 
     The groups are the connected components of the sector graph of A.B + B.A.
     K holds the sectors B couples to R, so on R the commutator is Z^H - Z with
-    Z = B[R, K] A(t)[K, R]; a placement puts block A(t)[k, r] at (k, r, rows, cols).
+    Z = B[R, K] A(t)[K, R], exactly anti-Hermitian; a placement puts block
+    A(t)[k, r] at (k, r, rows, cols).
     A group with empty K, where the commutator is exactly 0, is left out.
     """
     S_B = _sector_couplings(B, labels, len(sectors))
@@ -225,12 +210,13 @@ def _sector_groups(sectors, labels: np.ndarray, S_A: sp.csr_matrix,
 
 
 def _group_commutator(group, at: dict) -> np.ndarray:
+    """The Hermitian 1j (Z^H - Z), whose eigenvalues give the norm of Z^H - Z."""
     shape, place, B_RK = group
     A_KR = np.zeros(shape, dtype=np.complex128)
     for k, r, rows, cols in place:
         A_KR[rows, cols] = at[k, r]
     Z = B_RK @ A_KR  # sparse rows times a C-ordered block: no transposed copy
-    return Z.conj().T - Z
+    return 1j * (Z.conj().T - Z)
 
 
 def _local_comm_norm(A: LocalOperator, B: LocalOperator, site_dim: int) -> float:
@@ -271,16 +257,11 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     shifted = {x: translate(B, step * x, chain) for x in x_values}
 
     sectors = ctx.sectors
-    labels = np.empty(sum(len(s.index) for s in sectors), dtype=np.int64)
-    for c, s in enumerate(sectors):
-        labels[s.index] = c
+    labels = sector_labels(sectors, chain.dim)
     A_sp = embed_sparse(A, chain)
     S_A = _sector_couplings(A_sp, labels, len(sectors))
     pairs = sp.triu(S_A).tocoo()
-    A_eig = {}
-    for c, k in zip(pairs.row, pairs.col):
-        A_ck = A_sp[sectors[c].index][:, sectors[k].index]
-        A_eig[c, k] = (sectors[c].vectors.conj().T @ A_ck) @ sectors[k].vectors
+    A_eig = sector_blocks(A_sp, sectors, zip(pairs.row, pairs.col))
     groups = {x: _sector_groups(sectors, labels, S_A, embed_sparse(op, chain))
               for x, op in shifted.items()}
 
@@ -304,8 +285,8 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
             elif t == 0.0:
                 emp = _local_comm_norm(A, shifted[x], chain.site_dim)
             else:
-                emp = max((operator_norm(_group_commutator(g, at)) for g in groups[x]),
-                          default=0.0)
+                emp = max((float(np.max(np.abs(np.linalg.eigvalsh(_group_commutator(g, at)))))
+                           for g in groups[x]), default=0.0)
             rows.append(LRScanRow(x=x, t=t, empirical=emp, bound=lr_bound(params, t),
                                   excluded=x not in live))
     if rows and all(r.excluded for r in rows):

@@ -125,10 +125,6 @@ def product_operator(support, mats, hermitian: bool = False) -> LocalOperator:
     return LocalOperator(tuple(support), kron_le(list(mats)), hermitian=hermitian)
 
 
-def identity_local(support, site_dim: int) -> LocalOperator:
-    return LocalOperator(tuple(support), np.eye(site_dim ** len(support)))
-
-
 def _global_indices(support, chain: ChainConfig):
     """Index array g[a, b]: global basis index for support digits a, rest digits b."""
     d, L = chain.site_dim, chain.n_sites
@@ -374,52 +370,6 @@ def operator_norm(A, tol: float = 1e-9) -> float:
 def comm_norm(A: np.ndarray, B: np.ndarray) -> float:
     """Operator norm of the commutator [A, B]."""
     return operator_norm(commutator(A, B))
-
-
-class MatrixUnitBasis:
-    """Matrix units E(i, j) for one site and their products over a support."""
-
-    def __init__(self, site_dim: int):
-        if site_dim < 1:
-            raise ValueError("site_dim must be positive")
-        self.site_dim = site_dim
-
-    def unit(self, i: int, j: int) -> np.ndarray:
-        d = self.site_dim
-        if not (0 <= i < d and 0 <= j < d):
-            raise ValueError(f"unit indices out of range: ({i}, {j})")
-        E = np.zeros((d, d), dtype=np.complex128)
-        E[i, j] = 1.0
-        return E
-
-    def product_unit(self, i_digits, j_digits) -> np.ndarray:
-        """Product prod_x E(i_x, j_x) over support positions, little-endian."""
-        return kron_le([self.unit(i, j) for i, j in zip(i_digits, j_digits)])
-
-    def decompose(self, op: LocalOperator) -> np.ndarray:
-        """Coefficients C[{i_x}, {j_x}] of op in the product matrix-unit basis.
-
-        Row index a encodes {i_x} little-endian, column index b encodes {j_x};
-        every coefficient is bounded by the operator norm of op.
-        """
-        return op.coeffs.copy()
-
-    def reconstruct(self, C: np.ndarray, support) -> LocalOperator:
-        d = self.site_dim
-        m = len(support)
-        dim = d**m
-        if C.shape != (dim, dim):
-            raise ValueError(f"coefficient array must be {dim}x{dim}")
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        pows = d ** np.arange(m)
-        for a in range(dim):
-            i_digits = (a // pows) % d
-            for b in range(dim):
-                if C[a, b] == 0:
-                    continue
-                j_digits = (b // pows) % d
-                out += C[a, b] * self.product_unit(i_digits, j_digits)
-        return LocalOperator(tuple(support), out)
 
 
 def arc_sites(lo: int, hi: int, chain: ChainConfig) -> tuple:

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .errors import NumericalCheckError, PreconditionError
-from .operators import ChainConfig, LocalOperator, apply_local, shift_index_map
+from .operators import ChainConfig, LocalOperator, embed_sparse, shift_index_map, shift_unitary
 from . import models
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -33,58 +34,100 @@ def centered_mode(m, n_sites: int):
 
 
 # ---------------------------------------------------------------------------
-# joint eigenbasis of (H, shift)
+# sectors and the joint eigenbasis of (H, shift)
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Sector:
+    """Basis states ``index`` spanning an H-invariant subspace, with the
+    eigenpairs of H restricted to it (``vectors`` in the sector's own basis).
+    A joint-basis sector also labels each column by its momentum ``mode`` and
+    its ``bias`` eigenvalue."""
+
+    index: np.ndarray = field(repr=False)
+    energies: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+    mode: np.ndarray | None = field(repr=False, default=None)
+    bias: np.ndarray | None = field(repr=False, default=None)
+
+    def propagator(self, t: float) -> np.ndarray:
+        """W exp(iEt): the sector block of exp(iHt) is propagator(t) @ W^H."""
+        return self.vectors * np.exp(1j * self.energies * t)
+
+
+def _as_sparse(A, chain: ChainConfig) -> sp.csr_matrix:
+    """CSR form of a dense, sparse or LocalOperator full-chain operator."""
+    if isinstance(A, LocalOperator):
+        return embed_sparse(A, chain)
+    return A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
+
+
+def sector_labels(sectors, dim: int) -> np.ndarray:
+    """Sector number of every basis state."""
+    labels = np.empty(dim, dtype=np.int64)
+    for c, s in enumerate(sectors):
+        labels[s.index] = c
+    return labels
+
+
+def sector_couplings(op: sp.spmatrix, labels: np.ndarray, n_sectors: int) -> sp.csr_matrix:
+    """C with C[c, k] > 0 where op has an entry from sector k into sector c."""
+    coo = op.tocoo()
+    return sp.csr_matrix((np.ones(coo.nnz), (labels[coo.row], labels[coo.col])),
+                         shape=(n_sectors, n_sectors))
+
+
+def sector_blocks(op: sp.csr_matrix, sectors, pairs) -> dict:
+    """{(c, k): W_c^H op[c, k] W_k} for each sector pair, W the sector eigenvectors."""
+    return {(c, k): (sectors[c].vectors.conj().T @ op[sectors[c].index][:, sectors[k].index])
+            @ sectors[k].vectors for c, k in pairs}
+
+
 def translation_orbits(chain: ChainConfig) -> list:
-    """Orbits of the computational basis under the one-site shift."""
+    """Orbits of the computational basis under the one-site shift, each listed
+    from its smallest state s as s, t(s), t(t(s)), ..."""
     t = shift_index_map(chain)
-    D = chain.dim
-    seen = np.zeros(D, dtype=bool)
-    orbits = []
-    for start in range(D):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        nxt = t[start]
-        while nxt != start:
-            orbit.append(int(nxt))
-            seen[nxt] = True
-            nxt = t[nxt]
-        orbits.append(np.array(orbit, dtype=np.int64))
-    return orbits
+    P = [np.arange(chain.dim)]  # P[j] = t^j, up to t^n = identity
+    for _ in range(chain.n_sites):
+        P.append(t[P[-1]])
+    P = np.array(P)
+    reps = np.flatnonzero(P.min(axis=0) == P[0])
+    periods = 1 + np.argmax(P[1:, reps] == reps, axis=0)
+    return [P[:ell, s] for s, ell in zip(reps, periods)]
 
 
-def momentum_sector_basis(chain: ChainConfig, mode: int, orbits) -> sp.csc_matrix:
-    """Orthonormal basis of the momentum-(2 pi mode / n) sector, sparse columns."""
-    n = chain.n_sites
-    k = 2.0 * math.pi * mode / n
+def momentum_sector_basis(dim: int, n_sites: int, mode: int, orbits) -> sp.csc_matrix:
+    """Orthonormal basis of the momentum-(2 pi mode / n) states the orbits carry,
+    sparse columns over ``dim`` basis states."""
+    k = 2.0 * math.pi * mode / n_sites
     rows, cols, data = [], [], []
     col = 0
     for orbit in orbits:
         ell = len(orbit)
-        if (mode * ell) % n != 0:
+        if (mode * ell) % n_sites != 0:
             continue
         phases = np.exp(1j * k * np.arange(ell)) / math.sqrt(ell)
         rows.extend(orbit.tolist())
         cols.extend([col] * ell)
         data.extend(phases.tolist())
         col += 1
-    return sp.coo_matrix((data, (rows, cols)), shape=(chain.dim, col)).tocsc()
+    return sp.coo_matrix((data, (rows, cols)), shape=(dim, col)).tocsc()
 
 
 @dataclass(frozen=True)
 class JointBasis:
-    """Simultaneous eigenbasis of the Hamiltonian and the shift.
+    """Simultaneous eigenbasis of the Hamiltonian and the shift, kept per sector.
 
-    vectors[:, n] has H eigenvalue energies[n] and shift eigenvalue
+    Column n has H eigenvalue energies[n] and shift eigenvalue
     exp(-i 2 pi mode[n] / n_sites); bias_values holds the eigenvalue of an
     optional third commuting operator diagonalized inside degenerate blocks.
+    Sector c holds the columns ``columns[c]`` (ascending), supported on the
+    basis states ``sectors[c].index``.
     """
 
     chain: ChainConfig
-    vectors: np.ndarray = field(repr=False)
+    sectors: tuple = field(repr=False)
+    columns: tuple = field(repr=False)
     energies: np.ndarray = field(repr=False)
     mode: np.ndarray = field(repr=False)
     bias_values: np.ndarray | None = field(repr=False, default=None)
@@ -93,23 +136,42 @@ class JointBasis:
     def momenta(self) -> np.ndarray:
         return 2.0 * math.pi * centered_mode(self.mode, self.chain.n_sites) / self.chain.n_sites
 
-    def matrix_elements(self, A) -> np.ndarray:
-        """<m|A|n> over the basis vectors; A may be dense, sparse or a LocalOperator."""
-        V = self.vectors
-        return V.conj().T @ _apply_to_vectors(A, V, self.chain)
+    @property
+    def vectors(self) -> np.ndarray:
+        """The D x D eigenvector matrix, assembled from the sectors on every call."""
+        if len(self.sectors) == 1:  # one sector over all states, columns in order
+            return self.sectors[0].vectors
+        D = self.chain.dim
+        V = np.zeros((D, D), dtype=np.complex128)
+        for s, cols in zip(self.sectors, self.columns):
+            V[np.ix_(s.index, cols)] = s.vectors
+        return V
+
+    def per_sector(self, values) -> list:
+        """Split a per-column array into one array per sector."""
+        return [np.asarray(values)[cols] for cols in self.columns]
+
+    def matrix_elements(self, A) -> dict:
+        """<m|A|n> as blocks {(c, k): ...}, m in sector c and n in sector k, one
+        per pair of sectors that A couples; A may be dense, sparse or a LocalOperator."""
+        A = _as_sparse(A, self.chain)
+        labels = sector_labels(self.sectors, self.chain.dim)
+        C = sector_couplings(A, labels, len(self.sectors)).tocoo()
+        return sector_blocks(A, self.sectors, zip(C.row.tolist(), C.col.tolist()))
+
+    def diagonal(self, A) -> np.ndarray:
+        """<n|A|n> for every column n, from the diagonal sector blocks of A."""
+        A = _as_sparse(A, self.chain)
+        out = np.empty(self.chain.dim, dtype=np.complex128)
+        for s, cols in zip(self.sectors, self.columns):
+            out[cols] = np.einsum("in,in->n", s.vectors.conj(), A[s.index][:, s.index] @ s.vectors)
+        return out
 
     def energy_block_ids(self, tol: float = 1e-8) -> np.ndarray:
         """Group (sorted) energies into degenerate blocks; returns a block id per state."""
-        E = self.energies
-        order = np.argsort(E, kind="stable")
-        ids = np.empty(len(E), dtype=np.int64)
-        blk = 0
-        prev = None
-        for idx in order:
-            if prev is not None and E[idx] - prev > tol:
-                blk += 1
-            ids[idx] = blk
-            prev = E[idx]
+        order = np.argsort(self.energies, kind="stable")
+        ids = np.empty(len(order), dtype=np.int64)
+        ids[order] = np.cumsum(np.diff(self.energies[order], prepend=-np.inf) > tol) - 1
         return ids
 
 
@@ -123,44 +185,23 @@ def _shift_commutator_residual(H: sp.spmatrix, chain: ChainConfig) -> float:
     return float(sp.linalg.norm(HT - TH))
 
 
-def joint_spectrum(H, chain: ChainConfig, bias=None,
-                   comm_tol: float = 1e-10, degeneracy_tol: float = 1e-8) -> JointBasis:
-    """Diagonalize a translation-invariant H sector by momentum sector.
-
-    ``H`` (and ``bias``, if given) may be dense or sparse; bias must commute
-    with both H and the shift and is diagonalized inside every degenerate
-    (energy, momentum) block to pin the basis deterministically.
-    """
-    if not chain.periodic:
-        raise PreconditionError("joint spectrum requires a periodic chain")
-    H_sp = sp.csr_matrix(H) if not sp.issparse(H) else H.tocsr()
-    scale = max(1.0, abs(H_sp).max() if H_sp.nnz else 0.0)
-    res = _shift_commutator_residual(H_sp, chain)
-    if res > comm_tol * scale * chain.dim**0.5:
-        raise PreconditionError(
-            f"[H, T] residual {res:.3e} exceeds tolerance; H is not translation invariant"
-        )
-    bias_sp = None
-    if bias is not None:
-        bias_sp = sp.csr_matrix(bias) if not sp.issparse(bias) else bias.tocsr()
-
-    orbits = translation_orbits(chain)
-    n = chain.n_sites
-    vec_parts, E_parts, mode_parts, bias_parts = [], [], [], []
-    total_dim = 0
-    for m in range(n):
-        Q = momentum_sector_basis(chain, m, orbits)
+def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int,
+                          degeneracy_tol: float) -> tuple:
+    """(energies, vectors, mode, bias) of H on one shift-invariant component,
+    momentum sector by momentum sector, degenerate blocks refined by ``bias``."""
+    dim = H.shape[0]
+    parts = []
+    for m in range(n_sites):
+        Q = momentum_sector_basis(dim, n_sites, m, orbits)
         dm = Q.shape[1]
         if dm == 0:
             continue
-        total_dim += dm
-        Hm = (Q.conj().T @ (H_sp @ Q)).toarray()
+        Hm = (Q.conj().T @ (H @ Q)).toarray()
         Hm = (Hm + Hm.conj().T) / 2
         evals, evecs = np.linalg.eigh(Hm)
-        vectors = Q @ evecs  # dense (D, dm)
-        bias_vals = None
-        if bias_sp is not None:
-            bias_vals = np.zeros(dm)
+        vectors = Q @ evecs  # dense (dim, dm)
+        bias_vals = np.zeros(dm)
+        if bias is not None:
             # refine each degenerate energy block with the bias operator
             start = 0
             while start < dm:
@@ -168,33 +209,76 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
                 while stop < dm and evals[stop] - evals[stop - 1] <= degeneracy_tol:
                     stop += 1
                 W = vectors[:, start:stop]
-                Jblk = W.conj().T @ (bias_sp @ W)
+                Jblk = W.conj().T @ (bias @ W)
                 Jblk = (Jblk + Jblk.conj().T) / 2
                 jv, ju = np.linalg.eigh(Jblk)
                 vectors[:, start:stop] = W @ ju
                 bias_vals[start:stop] = jv
                 start = stop
-        vec_parts.append(vectors)
-        E_parts.append(evals)
-        mode_parts.append(np.full(dm, m, dtype=np.int64))
-        if bias_vals is not None:
-            bias_parts.append(bias_vals)
+        parts.append((evals, vectors, np.full(dm, m, dtype=np.int64), bias_vals))
+    return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
-    if total_dim != chain.dim:
+
+def joint_spectrum(H, chain: ChainConfig, bias=None,
+                   comm_tol: float = 1e-10, degeneracy_tol: float = 1e-8) -> JointBasis:
+    """Diagonalize a translation-invariant H block by block.
+
+    The blocks are the connected components of the sparsity graph of
+    |H| + |bias| + |T| (the charge sectors of a charge-conserving model, one
+    block for a model that conserves nothing); each splits into momentum
+    sectors before ``eigh``.  ``H`` (and ``bias``, if given) may be dense or
+    sparse; bias must commute with both H and the shift and is diagonalized
+    inside every degenerate (energy, momentum) block to pin the basis
+    deterministically.  Columns are ordered by energy, then momentum mode,
+    then bias value.
+    """
+    if not chain.periodic:
+        raise PreconditionError("joint spectrum requires a periodic chain")
+    H_sp = _as_sparse(H, chain)
+    scale = max(1.0, abs(H_sp).max() if H_sp.nnz else 0.0)
+    res = _shift_commutator_residual(H_sp, chain)
+    if res > comm_tol * scale * chain.dim**0.5:
+        raise PreconditionError(
+            f"[H, T] residual {res:.3e} exceeds tolerance; H is not translation invariant"
+        )
+    bias_sp = None
+    graph = abs(H_sp) + abs(shift_unitary(chain, dense=False))
+    if bias is not None:
+        bias_sp = _as_sparse(bias, chain)
+        graph = graph + abs(bias_sp)
+    n_comp, comp = csgraph.connected_components(graph, directed=False)
+
+    orbits = [[] for _ in range(n_comp)]
+    for orbit in translation_orbits(chain):
+        orbits[comp[orbit[0]]].append(orbit)
+    local = np.empty(chain.dim, dtype=np.int64)
+    blocks = []
+    for c in range(n_comp):
+        idx = np.flatnonzero(comp == c)
+        local[idx] = np.arange(len(idx))
+        sub = None if bias_sp is None else bias_sp[idx][:, idx]
+        blocks.append((idx, *_component_eigenbasis(
+            H_sp[idx][:, idx], sub, [local[o] for o in orbits[c]], chain.n_sites,
+            degeneracy_tol)))
+
+    E, mode, bias_all = (np.concatenate([b[i] for b in blocks]) for i in (1, 3, 4))
+    if len(E) != chain.dim:
         raise NumericalCheckError("momentum sectors do not span the full space")
-    V = np.concatenate(vec_parts, axis=1)
-    E = np.concatenate(E_parts)
-    mode = np.concatenate(mode_parts)
-    bias_all = np.concatenate(bias_parts) if bias_parts else None
-
-    keys = [mode, E] if bias_all is None else [bias_all, mode, E]
+    keys = [mode, E] if bias_sp is None else [bias_all, mode, E]
     order = np.lexsort(tuple(keys))
-    V = np.ascontiguousarray(V[:, order])
-    E = E[order]
-    mode = mode[order]
-    if bias_all is not None:
-        bias_all = bias_all[order]
-    return JointBasis(chain=chain, vectors=V, energies=E, mode=mode, bias_values=bias_all)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    sectors, columns, start = [], [], 0
+    for idx, evals, vectors, modes, bias_vals in blocks:
+        cols = rank[start:start + len(idx)]
+        start += len(idx)
+        o = np.argsort(cols)
+        sectors.append(Sector(idx, evals[o], np.ascontiguousarray(vectors[:, o]), modes[o],
+                              None if bias_sp is None else bias_vals[o]))
+        columns.append(cols[o])
+    return JointBasis(chain=chain, sectors=tuple(sectors), columns=tuple(columns),
+                      energies=E[order], mode=mode[order],
+                      bias_values=None if bias_sp is None else bias_all[order])
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +316,12 @@ class WindowFunction:
         scalar = np.ndim(eps) == 0
         eps = np.atleast_1d(np.asarray(eps, dtype=float))
         if self.kind == "hann":
-            u = eps * self.T / np.pi
-            near = np.abs(1.0 - np.abs(u)) < 1e-6
-            u_safe = np.where(near, 2.0, u)
-            direct = np.sinc(u_safe) / (1.0 - u_safe**2)
-            # removable singularity at |u| = 1
-            du = np.abs(u) - 1.0
-            au = np.where(near, np.abs(u), 1.0)
-            series = (1.0 - (np.pi**2) * du**2 / 6.0) / (au * (au + 1.0))
-            g = np.where(near, series, direct)
+            # sinc(a) / (1 - a^2) = sinc(a - 1) / (a (a + 1)); the second form
+            # has no cancellation at the removable singularity a = 1
+            a = np.abs(eps) * self.T / np.pi
+            lo, hi = np.minimum(a, 0.5), np.maximum(a, 0.5)
+            g = np.where(a <= 0.5, np.sinc(lo) / (1.0 - lo**2),
+                         np.sinc(hi - 1.0) / (hi * (hi + 1.0)))
             out = (self.T / SQRT_2PI) * g
         else:
             nodes, weights = np.polynomial.legendre.leggauss(200)
@@ -255,77 +336,54 @@ class WindowFunction:
         return float(self.fourier(0.0))
 
 
-def integrate_windowed(curve, window: WindowFunction, tol: float = 1e-8,
-                       nodes_per_unit: int = 64, max_rounds: int = 5) -> float:
-    """int f_T(t) curve(t) dt by composite Gauss-Legendre with refinement.
-
-    ``curve`` maps an array of times to an array of values; panels are doubled
-    until two successive estimates agree to tol.
-    """
-    T = window.T
-    order = 16
-    n_panels = max(2, int(math.ceil(2 * T * nodes_per_unit / order)))
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
-
-    def run(panels: int) -> float:
-        edges = np.linspace(-T, T, panels + 1)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = (a + b) / 2, (b - a) / 2
-            ts = mid + half * base_nodes
-            total += half * float(np.dot(base_weights, curve(ts) * window.value(ts)))
-        return total
-
-    last = run(n_panels)
-    for _ in range(max_rounds):
-        n_panels *= 2
-        cur = run(n_panels)
-        if abs(cur - last) <= tol * (1.0 + abs(cur)):
-            return cur
-        last = cur
-    return last
-
-
 # ---------------------------------------------------------------------------
 # windowed commutator correlator
 # ---------------------------------------------------------------------------
-
-def _apply_to_vectors(A, V: np.ndarray, chain: ChainConfig) -> np.ndarray:
-    if isinstance(A, LocalOperator):
-        return apply_local(V, A, chain, side="left")
-    if sp.issparse(A):
-        return A @ V
-    return np.asarray(A) @ V
-
 
 class CommutatorKernel:
     """Evaluates C(t) = <i [A, B(t)]> for a state diagonal in a joint basis.
 
     Writing K = i [rho, A], the trace identity C(t) = Tr(K B(t)) reduces every
-    evaluation to phase sums over the precomputed matrix W = K~ * B~^T in the
-    energy eigenbasis; a batch of times costs one thin matrix product.
+    evaluation to phase sums over W = K~ * B~^T in the energy eigenbasis,
+    C(t) = sum_mn W_mn exp(i (E_n - E_m) t).  W is kept as one block per pair
+    of sectors (c, k) with A coupling k into c and B coupling c into k; a
+    batch of times costs one thin matrix product per block.
     """
 
     def __init__(self, state, A, B):
         basis = state.basis
-        p = np.asarray(state.probs)
-        At = basis.matrix_elements(A)
+        p = basis.per_sector(state.probs)
         Bt = basis.matrix_elements(B)
-        K = 1j * (p[:, None] - p[None, :]) * At
-        self._W = K * Bt.T
-        self._E = basis.energies
+        self._E = [s.energies for s in basis.sectors]
+        self._W = {(c, k): 1j * (p[c][:, None] - p[k][None, :]) * X * Bt[k, c].T
+                   for (c, k), X in basis.matrix_elements(A).items() if (k, c) in Bt}
 
     def curve(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        P = np.exp(1j * np.outer(self._E, ts))
-        WP = self._W @ P
-        vals = np.einsum("nj,nj->j", P.conj(), WP)
+        P = [np.exp(1j * np.outer(E, ts)) for E in self._E]
+        vals = np.zeros(len(ts), dtype=np.complex128)
+        for (c, k), W in self._W.items():
+            vals += np.einsum("nj,nj->j", P[c].conj(), W @ P[k])
         if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals.real))):
             raise NumericalCheckError("commutator correlator came out complex")
         return vals.real
 
     def at(self, t: float) -> float:
         return float(self.curve([t])[0])
+
+    def windowed_integral(self, window: WindowFunction) -> float:
+        """int C(t) f_T(t) dt = sqrt(2 pi) sum_mn W_mn ft(E_n - E_m), in closed form.
+
+        The weights are summed per energy transfer rounded to 10 decimals, so
+        ft is evaluated once per distinct transfer, at its first exact value.
+        """
+        de = np.concatenate([np.zeros(0)] + [(self._E[k][None, :] - self._E[c][:, None]).ravel()
+                                             for c, k in self._W])
+        w = np.concatenate([np.zeros(0)] + [W.real.ravel() for W in self._W.values()])
+        _, first, inv = np.unique(np.round(de, 10), return_index=True,
+                                  return_inverse=True)
+        sums = np.bincount(inv, weights=w, minlength=len(first))
+        return SQRT_2PI * float(np.dot(sums, window.fourier(de[first])))
 
 
 def wrap_horizon(phi: models.Interaction, chain: ChainConfig, v_emp: float | None = None) -> float:
@@ -361,7 +419,7 @@ def correlation_C(state, phi, spec, geom, t: float, chain: ChainConfig,
 
 
 def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainConfig,
-                   quad_tol: float = 1e-8, kernel: CommutatorKernel | None = None) -> dict:
+                   kernel: CommutatorKernel | None = None) -> dict:
     """Windowed current sum rule: int C(t) f_T(t) dt against sqrt(2 pi) w(j_0) ft(0).
 
     ``kernel`` is the :func:`correlation_kernel` of the same arguments, built
@@ -374,7 +432,7 @@ def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainC
         )
     if kernel is None:
         kernel = correlation_kernel(state, phi, spec, geom, chain)
-    lhs = integrate_windowed(kernel.curve, window, tol=quad_tol)
+    lhs = kernel.windowed_integral(window)
     j0 = models.current_local(phi, spec, chain)
     current = float(np.real(state.expect(j0)))
     rhs = SQRT_2PI * current * window.fourier0()
@@ -434,72 +492,76 @@ def _centered(op: LocalOperator, state) -> LocalOperator:
     return LocalOperator(op.support, op.coeffs - mean * np.eye(dim))
 
 
+def _class_table(blocks: dict, classes: list, n_cls: int) -> np.ndarray:
+    """Sum the entries of sector blocks into an n_cls x n_cls table by the
+    classes of their rows and columns (``classes[c]``: class of each column)."""
+    table = np.zeros((n_cls, n_cls), dtype=np.complex128)
+    groups = []
+    for ids in classes:
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        groups.append((order, starts, ids[order][starts]))
+    for (c, k), X in blocks.items():
+        (oc, sc, uc), (ok, sk, uk) = groups[c], groups[k]
+        agg = np.add.reduceat(np.add.reduceat(X[oc][:, ok], sc, axis=0), sk, axis=1)
+        table[np.ix_(uc, uk)] += agg
+    return table
+
+
 def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator,
                           basis: JointBasis | None = None, verify: bool = True,
                           de_decimals: int = 10) -> SpectralFunction:
     """Weights w(dk, de) = sum p_n i <n|n^|m><m|h^|n> grouped by transfer.
 
-    Means are subtracted internally (n^ = n - w(n) etc.).  With ``verify`` the
+    Means are subtracted internally (n^ = n - w(n) etc.).  The weights are
+    formed per pair of sectors and summed into one table over (energy block,
+    momentum) classes, then grouped by transfer.  With ``verify`` the
     completeness sum and the conjugate pairing against the swapped product are
     checked at construction.
     """
     basis = state.basis if basis is None else basis
-    chain = basis.chain
-    p = np.asarray(state.probs)
+    n = basis.chain.n_sites
+    p = basis.per_sector(state.probs)
     Nt = basis.matrix_elements(_centered(n_op, state))
     Ht = basis.matrix_elements(_centered(h_op, state))
-    W = 1j * p[:, None] * Nt * Ht.T
+    pairs = [ck for ck in Nt if ck[::-1] in Ht]
+    W = {(c, k): 1j * p[c][:, None] * Nt[c, k] * Ht[k, c].T for c, k in pairs}
 
-    # aggregate by (energy block, momentum) classes first, then by transfer
-    blk = basis.energy_block_ids()
-    n_blk = int(blk.max()) + 1
-    n = chain.n_sites
-    cls = blk * n + basis.mode
-    n_cls = n_blk * n
-    order = np.argsort(cls, kind="stable")
-    bounds = np.flatnonzero(np.diff(cls[order])) + 1
-    starts = np.concatenate(([0], bounds))
-    present = cls[order][starts]
-    Wo = W[order][:, order]
-    Wrow = np.add.reduceat(Wo, starts, axis=0)
-    Wcls = np.add.reduceat(Wrow, starts, axis=1)  # (n_present, n_present)
-
-    # representative labels per present class
+    # (energy block, momentum) classes and one representative state of each
+    cls = basis.energy_block_ids() * n + basis.mode
+    present, first, cls_idx = np.unique(cls, return_index=True, return_inverse=True)
+    classes = basis.per_sector(cls_idx)
+    Wcls = _class_table(W, classes, len(present))
     mode_rep = present % n
-    E_rep = basis.energies[order[starts]]
+    E_rep = basis.energies[first]
 
     dE = E_rep[None, :] - E_rep[:, None]
-    dmode = (mode_rep[None, :] - mode_rep[:, None]) % n
-    dk_idx = centered_mode(dmode, n)
-    keys_de = np.round(dE, de_decimals)
-    flat_w = Wcls.reshape(-1)
-    flat_de = keys_de.reshape(-1)
-    flat_dk = dk_idx.reshape(-1)
-    uniq, inv = np.unique(np.stack([flat_dk, flat_de]), axis=1, return_inverse=True)
-    agg = np.zeros(uniq.shape[1], dtype=np.complex128)
-    np.add.at(agg.real, inv, flat_w.real)
-    np.add.at(agg.imag, inv, flat_w.imag)
+    dk_idx = centered_mode((mode_rep[None, :] - mode_rep[:, None]) % n, n)
+    de_keys, de_inv = np.unique(np.round(dE, de_decimals).ravel() + 0.0, return_inverse=True)
+    # one integer code per (dk, de) key, ordered by dk, then de
+    code = (dk_idx.ravel() + n) * len(de_keys) + de_inv
+    uniq, inv = np.unique(code, return_inverse=True)
+    flat_w = Wcls.ravel()
+    agg = np.bincount(inv, weights=flat_w.real) + 1j * np.bincount(inv, weights=flat_w.imag)
 
     out = SpectralFunction(
         n_sites=n,
-        dk_index=uniq[0].astype(np.int64),
-        de=uniq[1],
+        dk_index=uniq // len(de_keys) - n,
+        de=de_keys[uniq % len(de_keys)],
         weights=agg,
         meta={"n_support": n_op.support, "h_support": h_op.support},
     )
     if verify:
         total = out.total()
-        direct = 1j * complex(
-            np.sum(p * np.einsum("nm,mn->n", Nt, Ht))
-        )
+        direct = 1j * complex(sum(
+            np.dot(p[c], np.einsum("mn,nm->m", Nt[c, k], Ht[k, c])) for c, k in pairs))
         if abs(total - direct) > 1e-10 * max(1.0, abs(direct)):
             raise NumericalCheckError(
                 f"spectral completeness violated: {total} vs {direct}"
             )
         # conjugate pairing: conj(w_AB(dk, de)) = -w_BA(dk, de)
-        W_ba = 1j * p[:, None] * Ht * Nt.T
-        Wo_ba = W_ba[order][:, order]
-        Wcls_ba = np.add.reduceat(np.add.reduceat(Wo_ba, starts, axis=0), starts, axis=1)
+        W_ba = {(k, c): 1j * p[k][:, None] * Ht[k, c] * Nt[c, k].T for c, k in pairs}
+        Wcls_ba = _class_table(W_ba, classes, len(present))
         dev = np.max(np.abs(np.conj(Wcls) + Wcls_ba))
         scale = max(1.0, np.max(np.abs(Wcls)))
         if dev > 1e-10 * scale:
@@ -546,7 +608,8 @@ def momentum_derivative_check(state, spectral: SpectralFunction, window: WindowF
     if Y < 0 or 2 * Y + 1 > n:
         raise PreconditionError(f"invalid position window halfwidth Y = {Y}")
     S, Dk, tail = _transfer_kernels(spectral.dk_index, n, Y)
-    ft = np.asarray(window.fourier(spectral.de))
+    de, inv = np.unique(spectral.de, return_inverse=True)  # ft once per distinct transfer
+    ft = np.asarray(window.fourier(de))[inv]
     w = spectral.weights
     derivative_term = -2.0 * SQRT_2PI * float(np.real(np.sum(w * ft * S)))
     count_term = 2.0 * SQRT_2PI * (Y + 1) * float(np.real(np.sum(w * ft * Dk)))
@@ -568,15 +631,12 @@ def momentum_derivative_check(state, spectral: SpectralFunction, window: WindowF
 
 
 def boundary_commutator_integral(state, phi, spec, geom, window: WindowFunction,
-                                 chain: ChainConfig, quad_tol: float = 1e-8) -> float:
+                                 chain: ChainConfig) -> float:
     """Windowed <i [N_[-L,0], (C_-M + C_M)(t)]>, the boundary-complement piece of C(t)."""
     N_w = models.charge_sparse(spec, (-geom.L, 0), chain)
     cm, cp = models.boundary_complements(phi, geom.M, chain)
-    from .operators import embed_sparse
-
     C_ops = embed_sparse(cm, chain) + embed_sparse(cp, chain)
-    kernel = CommutatorKernel(state, N_w, C_ops)
-    return integrate_windowed(kernel.curve, window, tol=quad_tol)
+    return CommutatorKernel(state, N_w, C_ops).windowed_integral(window)
 
 
 def singularity_diagnostic(spectral: SpectralFunction, epsilon_windows,

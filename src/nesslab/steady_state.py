@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .errors import NumericalCheckError, PreconditionError
 from .operators import ChainConfig, shift_unitary
 from . import models
-from .spectral import JointBasis, _apply_to_vectors, joint_spectrum
+from .spectral import JointBasis, joint_spectrum
 
 RESIDUAL_TOL = 1e-10
 
@@ -58,16 +58,15 @@ class StationaryState:
 
     def expect(self, A) -> complex:
         """sum_n p_n <n|A|n>; A may be dense, sparse or a LocalOperator."""
-        V = self.basis.vectors
-        AV = _apply_to_vectors(A, V, self.chain)
-        diag = np.einsum("in,in->n", V.conj(), AV)
-        return complex(np.dot(self.probs, diag))
+        return complex(np.dot(self.probs, self.basis.diagonal(A)))
 
     def commutant_residual(self, A) -> float:
-        """Frobenius norm of [rho, A] (an upper bound on the operator norm)."""
-        At = self.basis.matrix_elements(A)
-        R = (self.probs[:, None] - self.probs[None, :]) * At
-        return float(np.linalg.norm(R))
+        """Frobenius norm of [rho, A] (an upper bound on the operator norm),
+        summed over the sector blocks of A."""
+        p = self.basis.per_sector(self.probs)
+        return math.sqrt(sum(
+            np.linalg.norm((p[c][:, None] - p[k][None, :]) * X) ** 2
+            for (c, k), X in self.basis.matrix_elements(A).items()))
 
     def stationarity_residual(self, H) -> float:
         return self.commutant_residual(H)

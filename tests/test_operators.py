@@ -62,7 +62,7 @@ class TestEmbed:
         # E(0,1) on site 0 of a 2-site chain: site 0 is the fast digit, so the
         # global matrix is the 2x2 block-diagonal repetition of E(0,1)
         chain = nl.ChainConfig(2, 2)
-        E01 = nl.MatrixUnitBasis(2).unit(0, 1)
+        E01 = np.array([[0, 1], [0, 0]], dtype=complex)
         G = nl.embed(nl.LocalOperator((0,), E01), chain)
         expected = np.kron(np.eye(2), E01)
         assert np.array_equal(G, expected)
@@ -186,7 +186,7 @@ class TestCommutatorsAndNorms:
     def test_norm_values(self):
         assert nl.operator_norm(np.eye(7)) == 1.0
         assert abs(nl.operator_norm(PAULI_Z / 2) - 0.5) < 1e-14
-        E01 = nl.MatrixUnitBasis(2).unit(0, 1)
+        E01 = np.array([[0, 1], [0, 0]], dtype=complex)
         assert abs(nl.operator_norm(E01) - 1.0) < 1e-14
         with pytest.raises(ValueError):
             nl.operator_norm(np.ones((2, 3)))
@@ -248,32 +248,6 @@ class TestExtractLocal:
         G = nl.embed(nl.LocalOperator((0,), PAULI_X), chain)
         with pytest.raises(PreconditionError):
             nl.extract_local(G, (1, 2), chain)
-
-
-class TestMatrixUnits:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_algebra_relations(self, d):
-        basis = nl.MatrixUnitBasis(d)
-        total = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            total += basis.unit(i, i)
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        prod = basis.unit(i, j) @ basis.unit(k, l)
-                        expect = (1.0 if j == k else 0.0) * basis.unit(i, l)
-                        assert np.max(np.abs(prod - expect)) <= 1e-14
-        assert np.max(np.abs(total - np.eye(d))) <= 1e-14
-
-    def test_decomposition_bound_and_reconstruction(self, rng):
-        # coefficients in the product matrix-unit basis are bounded by the norm
-        basis = nl.MatrixUnitBasis(2)
-        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        op = nl.LocalOperator((0, 1), M)
-        C = basis.decompose(op)
-        assert np.max(np.abs(C)) <= nl.operator_norm(M) + 1e-12
-        rec = basis.reconstruct(C, (0, 1))
-        assert np.linalg.norm(rec.coeffs - M) < 1e-12
 
 
 class TestShift:

@@ -14,9 +14,10 @@ from nesslab.spectral import (
     CommutatorKernel,
     SQRT_2PI,
     WindowFunction,
-    integrate_windowed,
     centered_mode,
+    translation_orbits,
 )
+from nesslab.operators import shift_index_map
 from nesslab.steady_state import StationaryState
 
 S1, S2, S3 = SPIN_HALF
@@ -87,6 +88,140 @@ class TestJointSpectrum:
         assert np.linalg.norm(Jt - np.diag(basis.bias_values)) < 1e-9
 
 
+def _sectored_case(name):
+    """(chain, H, bias, basis) for the oracle checks of the sectored basis."""
+    phi, spec = nl.build_xx_model()
+    chain = nl.ChainConfig(8, 2)
+    bias = None
+    if name == "xx":
+        bias = nl.total_current(phi, spec, chain, sparse=True)
+    elif name == "xxz":
+        phi, _ = nl.build_xxz_model(0.5)
+    elif name == "random":
+        chain = nl.ChainConfig(6, 2)
+        phi = nl.build_random_interaction(2, 2, np.random.default_rng(11))
+    H = nl.hamiltonian(phi, chain, sparse=True)
+    if name == "zero":
+        chain = nl.ChainConfig(6, 2)
+        H = sp.csr_matrix((chain.dim, chain.dim), dtype=complex)
+    return chain, H, bias, nl.joint_spectrum(H, chain, bias=bias)
+
+
+def _probe_operators(chain):
+    """Charge-conserving N_w, H_M, T, n_0 and the charge-coupling sigma_x."""
+    phi, spec = nl.build_xx_model()
+    return {
+        "N_w": nl.models.charge_sparse(spec, (-3, 0), chain),
+        "H_M": nl.models.window_hamiltonian_sparse(phi, (-1, 1), chain),
+        "T": nl.shift_unitary(chain, dense=False),
+        "n_0": nl.LocalOperator((0,), spec.n0),
+        "sigma_x": nl.LocalOperator((0,), nl.models.PAULI_X),
+    }
+
+
+def _orbits_by_loop(chain):
+    """Reference: follow the shift from each not yet visited state."""
+    t = shift_index_map(chain)
+    seen = np.zeros(chain.dim, dtype=bool)
+    orbits = []
+    for start in range(chain.dim):
+        if seen[start]:
+            continue
+        orbit = [start]
+        seen[start] = True
+        nxt = t[start]
+        while nxt != start:
+            orbit.append(int(nxt))
+            seen[nxt] = True
+            nxt = t[nxt]
+        orbits.append(orbit)
+    return orbits
+
+
+def _block_ids_by_loop(E, tol=1e-8):
+    """Reference: walk the sorted energies, opening a block at each gap > tol."""
+    ids = np.empty(len(E), dtype=np.int64)
+    blk, prev = 0, None
+    for idx in np.argsort(E, kind="stable"):
+        if prev is not None and E[idx] - prev > tol:
+            blk += 1
+        ids[idx] = blk
+        prev = E[idx]
+    return ids
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (8, 2), (4, 3), (5, 3)])
+def test_translation_orbits_match_loop(n, d):
+    chain = nl.ChainConfig(n, d)
+    assert [o.tolist() for o in translation_orbits(chain)] == _orbits_by_loop(chain)
+
+
+def test_energy_block_ids_match_loop(xx10_state):
+    basis = xx10_state.basis
+    assert np.array_equal(basis.energy_block_ids(), _block_ids_by_loop(basis.energies))
+
+
+@pytest.mark.parametrize("name", ["xx", "xxz", "zero", "random"])
+class TestSectoredBasis:
+    def test_sectors_partition_basis_states(self, name):
+        chain, _, _, basis = _sectored_case(name)
+        index = np.concatenate([s.index for s in basis.sectors])
+        assert np.array_equal(np.sort(index), np.arange(chain.dim))
+        columns = np.concatenate(basis.columns)
+        assert np.array_equal(np.sort(columns), np.arange(chain.dim))
+        for s, cols in zip(basis.sectors, basis.columns):
+            assert s.vectors.shape == (len(s.index), len(cols))
+            assert np.array_equal(s.energies, basis.energies[cols])
+            assert np.array_equal(s.mode, basis.mode[cols])
+        if name in ("xx", "xxz"):
+            assert len(basis.sectors) == chain.n_sites + 1  # the charge sectors
+        if name == "random":
+            assert len(basis.sectors) == 1
+
+    def test_assembled_vectors(self, name):
+        chain, H, bias, basis = _sectored_case(name)
+        V = basis.vectors
+        assert np.linalg.norm(H.toarray() @ V - V * basis.energies) < 1e-10
+        T = nl.shift_unitary(chain)
+        assert np.linalg.norm(T @ V - V * np.exp(-1j * basis.momenta)) < 1e-10
+        assert np.linalg.norm(V.conj().T @ V - np.eye(chain.dim)) < 1e-10
+        if bias is not None:
+            Jt = V.conj().T @ (bias @ V)
+            assert np.linalg.norm(Jt - np.diag(basis.bias_values)) < 1e-9
+        assert np.all(np.diff(basis.energies) >= 0)
+
+    def test_blocks_match_dense_products(self, name):
+        chain, _, _, basis = _sectored_case(name)
+        V = basis.vectors
+        for label, A in _probe_operators(chain).items():
+            Ad = nl.embed(A, chain) if isinstance(A, nl.LocalOperator) else A.toarray()
+            dense = V.conj().T @ Ad @ V
+            blocks = basis.matrix_elements(A)
+            covered = np.zeros(dense.shape, dtype=bool)
+            for (c, k), X in blocks.items():
+                cell = np.ix_(basis.columns[c], basis.columns[k])
+                assert np.max(np.abs(X - dense[cell])) < 1e-12, label
+                covered[cell] = True
+            # every pair of sectors left out carries no matrix element
+            assert np.max(np.abs(dense[~covered]), initial=0.0) < 1e-12, label
+            if label == "sigma_x" and name != "random":
+                assert all(c != k for c, k in blocks)  # sigma_x changes the charge
+            diag = basis.diagonal(A)
+            assert np.max(np.abs(diag - np.diag(dense))) < 1e-12, label
+
+    def test_commutant_residual_matches_dense(self, name):
+        chain, _, _, basis = _sectored_case(name)
+        rng = np.random.default_rng(3)
+        p = rng.random(chain.dim)
+        state = StationaryState(basis=basis, probs=p / p.sum())
+        V = basis.vectors
+        rho = (V * state.probs) @ V.conj().T
+        for label, A in _probe_operators(chain).items():
+            Ad = nl.embed(A, chain) if isinstance(A, nl.LocalOperator) else A.toarray()
+            dense = np.linalg.norm(rho @ Ad - Ad @ rho)
+            assert abs(state.commutant_residual(A) - dense) < 1e-12 * max(1.0, dense), label
+
+
 class TestWindowFunction:
     def test_support_truncation(self):
         win = WindowFunction("hann", 2.0)
@@ -128,6 +263,29 @@ class TestWindowFunction:
             WindowFunction("hann", -1.0)
 
 
+def gauss_legendre(curve, window, tol=1e-10, order=16, panels=16, max_rounds=8):
+    """Oracle: int f_T(t) curve(t) dt by composite Gauss-Legendre, panels
+    doubled until two successive estimates agree to tol."""
+    T = window.T
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
+
+    def run(n_panels):
+        edges = np.linspace(-T, T, n_panels + 1)
+        mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
+        ts = (mid[:, None] + half[:, None] * base_nodes).ravel()
+        vals = (curve(ts) * window.value(ts)).reshape(n_panels, order)
+        return float(np.sum(half * (vals @ base_weights)))
+
+    last = run(panels)
+    for _ in range(max_rounds):
+        panels *= 2
+        cur = run(panels)
+        if abs(cur - last) <= tol * (1.0 + abs(cur)):
+            return cur
+        last = cur
+    raise AssertionError("quadrature oracle did not converge")
+
+
 class TestQuadrature:
     def test_oscillatory_integral(self):
         win = WindowFunction("hann", 2.0)
@@ -138,7 +296,27 @@ class TestQuadrature:
 
         ref = scipy.integrate.quad(lambda t: math.cos(omega * t) * win.value(t),
                                    -2, 2, limit=400)[0]
-        assert abs(integrate_windowed(curve, win) - ref) < 1e-8
+        assert abs(gauss_legendre(curve, win) - ref) < 1e-8
+
+    @pytest.mark.parametrize("T", [1.5, 2.0])
+    def test_hann_removable_singularity(self, T):
+        # ft has a removable singularity at |eps T / pi| = 1; the series branch
+        # covers |1 - |u|| < 1e-6 and must join the direct formula smoothly
+        win = WindowFunction("hann", T)
+        for u in (1.0, -1.0, 1.0 + 5e-7, 1.0 - 5e-7, 1.0 + 2e-6, 1.0 - 2e-6, 1.0 + 1e-12):
+            eps = u * math.pi / T
+            ref = gauss_legendre(lambda ts: np.cos(eps * ts), win, tol=1e-14) / SQRT_2PI
+            assert abs(win.fourier(eps) - ref) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["hann", "truncated_gaussian"])
+    def test_closed_form_windowed_integral(self, xx10_state, xx_model, chain10, kind):
+        # sqrt(2 pi) sum W ft(dE) against quadrature of the kernel's own curve
+        phi, spec = xx_model
+        geom = nl.CurrentGeometry(4, 2, 1)
+        win = WindowFunction(kind, 1.5)
+        kernel = nl.correlation_kernel(xx10_state, phi, spec, geom, chain10)
+        ref = gauss_legendre(kernel.curve, win)
+        assert abs(kernel.windowed_integral(win) - ref) < 1e-9 * (1.0 + abs(ref))
 
 
 class TestCorrelation:
