@@ -176,47 +176,72 @@ class LRScanRow:
     excluded: bool
 
 
-def _sector_couplings(op: sp.spmatrix, labels: np.ndarray, n_sectors: int) -> sp.csr_matrix:
-    """Symmetric S with S[c, k] > 0 where op has an entry between sectors c and k."""
-    S = sector_couplings(op, labels, n_sectors)
-    return S + S.T
+def _eigenspaces(B: LocalOperator) -> tuple:
+    """(b2 - b1, U1, U2) for B = b1 P1 + b2 P2, with P_i = U_i U_i^H.
 
-
-def _sector_groups(sectors, labels: np.ndarray, S_A: sp.csr_matrix,
-                   B: sp.csr_matrix) -> list:
-    """The blocks of [A, B] over groups R of sectors, as (shape, placements, B[R, K]).
-
-    The groups are the connected components of the sector graph of A.B + B.A.
-    K holds the sectors B couples to R, so on R the commutator is Z^H - Z with
-    Z = B[R, K] A(t)[K, R], exactly anti-Hermitian; a placement puts block
-    A(t)[k, r] at (k, r, rows, cols).
-    A group with empty K, where the commutator is exactly 0, is left out.
+    U_i keeps the local eigenvectors of eigenspace i in their own columns and
+    zeros elsewhere; a diagonal B keeps exact unit vectors.  A B with one
+    eigenvalue leaves U2 empty; three or more eigenvalues are refused.
     """
-    S_B = _sector_couplings(B, labels, len(sectors))
-    n_grp, glabels = csgraph.connected_components(S_A @ S_B + S_B @ S_A, directed=False)
+    c = B.coeffs
+    if np.count_nonzero(c - np.diag(np.diag(c))):
+        vals, vecs = np.linalg.eigh(c)
+    else:
+        vals, vecs = np.diag(c).real, np.eye(len(c), dtype=np.complex128)
+    order = np.argsort(vals, kind="stable")
+    cuts = np.flatnonzero(np.diff(vals[order]) > 1e-12 * max(1.0, np.max(np.abs(vals))))
+    if len(cuts) > 1:
+        raise PreconditionError(
+            f"B needs at most two distinct eigenvalues, got {len(cuts) + 1}")
+    low = vals <= vals[order[cuts[0] if len(cuts) else -1]]  # eigenspace 1
+    return float(vals[order[-1]] - vals[order[0]]), vecs * low, vecs * ~low
+
+
+def _half_block_groups(sectors, labels: np.ndarray, S_A: sp.csr_matrix, Q1, Q2) -> tuple:
+    """Split the half block Q1^H A(t) Q2 into independent groups of sector pairs.
+
+    Returns (G1, G2, groups).  G_i[c] is Q_i on the rows of sector c and the
+    columns they touch, conjugate-transposed.  Sectors share a group when A
+    couples them or when their rows share a column of Q1 or of Q2.  A group is
+    (shape, [(c, k, rows, cols)]): the block G1[c] A(t)[c, k] G2[k]^H lands at
+    (rows, cols) of the group's half block.  A group without columns of Q1 or
+    of Q2 is exactly zero and left out.
+    """
+    T, G, cols = [], [], []
+    for Q in (Q1, Q2):
+        blocks = [Q[s.index] for s in sectors]
+        cols.append([np.unique(b.indices) for b in blocks])
+        G.append([sp.csr_matrix((b.data, np.searchsorted(ci, b.indices), b.indptr),
+                                shape=(b.shape[0], len(ci))).conj().T
+                  for b, ci in zip(blocks, cols[-1])])
+        nz_rows, nz_cols = Q.nonzero()  # T[c, j] > 0 where column j has a row in sector c
+        T.append(sp.csr_matrix((np.ones(len(nz_rows)), (labels[nz_rows], nz_cols)),
+                               shape=(len(sectors), Q.shape[1])))
+    n_grp, glabels = csgraph.connected_components(S_A + T[0] @ T[0].T + T[1] @ T[1].T,
+                                                  directed=False)
     groups = []
     for g in range(n_grp):
-        R = np.flatnonzero(glabels == g)
-        K = np.flatnonzero(np.asarray(S_B[:, R].sum(axis=1)).ravel())
-        if K.size == 0:
+        C1, C2 = ([c for c in np.flatnonzero(glabels == g) if len(ci[c])] for ci in cols)
+        if not (C1 and C2):
             continue
-        row0 = np.cumsum([0] + [len(sectors[k].index) for k in K])
-        col0 = np.cumsum([0] + [len(sectors[r].index) for r in R])
-        place = [(k, r, slice(row0[i], row0[i + 1]), slice(col0[j], col0[j + 1]))
-                 for i, k in enumerate(K) for j, r in enumerate(R) if S_A[k, r]]
-        idx_R, idx_K = (np.concatenate([sectors[c].index for c in cs]) for cs in (R, K))
-        groups.append(((row0[-1], col0[-1]), place, B[idx_R][:, idx_K]))
-    return groups
+        J1, J2 = (np.unique(np.concatenate([ci[c] for c in C])) for ci, C in zip(cols, (C1, C2)))
+        S_g = S_A[C1][:, C2].tocoo()
+        groups.append(((len(J1), len(J2)), [
+            (C1[i], C2[j], np.searchsorted(J1, cols[0][C1[i]]),
+             np.searchsorted(J2, cols[1][C2[j]])) for i, j in zip(S_g.row, S_g.col)]))
+    return G[0], G[1], groups
 
 
-def _group_commutator(group, at: dict) -> np.ndarray:
-    """The Hermitian 1j (Z^H - Z), whose eigenvalues give the norm of Z^H - Z."""
-    shape, place, B_RK = group
-    A_KR = np.zeros(shape, dtype=np.complex128)
-    for k, r, rows, cols in place:
-        A_KR[rows, cols] = at[k, r]
-    Z = B_RK @ A_KR  # sparse rows times a C-ordered block: no transposed copy
-    return 1j * (Z.conj().T - Z)
+def _group_sigma_max(group, G1, G2, P, PM) -> float:
+    """Largest singular value of one group of the half block, from the smaller
+    of its two Gram matrices."""
+    shape, pairs = group
+    X = np.zeros(shape, dtype=np.complex128)
+    for c, k, rows, cols in pairs:
+        X[np.ix_(rows, cols)] += (G1[c] @ PM[c, k]) @ (G2[k] @ P[k]).conj().T
+    gram = X @ X.conj().T if shape[0] <= shape[1] else X.conj().T @ X
+    del X  # release the half block before eigvalsh allocates its workspace
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def _local_comm_norm(A: LocalOperator, B: LocalOperator, site_dim: int) -> float:
@@ -234,63 +259,62 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
             v_emp: float | None = None) -> list:
     """Empirical commutator norms ||[tau_x alpha_t(A), B]|| against the bound.
 
-    Runs per sector of ``ctx`` (built from ``phi`` if omitted): A(t) is kept
-    as its blocks between the sectors A couples, and each norm is a maximum
-    over the groups of sectors that [A(t), tau_x B] leaves invariant.  t = 0
-    takes the local commutator, exactly 0 for disjoint supports.  Points
-    whose light cones could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are
-    excluded from the comparison and flagged in the output.
+    B must have at most two distinct eigenvalues, B = b1 P1 + b2 P2; then
+    ||[A(t), B]|| = |b2 - b1| sigma_max(P1 A(t) P2).  The scan runs per sector
+    of ``ctx`` (built from ``phi`` if omitted): A enters the eigenbasis once
+    per pair of sectors it couples, and each norm is a maximum over the groups
+    of sectors of the half block P1 A(t) P2.  t = 0 takes the local
+    commutator, exactly 0 for disjoint supports.  Points whose light cones
+    could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are excluded from the
+    comparison and flagged in the output.  A bad grid is refused before any
+    diagonalization.
     """
     if not (A.hermitian and B.hermitian):
         raise PreconditionError("scan operators must be flagged Hermitian")
     if v_emp is None:
         v_emp = empirical_velocity(phi)
+    V = models.lr_velocity(phi)
+    normA, normB = A.norm(), B.norm()
+    params = {x: LRBoundParams(d1=A.width(), d2=B.width(), x=x, normA=normA, normB=normB,
+                               V=V, site_dim=chain.site_dim) for x in x_values}
+    ts = sorted(set(float(t) for t in t_values))
+    live = {t: [x for x in x_values if abs(x) + 2.0 * v_emp * abs(t) < chain.n_sites]
+            for t in ts}
+    if params and ts and not any(live.values()):
+        raise PreconditionError("every requested scan point lies beyond the wrap horizon")
+    gap, U1, U2 = _eigenspaces(B)
     if ctx is None:
         ctx = EvolutionContext.for_interaction(phi, chain)
-    V = models.lr_velocity(phi)
-    d1, d2 = A.width(), B.width()
-    normA, normB = A.norm(), B.norm()
-    n = chain.n_sites
     # periodic: ||[tau_x alpha_t(A), B]|| = ||[alpha_t(A), tau_{-x}(B)]||;
     # open chains have no translation automorphism, so B is placed at +x there
     step = -1 if chain.periodic else 1
-    shifted = {x: translate(B, step * x, chain) for x in x_values}
 
     sectors = ctx.sectors
     labels = sector_labels(sectors, chain.dim)
     A_sp = embed_sparse(A, chain)
-    S_A = _sector_couplings(A_sp, labels, len(sectors))
-    pairs = sp.triu(S_A).tocoo()
-    A_eig = sector_blocks(A_sp, sectors, zip(pairs.row, pairs.col))
-    groups = {x: _sector_groups(sectors, labels, S_A, embed_sparse(op, chain))
-              for x, op in shifted.items()}
+    S_A = sector_couplings(A_sp, labels, len(sectors))
+    A_eig = sector_blocks(A_sp, sectors, zip(*S_A.nonzero()))
+    halves = {x: _half_block_groups(sectors, labels, S_A, *(
+        embed_sparse(translate(LocalOperator(B.support, U), step * x, chain), chain)
+        for U in (U1, U2))) for x in x_values}
 
     rows = []
-    for t in sorted(set(float(t) for t in t_values)):
-        live = [x for x in x_values if abs(x) + 2.0 * v_emp * abs(t) < n]
-        at = {}
-        if t != 0.0 and live:
+    for t in ts:
+        if t != 0.0 and live[t]:
+            P = PM = None  # release the previous time's blocks before building these
             P = [s.propagator(t) for s in sectors]
-            for (c, k), M in A_eig.items():
-                X = (P[c] @ M) @ P[k].conj().T
-                if c == k:  # exactly Hermitian A(t): no norm falls back to an SVD
-                    at[c, c] = (X + X.conj().T) / 2
-                else:
-                    at[c, k], at[k, c] = X, X.conj().T
+            PM = {(c, k): P[c] @ M for (c, k), M in A_eig.items()}
         for x in x_values:
-            params = LRBoundParams(d1=d1, d2=d2, x=x, normA=normA, normB=normB,
-                                   V=V, site_dim=chain.site_dim)
-            if x not in live:
+            if x not in live[t]:
                 emp = math.nan
             elif t == 0.0:
-                emp = _local_comm_norm(A, shifted[x], chain.site_dim)
+                emp = _local_comm_norm(A, translate(B, step * x, chain), chain.site_dim)
             else:
-                emp = max((float(np.max(np.abs(np.linalg.eigvalsh(_group_commutator(g, at)))))
-                           for g in groups[x]), default=0.0)
-            rows.append(LRScanRow(x=x, t=t, empirical=emp, bound=lr_bound(params, t),
-                                  excluded=x not in live))
-    if rows and all(r.excluded for r in rows):
-        raise PreconditionError("every requested scan point lies beyond the wrap horizon")
+                G1, G2, groups = halves[x]
+                emp = gap * max((_group_sigma_max(g, G1, G2, P, PM) for g in groups),
+                                default=0.0)
+            rows.append(LRScanRow(x=x, t=t, empirical=emp, bound=lr_bound(params[x], t),
+                                  excluded=x not in live[t]))
     rows.sort(key=lambda r: (r.x, r.t))
     return rows
 

@@ -99,19 +99,13 @@ def translation_orbits(chain: ChainConfig) -> list:
 def momentum_sector_basis(dim: int, n_sites: int, mode: int, orbits) -> sp.csc_matrix:
     """Orthonormal basis of the momentum-(2 pi mode / n) states the orbits carry,
     sparse columns over ``dim`` basis states."""
-    k = 2.0 * math.pi * mode / n_sites
-    rows, cols, data = [], [], []
-    col = 0
-    for orbit in orbits:
-        ell = len(orbit)
-        if (mode * ell) % n_sites != 0:
-            continue
-        phases = np.exp(1j * k * np.arange(ell)) / math.sqrt(ell)
-        rows.extend(orbit.tolist())
-        cols.extend([col] * ell)
-        data.extend(phases.tolist())
-        col += 1
-    return sp.coo_matrix((data, (rows, cols)), shape=(dim, col)).tocsc()
+    keep = [o for o in orbits if (mode * len(o)) % n_sites == 0]
+    ell = np.array([len(o) for o in keep], dtype=np.int64)
+    pos = np.arange(ell.sum()) - np.repeat(np.cumsum(ell) - ell, ell)  # place in its orbit
+    data = np.exp(1j * (2.0 * math.pi * mode / n_sites) * pos) / np.sqrt(np.repeat(ell, ell))
+    rows = np.concatenate(keep) if keep else pos
+    return sp.coo_matrix((data, (rows, np.repeat(np.arange(len(keep)), ell))),
+                         shape=(dim, len(keep))).tocsc()
 
 
 @dataclass(frozen=True)
@@ -175,16 +169,6 @@ class JointBasis:
         return ids
 
 
-def _shift_commutator_residual(H: sp.spmatrix, chain: ChainConfig) -> float:
-    t = shift_index_map(chain)
-    tinv = np.empty_like(t)
-    tinv[t] = np.arange(len(t))
-    A = H.tocsr()
-    HT = A[:, t]
-    TH = A[tinv, :]
-    return float(sp.linalg.norm(HT - TH))
-
-
 def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int,
                           degeneracy_tol: float) -> tuple:
     """(energies, vectors, mode, bias) of H on one shift-invariant component,
@@ -203,18 +187,14 @@ def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int,
         bias_vals = np.zeros(dm)
         if bias is not None:
             # refine each degenerate energy block with the bias operator
-            start = 0
-            while start < dm:
-                stop = start + 1
-                while stop < dm and evals[stop] - evals[stop - 1] <= degeneracy_tol:
-                    stop += 1
+            cuts = np.flatnonzero(np.diff(evals) > degeneracy_tol) + 1
+            for start, stop in zip(np.r_[0, cuts], np.r_[cuts, dm]):
                 W = vectors[:, start:stop]
                 Jblk = W.conj().T @ (bias @ W)
                 Jblk = (Jblk + Jblk.conj().T) / 2
                 jv, ju = np.linalg.eigh(Jblk)
                 vectors[:, start:stop] = W @ ju
                 bias_vals[start:stop] = jv
-                start = stop
         parts.append((evals, vectors, np.full(dm, m, dtype=np.int64), bias_vals))
     return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
@@ -235,14 +215,15 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
     if not chain.periodic:
         raise PreconditionError("joint spectrum requires a periodic chain")
     H_sp = _as_sparse(H, chain)
+    T = shift_unitary(chain, dense=False)
     scale = max(1.0, abs(H_sp).max() if H_sp.nnz else 0.0)
-    res = _shift_commutator_residual(H_sp, chain)
+    res = float(sp.linalg.norm(H_sp @ T - T @ H_sp))
     if res > comm_tol * scale * chain.dim**0.5:
         raise PreconditionError(
             f"[H, T] residual {res:.3e} exceeds tolerance; H is not translation invariant"
         )
     bias_sp = None
-    graph = abs(H_sp) + abs(shift_unitary(chain, dense=False))
+    graph = abs(H_sp) + abs(T)
     if bias is not None:
         bias_sp = _as_sparse(bias, chain)
         graph = graph + abs(bias_sp)

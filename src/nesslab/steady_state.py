@@ -10,7 +10,7 @@ joint (H, shift, bias) eigenbasis plus one probability per eigenvector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,10 +75,13 @@ class StationaryState:
         return self.commutant_residual(shift_unitary(self.chain, dense=False))
 
     def spectrum_rows(self):
-        """Per-eigenvector (energy, momentum, probability) rows."""
-        return list(zip(self.basis.energies.tolist(),
-                        self.basis.momenta.tolist(),
-                        self.probs.tolist()))
+        """Per-eigenvector (energy, momentum, probability) rows, ordered by
+        degenerate energy block, then momentum mode, then bias value, so that
+        rounding inside a degenerate level does not reorder them."""
+        b = self.basis
+        bias = np.zeros(len(b.mode)) if b.bias_values is None else b.bias_values
+        o = np.lexsort((bias, b.mode, b.energy_block_ids()))
+        return list(zip(b.energies[o].tolist(), b.momenta[o].tolist(), self.probs[o].tolist()))
 
 
 def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
@@ -125,8 +128,7 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
             f"constructed state violates residual tolerances: [rho,H] {stat:.2e}, "
             f"[rho,T] {trans:.2e}"
         )
-    state.meta["stationarity_residual"] = stat
-    state.meta["translation_residual"] = trans
+    state.meta.update(interaction=phi, stationarity_residual=stat, translation_residual=trans)
     return state
 
 
@@ -141,18 +143,6 @@ class NessReport:
     is_ness: bool
     current_threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "stationarity_residual": self.stationarity_residual,
-            "translation_residual": self.translation_residual,
-            "current_value": self.current_value,
-            "symmetry_residual": self.symmetry_residual,
-            "is_stationary": self.is_stationary,
-            "is_translation_invariant": self.is_translation_invariant,
-            "is_ness": self.is_ness,
-            "current_threshold": self.current_threshold,
-        }
-
 
 def verify_ness(state: StationaryState, phi: models.Interaction,
                 spec: models.ChargeSpec, chain: ChainConfig,
@@ -162,11 +152,16 @@ def verify_ness(state: StationaryState, phi: models.Interaction,
     The state is classified as a steady current-carrying state iff both
     invariance residuals pass and the current expectation clears the
     threshold; the symmetry residual [rho, N_chain] decides whether the
-    symmetric-branch momentum-derivative identity applies to it.
+    symmetric-branch momentum-derivative identity applies to it.  The two
+    invariance residuals of a state from :func:`build_biased_gibbs` with the
+    same ``phi`` and chain are the ones it certified, not computed again.
     """
-    H = models.hamiltonian(phi, chain, sparse=True)
-    stat = state.stationarity_residual(H)
-    trans = state.translation_residual()
+    if state.meta.get("interaction") is phi and state.chain == chain:
+        # certified by build_biased_gibbs for this very interaction and chain
+        stat, trans = state.meta["stationarity_residual"], state.meta["translation_residual"]
+    else:
+        stat = state.stationarity_residual(models.hamiltonian(phi, chain, sparse=True))
+        trans = state.translation_residual()
     j0 = models.current_local(phi, spec, chain)
     current = state.expect(j0)
     if abs(current.imag) > 1e-10:
@@ -198,5 +193,5 @@ def state_summary(state: StationaryState, report: NessReport | None = None) -> d
         "spectrum": [[e, k, p] for e, k, p in state.spectrum_rows()],
     }
     if report is not None:
-        doc.update(report.to_dict())
+        doc.update(asdict(report))
     return doc

@@ -185,6 +185,31 @@ class TestSubcommands:
         assert not os.path.exists(os.path.join(out, "build.json"))
         assert not os.path.exists(os.path.join(out, "ness.json"))
 
+    def test_all_computes_three_residuals(self, small_cfg_path, tmp_path, monkeypatch):
+        # [rho, H] and [rho, T] once in the builder, [rho, N_tot] in verify_ness
+        from nesslab.steady_state import StationaryState
+
+        calls = []
+        real = StationaryState.commutant_residual
+        monkeypatch.setattr(StationaryState, "commutant_residual",
+                            lambda self, A: calls.append(A) or real(self, A))
+        assert cli.main(["all", "--config", small_cfg_path, "--out", str(tmp_path / "a")]) == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("key,value", [("X_VALUES", "1"), ("T_VALUES", "50.0")])
+    def test_bad_scan_grid_refused_before_diagonalization(self, small_cfg_path, tmp_path,
+                                                          monkeypatch, key, value):
+        # x <= d1 + d2, or every point beyond the wrap horizon
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the scan diagonalized H before refusing its grid")
+
+        monkeypatch.setattr(nl.EvolutionContext, "for_interaction", no_eigh)
+        monkeypatch.setenv(f"NESSLAB_SCAN__{key}", value)
+        out = str(tmp_path / "lr")
+        assert cli.main(["verify-lr", "--config", small_cfg_path, "--out", out]) == 3
+        assert json.loads(open(os.path.join(out, "error.json")).read())["error"] == "precondition"
+        assert not os.path.exists(os.path.join(out, "lr_scan.csv"))
+
     def test_verify_lr_and_sumrule_artifacts(self, small_cfg_path, tmp_path):
         out = str(tmp_path / "lr")
         assert cli.main(["verify-lr", "--config", small_cfg_path, "--out", out]) == 0

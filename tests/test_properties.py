@@ -1,9 +1,13 @@
-"""Property tests of the operator algebra on small chains (n <= 6, d in {2, 3})."""
+"""Property tests of the operator algebra on small chains (n <= 6, d in {2, 3})
+and of the Lieb-Robinson scan against dense evolution (n <= 7)."""
 
 import numpy as np
+import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import nesslab as nl
+from nesslab.errors import PreconditionError
 from nesslab.operators import apply_local, commutator_with_local
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -86,3 +90,75 @@ def test_translate_composes(case):
     if chain.periodic:
         back = nl.translate(once, -(a + b) + 3 * chain.n_sites, chain)
         np.testing.assert_array_equal(nl.embed(back, chain), nl.embed(op, chain))
+
+
+def _spin_one_xx() -> nl.Interaction:
+    """Spin-1 XX bond (S+ S- + S- S+) / 2: conserves S3, so H has charge sectors."""
+    up = np.diag([np.sqrt(2.0), np.sqrt(2.0)], k=-1)  # raises the site state index
+    bond = (nl.kron_le([up, up.T]) + nl.kron_le([up.T, up])) / 2
+    return nl.Interaction(site_dim=3, r=1, terms=(((0, 1), bond),))
+
+
+def _random_unitary(rng, k: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def lr_case(draw):
+    """A model, a random Hermitian A on one or two sites at 0 (diagonal or
+    not), and a one-site B = u diag(b) u^H with two distinct eigenvalues (one
+    doubly degenerate for d = 3), u a diagonal phase or a random unitary."""
+    d = draw(st.sampled_from([2, 3]))
+    width = draw(st.integers(1, 2))
+    n = draw(st.integers(width + 3, 7 if d == 2 else 5))
+    chain = nl.ChainConfig(n, d, draw(st.sampled_from(["periodic", "open"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # charge-conserving: several sectors
+        phi = nl.build_xxz_model(rng.uniform(-1, 1))[0] if d == 2 else _spin_one_xx()
+    else:  # conserves nothing: one sector
+        phi = nl.build_random_interaction(1, d, rng)
+    a = rng.standard_normal((d**width, d**width)) + 1j * rng.standard_normal((d**width,) * 2)
+    if draw(st.booleans()):  # a diagonal A couples no two charge sectors
+        a = np.diag(a.diagonal().real)
+    A = nl.LocalOperator(tuple(range(width)), (a + a.conj().T) / 2, hermitian=True)
+    b1, b2 = rng.uniform(-2, 2, size=2)
+    vals = [b1, b2] if d == 2 else draw(st.permutations([b1, b1, b2]))
+    if draw(st.booleans()):
+        u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d)))
+    else:
+        u = _random_unitary(rng, d)
+    b = u @ np.diag(vals) @ u.conj().T
+    B = nl.LocalOperator((0,), (b + b.conj().T) / 2, hermitian=True)
+    # 1e-10 relative needs norms far above the ~1e-15 absolute rounding floor:
+    # x within two sites of the first admissible separation, t >= 0.5
+    x = draw(st.integers(width + 2, min(width + 3, n - 1)))
+    t = draw(st.floats(0.5, 1.5))
+    return phi, chain, A, B, x, t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lr_case())
+def test_lr_scan_matches_dense_evolution(case):
+    phi, chain, A, B, x, t = case
+    # a tiny v_emp keeps every point inside the wrap horizon
+    rows = nl.lr_scan(phi, A, B, [x], [t], chain, v_emp=1e-6)
+    H = nl.hamiltonian(phi, chain)
+    U = sla.expm(1j * t * H)
+    At = U @ nl.embed(A, chain) @ U.conj().T
+    Bx = nl.embed(nl.translate(B, -x if chain.periodic else x, chain), chain)
+    ref = np.linalg.norm(At @ Bx - Bx @ At, 2)
+    assert abs(rows[0].empirical - ref) <= 1e-10 * ref
+
+
+def test_lr_scan_two_eigenvalue_requirement(xx_model):
+    phi, _ = xx_model
+    chain = nl.ChainConfig(6, 2)
+    sz = nl.LocalOperator((0,), nl.models.PAULI_Z, hermitian=True)
+    three = nl.LocalOperator((0, 1), np.diag([1.0, 2.0, 2.0, 3.0]), hermitian=True)
+    with pytest.raises(PreconditionError):
+        nl.lr_scan(phi, sz, three, [4], [0.3], chain)
+    # one eigenvalue: B is a multiple of the identity and commutes with everything
+    flat = nl.LocalOperator((0,), 0.7 * np.eye(2), hermitian=True)
+    rows = nl.lr_scan(phi, sz, flat, [3], [0.0, 0.3], chain)
+    assert [r.empirical for r in rows] == [0.0, 0.0]

@@ -15,6 +15,7 @@ from nesslab.spectral import (
     SQRT_2PI,
     WindowFunction,
     centered_mode,
+    momentum_sector_basis,
     translation_orbits,
 )
 from nesslab.operators import shift_index_map
@@ -159,6 +160,32 @@ def test_translation_orbits_match_loop(n, d):
 def test_energy_block_ids_match_loop(xx10_state):
     basis = xx10_state.basis
     assert np.array_equal(basis.energy_block_ids(), _block_ids_by_loop(basis.energies))
+
+
+def _momentum_basis_by_loop(dim, n_sites, mode, orbits):
+    """Reference: one column per orbit whose length admits the momentum."""
+    k = 2.0 * math.pi * mode / n_sites
+    rows, cols, data = [], [], []
+    col = 0
+    for orbit in orbits:
+        ell = len(orbit)
+        if (mode * ell) % n_sites != 0:
+            continue
+        rows.extend(orbit.tolist())
+        cols.extend([col] * ell)
+        data.extend((np.exp(1j * k * np.arange(ell)) / math.sqrt(ell)).tolist())
+        col += 1
+    return sp.coo_matrix((data, (rows, cols)), shape=(dim, col)).tocsc()
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (8, 2), (4, 3)])
+def test_momentum_sector_basis_matches_loop(n, d):
+    chain = nl.ChainConfig(n, d)
+    orbits = translation_orbits(chain)
+    for mode in range(n):
+        got = momentum_sector_basis(chain.dim, n, mode, orbits)
+        want = _momentum_basis_by_loop(chain.dim, n, mode, orbits)
+        assert got.shape == want.shape and (got != want).nnz == 0
 
 
 @pytest.mark.parametrize("name", ["xx", "xxz", "zero", "random"])

@@ -1,5 +1,6 @@
 """Biased Gibbs construction and the three steady-state conditions."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -117,6 +118,25 @@ class TestVerifyNess:
         assert rep.symmetry_residual <= 1e-10
         assert abs(rep.current_value) > 1e-3
 
+    def test_builder_residuals_reused(self, xx_model, monkeypatch):
+        # verify_ness takes [rho, H] and [rho, T] from the builder's certificate
+        # only for the same interaction and chain; any other state gets both
+        phi, spec = xx_model
+        chain = nl.ChainConfig(8, 2)
+        state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
+        calls = []
+        real = StationaryState.commutant_residual
+        monkeypatch.setattr(StationaryState, "commutant_residual",
+                            lambda self, A: calls.append(A) or real(self, A))
+        rep = nl.verify_ness(state, phi, spec, chain)
+        assert len(calls) == 1  # [rho, N_tot] only
+        bare = StationaryState(basis=state.basis, probs=state.probs)
+        assert nl.verify_ness(bare, phi, spec, chain) == rep
+        assert len(calls) == 4
+        other, _ = nl.build_xx_model()  # an equal model, but not the certified object
+        assert nl.verify_ness(state, other, spec, chain) == rep
+        assert len(calls) == 7
+
     def test_thermal_not_ness(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
@@ -179,3 +199,23 @@ class TestSummary:
         basis = xx10_state.basis
         with pytest.raises(ValueError):
             StationaryState(basis=basis, probs=np.full(len(basis.energies), 0.5))
+
+    def test_row_order_survives_degenerate_rounding(self, xx_model, rng):
+        # an eigensolver that returns the same levels 1e-15 apart, with its
+        # columns sorted by those raw energies, must give the same rows
+        phi, spec = xx_model
+        chain = nl.ChainConfig(8, 2)
+        state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
+        b = state.basis
+        E = b.energies + 1e-15 * rng.choice([-1.0, 1.0], size=len(b.energies))
+        perm = np.lexsort((b.bias_values, b.mode, E))
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(len(perm))
+        moved = dataclasses.replace(b, energies=E[perm], mode=b.mode[perm],
+                                    bias_values=b.bias_values[perm],
+                                    columns=tuple(rank[c] for c in b.columns))
+        assert not np.array_equal(perm, np.arange(len(perm)))  # the columns did move
+        rows = np.array(state.spectrum_rows())
+        again = np.array(StationaryState(moved, state.probs[perm]).spectrum_rows())
+        assert np.array_equal(rows[:, 1], again[:, 1])  # momenta in the same places
+        assert np.allclose(rows, again, rtol=1e-12, atol=1e-14)
