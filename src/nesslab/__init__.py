@@ -47,19 +47,15 @@ from .models import (
     total_current,
 )
 from .dynamics import (
-    EvolutionContext,
     LRBoundParams,
     deviation_bound_Z,
-    evolve,
     lr_bound,
     lr_scan,
     lr_scan_csv,
     z_norms,
 )
 from .spectral import (
-    CommutatorKernel,
     JointBasis,
-    SpectralFunction,
     WindowFunction,
     boundary_commutator_integral,
     correlation_C,
@@ -69,14 +65,10 @@ from .spectral import (
     singularity_diagnostic,
     spectral_function_rho,
     sum_rule_check,
-    wrap_horizon,
 )
 from .steady_state import (
     BiasSpec,
-    NessReport,
-    StationaryState,
     build_biased_gibbs,
-    state_summary,
     verify_ness,
 )
 

@@ -11,120 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .errors import NumericalCheckError, PreconditionError
-from .operators import (
-    ChainConfig,
-    LocalOperator,
-    apply_local,
-    comm_norm,
-    embed,
-    embed_sparse,
-    operator_norm,
-    translate,
-)
+from .errors import PreconditionError
+from .operators import (ChainConfig, LocalOperator, comm_norm, embed, embed_sparse, operator_norm,
+                        translate)
 from . import models
-from .spectral import (JointBasis, Sector, empirical_velocity, sector_blocks, sector_couplings,
-                       sector_labels)
+from .spectral import JointBasis, empirical_velocity
 
 
-def _eigh_checked(H, residual_tol: float) -> tuple:
-    """eigh of a dense or sparse Hermitian H, certified by ||H W - W E||_F, which
-    equals ||H - W E W^H||_F for unitary W and costs a sparse product."""
-    Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-    evals, evecs = np.linalg.eigh(Hd)
-    res = np.linalg.norm(H @ evecs - evecs * evals)
-    if res > residual_tol * max(1.0, np.linalg.norm(Hd)):
-        raise NumericalCheckError(f"eigendecomposition residual {res:.3e} too large")
-    return evals, evecs
-
-
-class EvolutionContext:
-    """Eigendecomposition of a Hamiltonian, kept per H-invariant ``sectors``.
-
-    Every context holds ``sectors`` and ``chain`` only; ``energies``
-    (ascending) and the D x D ``vectors`` are views of the single sector of a
-    full eigendecomposition and are assembled on first use otherwise.  A
-    joint basis lends its sectors as they are.
-    """
-
-    def __init__(self, energies, vectors, chain: ChainConfig):
-        E = np.asarray(energies, dtype=float)
-        if np.any(np.diff(E) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        self._set(chain, (Sector(np.arange(len(E)), E, np.asarray(vectors)),))
-
-    def _set(self, chain: ChainConfig, sectors: tuple) -> "EvolutionContext":
-        self.chain, self.sectors = chain, sectors
-        return self
-
-    @classmethod
-    def from_dense(cls, H: np.ndarray, chain: ChainConfig,
-                   residual_tol: float = 1e-10) -> "EvolutionContext":
-        evals, evecs = _eigh_checked(H, residual_tol)
-        return cls(energies=evals, vectors=evecs, chain=chain)
-
-    @classmethod
-    def from_joint(cls, basis: JointBasis) -> "EvolutionContext":
-        return cls.__new__(cls)._set(basis.chain, basis.sectors)
-
-    @classmethod
-    def for_interaction(cls, phi: models.Interaction, chain: ChainConfig) -> "EvolutionContext":
-        """Context for the full-chain Hamiltonian, diagonalized sector by sector.
-
-        The sectors are the connected components of H's sparsity graph: the
-        charge sectors of the XX, XXZ and fermion models, a single sector for
-        an interaction that conserves nothing.
-        """
-        H = models.hamiltonian(phi, chain, sparse=True)
-        n_comp, labels = csgraph.connected_components(abs(H), directed=False)
-        return cls.__new__(cls)._set(chain, tuple(
-            Sector(idx, *_eigh_checked(H[idx][:, idx], 1e-10))
-            for idx in (np.flatnonzero(labels == c) for c in range(n_comp))))
-
-    @cached_property
-    def energies(self) -> np.ndarray:
-        if len(self.sectors) == 1:  # identity index, ascending energies
-            return self.sectors[0].energies
-        return np.sort(np.concatenate([s.energies for s in self.sectors]), kind="stable")
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """Eigenvectors as D x D columns, in the order of ``energies``."""
-        if len(self.sectors) == 1:
-            return self.sectors[0].vectors
-        rank = np.argsort(np.argsort(np.concatenate([s.energies for s in self.sectors]),
-                                     kind="stable"))
-        V = np.zeros((len(rank), len(rank)), dtype=np.complex128)
-        start = 0
-        for s in self.sectors:
-            V[np.ix_(s.index, rank[start:start + len(s.index)])] = s.vectors
-            start += len(s.index)
-        return V
-
-    def unitary(self, t: float) -> np.ndarray:
-        D = sum(len(s.index) for s in self.sectors)
-        U = np.zeros((D, D), dtype=np.complex128)
-        for s in self.sectors:
-            U[np.ix_(s.index, s.index)] = s.propagator(t) @ s.vectors.conj().T
-        return U
-
-
-def evolve(A, ctx: EvolutionContext, t: float) -> np.ndarray:
-    """A(t) = exp(iHt) A exp(-iHt); accepts dense matrices or LocalOperators."""
-    U = ctx.unitary(t)
-    if isinstance(A, LocalOperator):
-        AUdag = apply_local(U.conj().T, A, ctx.chain, side="left")
-        return U @ AUdag
-    A = np.asarray(A)
-    if A.shape != U.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {U.shape}")
-    return U @ A @ U.conj().T
+# the benchmark harness (perfbench/child.py) traces and calls
+# EvolutionContext.for_interaction and reads its .vectors under this name
+EvolutionContext = JointBasis
 
 
 @dataclass(frozen=True)
@@ -255,7 +156,7 @@ def _local_comm_norm(A: LocalOperator, B: LocalOperator, site_dim: int) -> float
 
 def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
             x_values, t_values, chain: ChainConfig,
-            ctx: EvolutionContext | None = None,
+            ctx: JointBasis | None = None,
             v_emp: float | None = None) -> list:
     """Empirical commutator norms ||[tau_x alpha_t(A), B]|| against the bound.
 
@@ -284,17 +185,16 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
         raise PreconditionError("every requested scan point lies beyond the wrap horizon")
     gap, U1, U2 = _eigenspaces(B)
     if ctx is None:
-        ctx = EvolutionContext.for_interaction(phi, chain)
+        ctx = JointBasis.for_interaction(phi, chain)
     # periodic: ||[tau_x alpha_t(A), B]|| = ||[alpha_t(A), tau_{-x}(B)]||;
     # open chains have no translation automorphism, so B is placed at +x there
     step = -1 if chain.periodic else 1
 
     sectors = ctx.sectors
-    labels = sector_labels(sectors, chain.dim)
-    A_sp = embed_sparse(A, chain)
-    S_A = sector_couplings(A_sp, labels, len(sectors))
-    A_eig = sector_blocks(A_sp, sectors, zip(*S_A.nonzero()))
-    halves = {x: _half_block_groups(sectors, labels, S_A, *(
+    A_eig = ctx.matrix_elements(A)
+    ck = np.array(list(A_eig), dtype=np.int64).reshape(-1, 2)  # the sector pairs A couples
+    S_A = sp.csr_matrix((np.ones(len(ck)), (ck[:, 0], ck[:, 1])), shape=(len(sectors),) * 2)
+    halves = {x: _half_block_groups(sectors, ctx.labels, S_A, *(
         embed_sparse(translate(LocalOperator(B.support, U), step * x, chain), chain)
         for U in (U1, U2))) for x in x_values}
 

@@ -217,14 +217,10 @@ def shift_index_map(chain: ChainConfig) -> np.ndarray:
     return digits @ weights
 
 
-def shift_unitary(chain: ChainConfig, dense: bool = True):
-    """One-site translation unitary T (conjugation by T implements tau_1)."""
+def shift_unitary(chain: ChainConfig) -> sp.csr_matrix:
+    """One-site translation unitary T (conjugation by T implements tau_1), sparse."""
     t = shift_index_map(chain)
     D = chain.dim
-    if dense:
-        T = np.zeros((D, D), dtype=np.complex128)
-        T[t, np.arange(D)] = 1.0
-        return T
     return sp.coo_matrix((np.ones(D), (t, np.arange(D))), shape=(D, D)).tocsr()
 
 
@@ -240,30 +236,6 @@ def translate_global(G: np.ndarray, x: int, chain: ChainConfig) -> np.ndarray:
     tinv = np.empty_like(tx)
     tinv[tx] = np.arange(chain.dim)
     return G[np.ix_(tinv, tinv)]
-
-
-def apply_local(G: np.ndarray, op: LocalOperator, chain: ChainConfig, side: str = "left") -> np.ndarray:
-    """Product embed(op) @ G (side='left') or G @ embed(op) (side='right').
-
-    Contracts only over the support digits, so the cost is O(dim^2 * d^|support|)
-    instead of a dense matrix product.
-    """
-    op.validate_for(chain)
-    g = _global_indices(op.support, chain)
-    mS, mR = g.shape
-    D = chain.dim
-    out = np.empty_like(G, dtype=np.complex128)
-    if side == "left":
-        rows = G[g.reshape(-1), :].reshape(mS, mR, D)
-        prod = np.tensordot(op.coeffs, rows, axes=(1, 0))  # (mS, mR, D)
-        out[g.reshape(-1), :] = prod.reshape(mS * mR, D)
-    elif side == "right":
-        cols = G[:, g.reshape(-1)].reshape(D, mS, mR)
-        prod = np.einsum("dam,ab->dbm", cols, op.coeffs)
-        out[:, g.reshape(-1)] = prod.reshape(D, mS * mR)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return out
 
 
 def extract_local(G: np.ndarray, support, chain: ChainConfig, verify_tol: float | None = 1e-12) -> LocalOperator:
@@ -295,29 +267,6 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
     return A @ B - B @ A
-
-
-def embedded_diagonal(op: LocalOperator, chain: ChainConfig) -> np.ndarray | None:
-    """Diagonal of embed(op), or None when op's coefficient matrix is not diagonal."""
-    if np.count_nonzero(op.coeffs - np.diag(np.diag(op.coeffs))):
-        return None
-    g = _global_indices(op.support, chain)
-    d = np.empty(chain.dim, dtype=np.complex128)
-    vals = np.diag(op.coeffs)
-    d[g.reshape(-1)] = np.repeat(vals, g.shape[1])
-    return d
-
-
-def commutator_with_local(G: np.ndarray, op: LocalOperator, chain: ChainConfig) -> np.ndarray:
-    """[G, embed(op)] without forming the embedding.
-
-    Diagonal local operators get an elementwise fast path; the general case
-    costs two support-digit contractions.
-    """
-    d = embedded_diagonal(op, chain)
-    if d is not None:
-        return G * (d[None, :] - d[:, None])
-    return apply_local(G, op, chain, side="right") - apply_local(G, op, chain, side="left")
 
 
 def _lanczos_abs_max(H: np.ndarray, tol: float, v0=None) -> tuple:

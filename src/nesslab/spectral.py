@@ -8,13 +8,16 @@ momentum-derivative identity whose delta mass at zero energy transfer is the
 artifact's main diagnostic.
 
 Momenta are quantized as 2 pi m / n_sites with m reduced into (-n/2, n/2];
-the shift eigenvalue of a momentum-k eigenvector is exp(-i k).
+the shift eigenvalue of a momentum-k eigenvector is exp(-i k).  The same
+sectored basis without shift labels, on any chain, is what the Lieb-Robinson
+scan evolves in (:meth:`JointBasis.for_interaction`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,15 +43,11 @@ def centered_mode(m, n_sites: int):
 @dataclass(frozen=True)
 class Sector:
     """Basis states ``index`` spanning an H-invariant subspace, with the
-    eigenpairs of H restricted to it (``vectors`` in the sector's own basis).
-    A joint-basis sector also labels each column by its momentum ``mode`` and
-    its ``bias`` eigenvalue."""
+    eigenpairs of H restricted to it (``vectors`` in the sector's own basis)."""
 
     index: np.ndarray = field(repr=False)
     energies: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
-    mode: np.ndarray | None = field(repr=False, default=None)
-    bias: np.ndarray | None = field(repr=False, default=None)
 
     def propagator(self, t: float) -> np.ndarray:
         """W exp(iEt): the sector block of exp(iHt) is propagator(t) @ W^H."""
@@ -62,25 +61,12 @@ def _as_sparse(A, chain: ChainConfig) -> sp.csr_matrix:
     return A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
 
 
-def sector_labels(sectors, dim: int) -> np.ndarray:
-    """Sector number of every basis state."""
-    labels = np.empty(dim, dtype=np.int64)
-    for c, s in enumerate(sectors):
-        labels[s.index] = c
-    return labels
-
-
-def sector_couplings(op: sp.spmatrix, labels: np.ndarray, n_sectors: int) -> sp.csr_matrix:
-    """C with C[c, k] > 0 where op has an entry from sector k into sector c."""
-    coo = op.tocoo()
-    return sp.csr_matrix((np.ones(coo.nnz), (labels[coo.row], labels[coo.col])),
-                         shape=(n_sectors, n_sectors))
-
-
-def sector_blocks(op: sp.csr_matrix, sectors, pairs) -> dict:
-    """{(c, k): W_c^H op[c, k] W_k} for each sector pair, W the sector eigenvectors."""
-    return {(c, k): (sectors[c].vectors.conj().T @ op[sectors[c].index][:, sectors[k].index])
-            @ sectors[k].vectors for c, k in pairs}
+def _certify(H: sp.csr_matrix, energies: np.ndarray, vectors: np.ndarray) -> None:
+    """Refuse the eigenpairs of one block unless ||H W - W E||_F <= 1e-10 max(1, ||H||_F);
+    for unitary W this equals ||H - W E W^H||_F and costs one sparse product."""
+    res = np.linalg.norm(H @ vectors - vectors * energies)
+    if res > 1e-10 * max(1.0, sp.linalg.norm(H)):
+        raise NumericalCheckError(f"eigendecomposition residual {res:.3e} too large")
 
 
 def translation_orbits(chain: ChainConfig) -> list:
@@ -110,21 +96,42 @@ def momentum_sector_basis(dim: int, n_sites: int, mode: int, orbits) -> sp.csc_m
 
 @dataclass(frozen=True)
 class JointBasis:
-    """Simultaneous eigenbasis of the Hamiltonian and the shift, kept per sector.
+    """Eigenbasis of the Hamiltonian, kept per H-invariant sector.
 
-    Column n has H eigenvalue energies[n] and shift eigenvalue
-    exp(-i 2 pi mode[n] / n_sites); bias_values holds the eigenvalue of an
-    optional third commuting operator diagonalized inside degenerate blocks.
-    Sector c holds the columns ``columns[c]`` (ascending), supported on the
-    basis states ``sectors[c].index``.
+    Column n has H eigenvalue energies[n].  A basis from :func:`joint_spectrum`
+    also labels it by its shift eigenvalue exp(-i 2 pi mode[n] / n_sites) and,
+    in ``bias_values``, by the eigenvalue of an optional third commuting
+    operator diagonalized inside degenerate blocks; one from
+    :meth:`for_interaction` leaves both None.  Sector c holds the columns
+    ``columns[c]`` (ascending), supported on the basis states
+    ``sectors[c].index``.
     """
 
     chain: ChainConfig
     sectors: tuple = field(repr=False)
     columns: tuple = field(repr=False)
     energies: np.ndarray = field(repr=False)
-    mode: np.ndarray = field(repr=False)
+    mode: np.ndarray | None = field(repr=False, default=None)
     bias_values: np.ndarray | None = field(repr=False, default=None)
+
+    @classmethod
+    def for_interaction(cls, phi: models.Interaction, chain: ChainConfig) -> "JointBasis":
+        """Eigenbasis of the full-chain Hamiltonian of ``phi`` on a periodic or
+        open chain, columns in ascending energy.
+
+        The sectors are the connected components of H's sparsity graph: the
+        charge sectors of the XX, XXZ and fermion models, a single sector for
+        an interaction that conserves nothing.  Each gets one certified eigh.
+        """
+        H = models.hamiltonian(phi, chain, sparse=True)
+        n_comp, comp = csgraph.connected_components(abs(H), directed=False)
+        parts = []
+        for idx in (np.flatnonzero(comp == c) for c in range(n_comp)):
+            H_c = H[idx][:, idx]
+            evals, evecs = np.linalg.eigh(H_c.toarray())
+            _certify(H_c, evals, evecs)
+            parts.append((idx, evals, evecs))
+        return _ordered_basis(chain, parts)
 
     @property
     def momenta(self) -> np.ndarray:
@@ -141,17 +148,28 @@ class JointBasis:
             V[np.ix_(s.index, cols)] = s.vectors
         return V
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Sector number of every basis state."""
+        labels = np.empty(self.chain.dim, dtype=np.int64)
+        for c, s in enumerate(self.sectors):
+            labels[s.index] = c
+        return labels
+
     def per_sector(self, values) -> list:
         """Split a per-column array into one array per sector."""
         return [np.asarray(values)[cols] for cols in self.columns]
 
     def matrix_elements(self, A) -> dict:
-        """<m|A|n> as blocks {(c, k): ...}, m in sector c and n in sector k, one
-        per pair of sectors that A couples; A may be dense, sparse or a LocalOperator."""
+        """<m|A|n> as blocks {(c, k): W_c^H A[c, k] W_k}, m in sector c and n in
+        sector k, one per pair of sectors that A couples; A may be dense, sparse
+        or a LocalOperator."""
         A = _as_sparse(A, self.chain)
-        labels = sector_labels(self.sectors, self.chain.dim)
-        C = sector_couplings(A, labels, len(self.sectors)).tocoo()
-        return sector_blocks(A, self.sectors, zip(C.row.tolist(), C.col.tolist()))
+        coo, n, S = A.tocoo(), len(self.sectors), self.sectors
+        C = sp.csr_matrix((np.ones(coo.nnz), (self.labels[coo.row], self.labels[coo.col])),
+                          shape=(n, n)).tocoo()
+        return {(c, k): (S[c].vectors.conj().T @ A[S[c].index][:, S[k].index]) @ S[k].vectors
+                for c, k in zip(C.row.tolist(), C.col.tolist())}
 
     def diagonal(self, A) -> np.ndarray:
         """<n|A|n> for every column n, from the diagonal sector blocks of A."""
@@ -215,7 +233,7 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
     if not chain.periodic:
         raise PreconditionError("joint spectrum requires a periodic chain")
     H_sp = _as_sparse(H, chain)
-    T = shift_unitary(chain, dense=False)
+    T = shift_unitary(chain)
     scale = max(1.0, abs(H_sp).max() if H_sp.nnz else 0.0)
     res = float(sp.linalg.norm(H_sp @ T - T @ H_sp))
     if res > comm_tol * scale * chain.dim**0.5:
@@ -233,33 +251,41 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
     for orbit in translation_orbits(chain):
         orbits[comp[orbit[0]]].append(orbit)
     local = np.empty(chain.dim, dtype=np.int64)
-    blocks = []
+    parts, labels = [], []
     for c in range(n_comp):
         idx = np.flatnonzero(comp == c)
         local[idx] = np.arange(len(idx))
+        H_c = H_sp[idx][:, idx]
         sub = None if bias_sp is None else bias_sp[idx][:, idx]
-        blocks.append((idx, *_component_eigenbasis(
-            H_sp[idx][:, idx], sub, [local[o] for o in orbits[c]], chain.n_sites,
-            degeneracy_tol)))
+        evals, vectors, *col_labels = _component_eigenbasis(
+            H_c, sub, [local[o] for o in orbits[c]], chain.n_sites, degeneracy_tol)
+        _certify(H_c, evals, vectors)
+        parts.append((idx, evals, vectors))
+        labels.append(col_labels)
+    mode, bias_all = (np.concatenate(x) for x in zip(*labels))
+    return _ordered_basis(chain, parts, mode, None if bias_sp is None else bias_all)
 
-    E, mode, bias_all = (np.concatenate([b[i] for b in blocks]) for i in (1, 3, 4))
+
+def _ordered_basis(chain: ChainConfig, parts, mode=None, bias_values=None) -> JointBasis:
+    """JointBasis of the per-component eigenpairs ``parts`` [(index, energies,
+    vectors)], its columns ordered by energy, then ``mode``, then
+    ``bias_values`` (per-column labels in the order of ``parts``, or None)."""
+    E = np.concatenate([evals for _, evals, _ in parts])
     if len(E) != chain.dim:
-        raise NumericalCheckError("momentum sectors do not span the full space")
-    keys = [mode, E] if bias_sp is None else [bias_all, mode, E]
-    order = np.lexsort(tuple(keys))
+        raise NumericalCheckError("the sectors do not span the full space")
+    order = np.lexsort(tuple(k for k in (bias_values, mode, E) if k is not None))
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     sectors, columns, start = [], [], 0
-    for idx, evals, vectors, modes, bias_vals in blocks:
+    for idx, evals, vectors in parts:
         cols = rank[start:start + len(idx)]
         start += len(idx)
         o = np.argsort(cols)
-        sectors.append(Sector(idx, evals[o], np.ascontiguousarray(vectors[:, o]), modes[o],
-                              None if bias_sp is None else bias_vals[o]))
+        sectors.append(Sector(idx, evals[o], np.ascontiguousarray(vectors[:, o])))
         columns.append(cols[o])
     return JointBasis(chain=chain, sectors=tuple(sectors), columns=tuple(columns),
-                      energies=E[order], mode=mode[order],
-                      bias_values=None if bias_sp is None else bias_all[order])
+                      energies=E[order], mode=None if mode is None else mode[order],
+                      bias_values=None if bias_values is None else bias_values[order])
 
 
 # ---------------------------------------------------------------------------

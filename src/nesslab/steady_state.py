@@ -72,7 +72,7 @@ class StationaryState:
         return self.commutant_residual(H)
 
     def translation_residual(self) -> float:
-        return self.commutant_residual(shift_unitary(self.chain, dense=False))
+        return self.commutant_residual(shift_unitary(self.chain))
 
     def spectrum_rows(self):
         """Per-eigenvector (energy, momentum, probability) rows, ordered by

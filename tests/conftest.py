@@ -4,6 +4,18 @@ import pytest
 import nesslab as nl
 
 
+def _dense_evolve(A, basis, t):
+    """Dense oracle A(t) = U A U^H, U = exp(iHt) = V exp(iEt) V^H from an eigenbasis of H."""
+    V = basis.vectors
+    U = (V * np.exp(1j * basis.energies * t)) @ V.conj().T
+    return U @ A @ U.conj().T
+
+
+@pytest.fixture(scope="session")
+def dense_evolve():
+    return _dense_evolve
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,7 +205,7 @@ class TestSubcommands:
         def no_eigh(*args, **kwargs):
             raise AssertionError("the scan diagonalized H before refusing its grid")
 
-        monkeypatch.setattr(nl.EvolutionContext, "for_interaction", no_eigh)
+        monkeypatch.setattr(nl.JointBasis, "for_interaction", no_eigh)
         monkeypatch.setenv(f"NESSLAB_SCAN__{key}", value)
         out = str(tmp_path / "lr")
         assert cli.main(["verify-lr", "--config", small_cfg_path, "--out", out]) == 3
@@ -232,14 +234,35 @@ class TestSubcommands:
         assert diag["no_current"] is False
 
 
+def assert_same_artifacts(out1, out2):
+    names = sorted(os.listdir(out1))
+    assert names == sorted(os.listdir(out2))
+    for name in names:
+        a = open(os.path.join(out1, name), "rb").read()
+        b = open(os.path.join(out2, name), "rb").read()
+        assert a == b, f"artifact {name} differs between reruns"
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, small_cfg_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert cli.main(["all", "--config", small_cfg_path, "--out", out1]) == 0
         assert cli.main(["all", "--config", small_cfg_path, "--out", out2]) == 0
-        names = sorted(os.listdir(out1))
-        assert names == sorted(os.listdir(out2))
-        for name in names:
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
-            assert a == b, f"artifact {name} differs between reruns"
+        assert_same_artifacts(out1, out2)
+
+    def test_blas_thread_count_byte_identical(self, small_cfg_path, tmp_path):
+        # one BLAS thread or two: every artifact of `all` must be the same bytes
+        src = os.path.dirname(os.path.dirname(nl.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"threads{threads}")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "nesslab.cli", "all", "--config",
+                                   small_cfg_path, "--out", out],
+                                  env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        assert len(os.listdir(outs[0])) == 10
+        assert_same_artifacts(*outs)

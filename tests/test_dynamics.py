@@ -1,6 +1,7 @@
 """Heisenberg evolution, the locality bound, scans, and the deviation bound Z."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,51 +17,55 @@ from nesslab.spectral import empirical_velocity, wrap_horizon
 def xx8():
     phi, spec = nl.build_xx_model()
     chain = nl.ChainConfig(8, 2)
-    ctx = nl.EvolutionContext.for_interaction(phi, chain)
+    ctx = nl.JointBasis.for_interaction(phi, chain)
     return phi, spec, chain, ctx
 
 
+def _dense_basis(H):
+    """Reference: one dense eigh of the whole H."""
+    evals, evecs = np.linalg.eigh(H)
+    return SimpleNamespace(energies=evals, vectors=evecs)
+
+
 class TestEvolutionContext:
-    def test_sector_path_matches_dense(self, xx8):
+    """JointBasis.for_interaction, the basis the LR scan evolves in."""
+
+    def test_sector_path_matches_dense(self, xx8, dense_evolve):
         phi, _, chain, ctx = xx8
         H = nl.hamiltonian(phi, chain)
-        dense = nl.EvolutionContext.from_dense(H, chain)
+        dense = _dense_basis(H)
         assert np.allclose(ctx.energies, dense.energies, atol=1e-10)
+        assert ctx.mode is None and ctx.bias_values is None
         # same unitary evolution regardless of eigenvector phase conventions
         A = nl.embed(nl.LocalOperator((2,), PAULI_Z), chain)
         t = 0.37
-        assert np.linalg.norm(nl.evolve(A, ctx, t) - nl.evolve(A, dense, t)) < 1e-9
+        assert np.linalg.norm(dense_evolve(A, ctx, t) - dense_evolve(A, dense, t)) < 1e-9
 
     def test_reconstruction_validated(self, rng):
+        # a random interaction on 3 sites: one sector over all 8 states
         chain = nl.ChainConfig(3, 2)
-        H = rng.standard_normal((8, 8))
-        H = H + H.T
-        ctx = nl.EvolutionContext.from_dense(H, chain)
+        phi = nl.build_random_interaction(1, 2, rng)
+        H = nl.hamiltonian(phi, chain)
+        ctx = nl.JointBasis.for_interaction(phi, chain)
         rebuilt = (ctx.vectors * ctx.energies) @ ctx.vectors.conj().T
         assert np.linalg.norm(rebuilt - H) <= 1e-10 * np.linalg.norm(H)
 
-    def test_unsorted_rejected(self):
-        chain = nl.ChainConfig(2, 2)
-        with pytest.raises(ValueError):
-            nl.EvolutionContext(energies=np.array([1.0, 0.0, 2.0, 3.0]),
-                                vectors=np.eye(4, dtype=complex), chain=chain)
-
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
-    def test_single_sector_fallback(self, rng, boundary):
+    def test_single_sector_fallback(self, rng, boundary, dense_evolve):
         # an interaction that conserves nothing leaves H one connected block
         phi = nl.build_random_interaction(1, 2, rng)
         chain = nl.ChainConfig(6, 2, boundary)
-        ctx = nl.EvolutionContext.for_interaction(phi, chain)
-        dense = nl.EvolutionContext.from_dense(nl.hamiltonian(phi, chain), chain)
+        ctx = nl.JointBasis.for_interaction(phi, chain)
+        dense = _dense_basis(nl.hamiltonian(phi, chain))
         assert len(ctx.sectors) == 1
         assert np.allclose(ctx.energies, dense.energies, atol=1e-10)
         A = nl.embed(nl.LocalOperator((2,), PAULI_X), chain)
-        assert np.linalg.norm(nl.evolve(A, ctx, 0.37) - nl.evolve(A, dense, 0.37)) < 1e-9
+        assert np.linalg.norm(dense_evolve(A, ctx, 0.37) - dense_evolve(A, dense, 0.37)) < 1e-9
 
     def test_charge_sectors(self):
         phi, _ = nl.build_xxz_model(0.5)
         chain = nl.ChainConfig(8, 2)
-        ctx = nl.EvolutionContext.for_interaction(phi, chain)
+        ctx = nl.JointBasis.for_interaction(phi, chain)
         assert len(ctx.sectors) > 1
         assert sorted(np.concatenate([s.index for s in ctx.sectors])) == list(range(256))
         # the assembled D x D eigenvectors reproduce H in ascending order
@@ -71,47 +76,42 @@ class TestEvolutionContext:
 
 
 class TestEvolve:
-    def test_energy_conserved(self, xx8):
+    """Heisenberg evolution in the sectored basis, through the dense oracle."""
+
+    def test_energy_conserved(self, xx8, dense_evolve):
         phi, _, chain, ctx = xx8
         H = nl.hamiltonian(phi, chain)
         for t in (0.5, 2.0):
-            assert np.linalg.norm(nl.evolve(H, ctx, t) - H) < 1e-9
+            assert np.linalg.norm(dense_evolve(H, ctx, t) - H) < 1e-9
 
-    def test_time_zero(self, xx8, rng):
+    def test_time_zero(self, xx8, rng, dense_evolve):
         _, _, chain, ctx = xx8
         A = rng.standard_normal((chain.dim, chain.dim))
-        assert np.linalg.norm(nl.evolve(A, ctx, 0.0) - A) < 1e-10
+        assert np.linalg.norm(dense_evolve(A, ctx, 0.0) - A) < 1e-10
 
-    def test_group_property(self, xx8, rng):
+    def test_group_property(self, xx8, rng, dense_evolve):
         _, _, chain, ctx = xx8
         A = rng.standard_normal((chain.dim, chain.dim)) \
             + 1j * rng.standard_normal((chain.dim, chain.dim))
-        once = nl.evolve(nl.evolve(A, ctx, 0.3), ctx, 0.7)
-        direct = nl.evolve(A, ctx, 1.0)
+        once = dense_evolve(dense_evolve(A, ctx, 0.3), ctx, 0.7)
+        direct = dense_evolve(A, ctx, 1.0)
         assert np.linalg.norm(once - direct) < 1e-9
 
-    def test_norm_and_trace_preserved(self, xx8, rng):
+    def test_norm_and_trace_preserved(self, xx8, rng, dense_evolve):
         _, _, chain, ctx = xx8
         A = rng.standard_normal((chain.dim, chain.dim)) \
             + 1j * rng.standard_normal((chain.dim, chain.dim))
-        At = nl.evolve(A, ctx, 0.8)
+        At = dense_evolve(A, ctx, 0.8)
         assert abs(np.trace(At) - np.trace(A)) < 1e-10 * abs(np.trace(A) + 1)
         assert abs(nl.operator_norm(At) - nl.operator_norm(A)) < 1e-10 * nl.operator_norm(A)
 
-    def test_against_expm(self, xx8):
+    def test_against_expm(self, xx8, dense_evolve):
         phi, _, chain, ctx = xx8
         H = nl.hamiltonian(phi, chain)
         A = nl.embed(nl.LocalOperator((0,), PAULI_Z), chain)
         t = 0.45
         U = sla.expm(1j * H * t)
-        assert np.linalg.norm(nl.evolve(A, ctx, t) - U @ A @ U.conj().T) < 1e-9
-
-    def test_local_fast_path(self, xx8):
-        _, _, chain, ctx = xx8
-        op = nl.LocalOperator((1,), PAULI_Z)
-        dense = nl.evolve(nl.embed(op, chain), ctx, 0.6)
-        fast = nl.evolve(op, ctx, 0.6)
-        assert np.linalg.norm(dense - fast) < 1e-10
+        assert np.linalg.norm(dense_evolve(A, ctx, t) - U @ A @ U.conj().T) < 1e-9
 
 
 class TestLRBound:
@@ -226,10 +226,9 @@ class TestLRScan:
         chain = nl.ChainConfig(8, 2)
         ctx = None
         if context == "interaction":
-            ctx = nl.EvolutionContext.for_interaction(phi, chain)
+            ctx = nl.JointBasis.for_interaction(phi, chain)
         elif context == "joint":
-            H = nl.hamiltonian(phi, chain, sparse=True)
-            ctx = nl.EvolutionContext.from_joint(nl.joint_spectrum(H, chain))
+            ctx = nl.joint_spectrum(nl.hamiltonian(phi, chain, sparse=True), chain)
         sx = nl.LocalOperator((0,), PAULI_X, hermitian=True)
         rows = nl.lr_scan(phi, sx, sx, [3], [0.0, 0.2, 0.4], chain, ctx=ctx)
         assert len(rows) == 3 and not any(r.excluded for r in rows)

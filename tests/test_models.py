@@ -109,7 +109,7 @@ class TestWindowHamiltonian:
         phi, _ = xx_model
         chain = nl.ChainConfig(6, 2)
         H = nl.local_hamiltonian(phi, (0, 5), chain)
-        T = nl.shift_unitary(chain)
+        T = nl.shift_unitary(chain).toarray()
         assert nl.comm_norm(H, T) < 1e-12
 
 

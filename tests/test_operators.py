@@ -5,12 +5,7 @@ import pytest
 
 import nesslab as nl
 from nesslab.models import PAULI_X, PAULI_Y, PAULI_Z
-from nesslab.operators import (
-    apply_local,
-    commutator_with_local,
-    embedded_diagonal,
-    shift_index_map,
-)
+from nesslab.operators import shift_index_map
 from nesslab.errors import PreconditionError
 
 
@@ -133,7 +128,7 @@ class TestTranslate:
 
     def test_conjugation_by_shift(self, rng):
         chain = nl.ChainConfig(5, 2)
-        T = nl.shift_unitary(chain)
+        T = nl.shift_unitary(chain).toarray()
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         op = nl.LocalOperator((1, 3), M)
         G = nl.embed(op, chain)
@@ -207,34 +202,6 @@ class TestCommutatorsAndNorms:
             nl.commutator(np.eye(2), np.eye(4))
 
 
-class TestApplyLocal:
-    def test_left_right(self, rng):
-        chain = nl.ChainConfig(5, 2)
-        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        op = nl.LocalOperator((1, 4), M)
-        G = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        E = nl.embed(op, chain)
-        assert np.allclose(apply_local(G, op, chain, "left"), E @ G)
-        assert np.allclose(apply_local(G, op, chain, "right"), G @ E)
-
-    def test_commutator_with_local_diag_and_general(self, rng):
-        chain = nl.ChainConfig(5, 2)
-        G = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        diag_op = nl.LocalOperator((2,), PAULI_Z)
-        dense = G @ nl.embed(diag_op, chain) - nl.embed(diag_op, chain) @ G
-        assert np.allclose(commutator_with_local(G, diag_op, chain), dense)
-        gen_op = nl.LocalOperator((2,), PAULI_X)
-        dense = G @ nl.embed(gen_op, chain) - nl.embed(gen_op, chain) @ G
-        assert np.allclose(commutator_with_local(G, gen_op, chain), dense)
-
-    def test_embedded_diagonal(self):
-        chain = nl.ChainConfig(4, 2)
-        op = nl.LocalOperator((1,), PAULI_Z)
-        d = embedded_diagonal(op, chain)
-        assert np.allclose(np.diag(d), nl.embed(op, chain))
-        assert embedded_diagonal(nl.LocalOperator((1,), PAULI_X), chain) is None
-
-
 class TestExtractLocal:
     def test_round_trip(self, rng):
         chain = nl.ChainConfig(5, 2)
@@ -253,7 +220,7 @@ class TestExtractLocal:
 class TestShift:
     def test_unitary_and_charge_action(self):
         chain = nl.ChainConfig(4, 3)
-        T = nl.shift_unitary(chain)
+        T = nl.shift_unitary(chain).toarray()
         assert np.allclose(T @ T.conj().T, np.eye(chain.dim))
         n_loc = np.diag([0.0, 1.0, 2.0])
         n0 = nl.embed(nl.LocalOperator((0,), n_loc), chain)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import nesslab as nl
 from nesslab.errors import PreconditionError
-from nesslab.operators import apply_local, commutator_with_local
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -38,34 +37,6 @@ def local_ops(draw, chain, diagonal=None):
 
 
 @st.composite
-def chain_op_matrix(draw):
-    chain = draw(chains())
-    op = draw(local_ops(chain))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    G = rng.standard_normal((chain.dim, chain.dim)) + 1j * rng.standard_normal((chain.dim, chain.dim))
-    return chain, op, G
-
-
-@PROPERTY
-@given(chain_op_matrix())
-def test_apply_local_matches_dense_products(case):
-    chain, op, G = case
-    E = nl.embed(op, chain)
-    scale = np.linalg.norm(E) * np.linalg.norm(G)
-    assert np.linalg.norm(apply_local(G, op, chain, side="left") - E @ G) <= 1e-13 * scale
-    assert np.linalg.norm(apply_local(G, op, chain, side="right") - G @ E) <= 1e-13 * scale
-
-
-@PROPERTY
-@given(chain_op_matrix())
-def test_commutator_with_local_matches_dense(case):
-    chain, op, G = case
-    E = nl.embed(op, chain)
-    scale = np.linalg.norm(E) * np.linalg.norm(G)
-    assert np.linalg.norm(commutator_with_local(G, op, chain) - (G @ E - E @ G)) <= 1e-13 * scale
-
-
-@st.composite
 def translation_case(draw):
     chain = draw(chains())
     op = draw(local_ops(chain))
@@ -90,6 +61,80 @@ def test_translate_composes(case):
     if chain.periodic:
         back = nl.translate(once, -(a + b) + 3 * chain.n_sites, chain)
         np.testing.assert_array_equal(nl.embed(back, chain), nl.embed(op, chain))
+
+
+@st.composite
+def support_op(draw):
+    """A chain and a random LocalOperator on any 1-3 of its sites."""
+    chain = draw(chains())
+    return chain, draw(local_ops(chain))
+
+
+@PROPERTY
+@given(support_op())
+def test_extract_local_inverts_embed(case):
+    chain, op = case
+    back = nl.extract_local(nl.embed(op, chain), op.support, chain)
+    assert back.support == op.support
+    assert np.linalg.norm(back.coeffs - op.coeffs) <= 1e-13 * np.linalg.norm(op.coeffs)
+
+
+@st.composite
+def basis_case(draw):
+    """An interaction (XX, XXZ, random of range 1 or 2 for d = 2, or zero), a chain and
+    the builder under test; joint_spectrum gets rings only, XX optionally with
+    the total-current bias."""
+    name = draw(st.sampled_from(["xx", "xxz", "random", "zero"]))
+    d = 2 if name in ("xx", "xxz") else draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(1, 2)) if name == "random" and d == 2 else 1
+    n = draw(st.integers(2 * r + 1, 7 if d == 2 else 4))
+    builder = draw(st.sampled_from(["for_interaction", "joint_spectrum"]))
+    boundary = "periodic" if builder == "joint_spectrum" else draw(
+        st.sampled_from(["periodic", "open"]))
+    chain = nl.ChainConfig(n, d, boundary)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = None
+    if name == "xx":
+        phi, spec = nl.build_xx_model()
+    elif name == "xxz":
+        phi = nl.build_xxz_model(rng.uniform(-1, 1))[0]
+    elif name == "random":
+        phi = nl.build_random_interaction(r, d, rng)
+    else:
+        phi = nl.Interaction(d, 1, ())
+    bias = None
+    if builder == "joint_spectrum" and spec is not None and draw(st.booleans()):
+        bias = nl.total_current(phi, spec, chain, sparse=True)
+    return phi, chain, builder, bias
+
+
+@PROPERTY
+@given(basis_case())
+def test_sectored_basis_is_complete(case):
+    phi, chain, builder, bias = case
+    H = nl.hamiltonian(phi, chain, sparse=True)
+    if builder == "joint_spectrum":
+        basis = nl.joint_spectrum(H, chain, bias=bias)
+    else:
+        basis = nl.JointBasis.for_interaction(phi, chain)
+    D = chain.dim
+    # sector indices and columns each partition the D states
+    assert np.array_equal(np.sort(np.concatenate([s.index for s in basis.sectors])), np.arange(D))
+    assert np.array_equal(np.sort(np.concatenate(basis.columns)), np.arange(D))
+    for s, cols in zip(basis.sectors, basis.columns):
+        assert s.vectors.shape == (len(s.index), len(cols))
+        assert np.array_equal(s.energies, basis.energies[cols])
+    V = basis.vectors
+    assert np.linalg.norm(H @ V - V * basis.energies) <= 1e-10
+    assert np.linalg.norm(V.conj().T @ V - np.eye(D)) <= 1e-10
+    assert np.all(np.diff(basis.energies) >= 0)
+    if builder == "joint_spectrum":
+        T = nl.shift_unitary(chain)
+        assert np.linalg.norm(T @ V - V * np.exp(-1j * basis.momenta)) <= 1e-10
+    if bias is not None:
+        assert np.linalg.norm(V.conj().T @ (bias @ V) - np.diag(basis.bias_values)) <= 1e-9
+    else:
+        assert basis.bias_values is None
 
 
 def _spin_one_xx() -> nl.Interaction:

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse as sp
 
 import nesslab as nl
-from nesslab.errors import PreconditionError
+from nesslab.errors import NumericalCheckError, PreconditionError
 from nesslab.models import SPIN_HALF
 from nesslab.spectral import (
     CommutatorKernel,
@@ -56,9 +57,8 @@ class TestJointSpectrum:
         # U(x, t) |n> = exp(i (E_n t - k_n x)) |n>
         chain, H, basis = xx8_basis
         x, t = 3, 0.7
-        ctx = nl.EvolutionContext.from_joint(basis)
-        T = nl.shift_unitary(chain)
-        Uxt = ctx.unitary(t) @ np.linalg.matrix_power(T, x)
+        T = nl.shift_unitary(chain).toarray()
+        Uxt = scipy.linalg.expm(1j * t * H.toarray()) @ np.linalg.matrix_power(T, x)
         phase = np.exp(1j * (basis.energies * t - basis.momenta * x))
         assert np.linalg.norm(Uxt @ basis.vectors - basis.vectors * phase) < 1e-10
 
@@ -70,6 +70,25 @@ class TestJointSpectrum:
         T = nl.shift_unitary(chain)
         lam = np.exp(-1j * basis.momenta)
         assert np.linalg.norm(T @ basis.vectors - basis.vectors * lam) < 1e-10
+
+    @pytest.mark.parametrize("builder", ["joint_spectrum", "for_interaction"])
+    def test_eigen_residual_certified(self, xx_model, monkeypatch, builder):
+        # eigenvalues off by 1e-6 fail ||H_c W - W E|| <= 1e-10 max(1, ||H_c||) in both builders
+        phi, _ = xx_model
+        chain = nl.ChainConfig(6, 2)
+        H = nl.hamiltonian(phi, chain, sparse=True)
+        eigh = np.linalg.eigh
+
+        def off_eigh(a):
+            w, v = eigh(a)
+            return w + 1e-6, v
+
+        monkeypatch.setattr(np.linalg, "eigh", off_eigh)
+        with pytest.raises(NumericalCheckError):
+            if builder == "joint_spectrum":
+                nl.joint_spectrum(H, chain)
+            else:
+                nl.JointBasis.for_interaction(phi, chain)
 
     def test_non_invariant_rejected(self, rng):
         chain = nl.ChainConfig(4, 2)
@@ -114,7 +133,7 @@ def _probe_operators(chain):
     return {
         "N_w": nl.models.charge_sparse(spec, (-3, 0), chain),
         "H_M": nl.models.window_hamiltonian_sparse(phi, (-1, 1), chain),
-        "T": nl.shift_unitary(chain, dense=False),
+        "T": nl.shift_unitary(chain),
         "n_0": nl.LocalOperator((0,), spec.n0),
         "sigma_x": nl.LocalOperator((0,), nl.models.PAULI_X),
     }
@@ -199,7 +218,6 @@ class TestSectoredBasis:
         for s, cols in zip(basis.sectors, basis.columns):
             assert s.vectors.shape == (len(s.index), len(cols))
             assert np.array_equal(s.energies, basis.energies[cols])
-            assert np.array_equal(s.mode, basis.mode[cols])
         if name in ("xx", "xxz"):
             assert len(basis.sectors) == chain.n_sites + 1  # the charge sectors
         if name == "random":
@@ -436,18 +454,17 @@ class TestSpectralFunction:
         direct = 1j * state.expect(n_hat @ h_hat)
         assert abs(sf.total() - direct) < 1e-10
 
-    def test_position_round_trip(self, xx10_spectral, xx_model):
+    def test_position_round_trip(self, xx10_spectral, xx_model, dense_evolve):
         # two independent computation paths for rho(z, t)
         chain, state, sf = xx10_spectral
         phi, spec = xx_model
-        ctx = nl.EvolutionContext.from_joint(state.basis)
         n_op = nl.LocalOperator((0,), spec.n0)
         h_op = nl.energy_density(phi, chain)
         nbar = state.expect(n_op)
         hbar = state.expect(h_op)
         n_hat = nl.embed(n_op, chain) - nbar * np.eye(chain.dim)
         for (z, t) in ((2, 0.4), (0, 0.0), (-3, 1.1)):
-            h_t = nl.evolve(nl.embed(h_op, chain), ctx, -t)
+            h_t = dense_evolve(nl.embed(h_op, chain), state.basis, -t)
             h_zt = nl.translate_global(h_t, -z, chain) - hbar * np.eye(chain.dim)
             direct = state.expect(1j * (n_hat @ h_zt)) / (2 * math.pi * SQRT_2PI)
             assert abs(sf.rho_position(z, t) - direct) < 1e-9
