@@ -112,18 +112,19 @@ def _parse_tuple(text: str, cast):
     return tuple(cast(p) for p in parts if p)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
+def _number(valid, what: str):  # a float parser; nan fails every ``valid``
+    def cast(text: str) -> float:
+        value = float(text)
+        if not valid(value):
+            raise ValueError(f"{text!r} is not {what}")
+        return value
+    return cast
 
 
-def _positive(text: str) -> float:
-    value = _finite(text)
-    if value <= 0:
-        raise ValueError(f"{text!r} is not positive")
-    return value
+_finite = _number(math.isfinite, "finite")
+_positive = _number(lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_tolerance = _number(lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
+_window_width = _number(lambda v: v > 0, "positive")  # inf is an unbounded window
 
 
 def parse_config(text: str, env: dict | None = None) -> ExperimentConfig:
@@ -174,12 +175,14 @@ def parse_config(text: str, env: dict | None = None) -> ExperimentConfig:
         t_values=get("scan", "t_values", lambda s: _parse_tuple(s, _finite),
                      (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
         M_values=get("scan", "m_values", lambda s: _parse_tuple(s, int), (2, 3, 4)),
-        sum_rule_rel_err=get("checks", "sum_rule_rel_err", _finite, 0.05),
-        derivative_rel_err=get("checks", "derivative_rel_err", _finite, 0.10),
-        conservation_tol=get("checks", "conservation_tol", _finite, 1e-12),
+        sum_rule_rel_err=get("checks", "sum_rule_rel_err", _tolerance, 0.05),
+        derivative_rel_err=get("checks", "derivative_rel_err", _tolerance, 0.10),
+        conservation_tol=get("checks", "conservation_tol", _tolerance, 1e-12),
         epsilon_windows=get("checks", "epsilon_windows",
-                            lambda s: _parse_tuple(s, float), (0.2, 0.5, 1.0)),
+                            lambda s: _parse_tuple(s, _window_width), (0.2, 0.5, 1.0)),
     )
+    if not (cfg.x_values and cfg.t_values and cfg.epsilon_windows):
+        raise ConfigError("x_values, t_values and epsilon_windows must not be empty")
     if cfg.n_sites < 2:
         raise ConfigError(f"[chain] n_sites must be >= 2, got {cfg.n_sites}")
     if cfg.model_kind not in ("xx", "xxz", "fermion"):

@@ -4,7 +4,10 @@ deviation bound Z_{M,L}(t).
 Evolution is conjugation in the Hamiltonian eigenbasis, exact to rounding at
 these dimensions.  Empirical light-cone scans compare commutator norms of
 separated, evolved local operators against the closed-form bound; on a
-periodic chain only pre-wrap points are admitted.
+periodic chain only pre-wrap points are admitted.  When every term of the
+interaction, A and B equal their local reversal c[::-1, ::-1] (XX or XXZ with
+sigma_x; not sigma_z, nor fermions with v != 0), the spin inversion F = u^(x)n,
+u: i -> d-1-i, is exact and each F-invariant half block splits into two F blocks.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import PreconditionError
-from .operators import (ChainConfig, LocalOperator, comm_norm, embed, embed_sparse, operator_norm,
-                        translate)
+from .operators import (ChainConfig, LocalOperator, _global_indices, comm_norm, embed,
+                        embedded_entries, operator_norm, translate)
 from . import models
 from .spectral import JointBasis, empirical_velocity
 
@@ -77,12 +80,13 @@ class LRScanRow:
     excluded: bool
 
 
-def _eigenspaces(B: LocalOperator) -> tuple:
+def _eigenspaces(B: LocalOperator, fold: bool = False) -> tuple:
     """(b2 - b1, U1, U2) for B = b1 P1 + b2 P2, with P_i = U_i U_i^H.
 
     U_i keeps the local eigenvectors of eigenspace i in their own columns and
-    zeros elsewhere; a diagonal B keeps exact unit vectors.  A B with one
-    eigenvalue leaves U2 empty; three or more eigenvalues are refused.
+    zeros elsewhere; a diagonal B keeps exact unit vectors, and ``fold`` makes
+    them eigenvectors of the local reversal too.  A B with one eigenvalue
+    leaves U2 empty; three or more eigenvalues are refused.
     """
     c = B.coeffs
     if np.count_nonzero(c - np.diag(np.diag(c))):
@@ -95,54 +99,99 @@ def _eigenspaces(B: LocalOperator) -> tuple:
         raise PreconditionError(
             f"B needs at most two distinct eigenvalues, got {len(cuts) + 1}")
     low = vals <= vals[order[cuts[0] if len(cuts) else -1]]  # eigenspace 1
+    for space in (low, ~low) if fold else ():
+        W = vecs[:, space]
+        vecs[:, space] = W @ np.linalg.eigh(W.conj().T @ W[::-1])[1]
     return float(vals[order[-1]] - vals[order[0]]), vecs * low, vecs * ~low
 
 
-def _half_block_groups(sectors, labels: np.ndarray, S_A: sp.csr_matrix, Q1, Q2) -> tuple:
-    """Split the half block Q1^H A(t) Q2 into independent groups of sector pairs.
+def _reversal_map(op: LocalOperator, chain: ChainConfig) -> tuple:
+    """(pi, s) with F Q e_j = s[j] Q e_pi[j], Q = embed(op), for an op whose local
+    columns are eigenvectors of the local reversal: pi complements the digits
+    off the support, s is the reversal eigenvalue of the local column."""
+    c, g = op.coeffs, _global_indices(op.support, chain)
+    pi, s = np.empty(chain.dim, dtype=np.int64), np.empty(chain.dim)
+    pi[g], s[g] = g[:, ::-1], np.rint(np.einsum("ba,ba->a", c.conj(), c[::-1]).real)[:, None]
+    return pi, s
 
-    Returns (G1, G2, groups).  G_i[c] is Q_i on the rows of sector c and the
-    columns they touch, conjugate-transposed.  Sectors share a group when A
-    couples them or when their rows share a column of Q1 or of Q2.  A group is
-    (shape, [(c, k, rows, cols)]): the block G1[c] A(t)[c, k] G2[k]^H lands at
-    (rows, cols) of the group's half block.  A group without columns of Q1 or
-    of Q2 is exactly zero and left out.
-    """
-    T, G, cols = [], [], []
-    for Q in (Q1, Q2):
-        blocks = [Q[s.index] for s in sectors]
-        cols.append([np.unique(b.indices) for b in blocks])
-        G.append([sp.csr_matrix((b.data, np.searchsorted(ci, b.indices), b.indptr),
-                                shape=(b.shape[0], len(ci))).conj().T
-                  for b, ci in zip(blocks, cols[-1])])
-        nz_rows, nz_cols = Q.nonzero()  # T[c, j] > 0 where column j has a row in sector c
-        T.append(sp.csr_matrix((np.ones(len(nz_rows)), (labels[nz_rows], nz_cols)),
-                               shape=(len(sectors), Q.shape[1])))
-    n_grp, glabels = csgraph.connected_components(S_A + T[0] @ T[0].T + T[1] @ T[1].T,
-                                                  directed=False)
+
+def _sector_isometries(sectors, labels, pos, op: LocalOperator, chain: ChainConfig) -> tuple:
+    """(G, cols, T) for Q = embed(op): G[c] is Q^H on the columns cols[c]
+    (ascending) that have a row in sector c, and on that sector's states;
+    T[c, j] > 0 where column j has a row in sector c."""
+    r, j, v = embedded_entries(op, chain)
+    o = np.lexsort((pos[r], j, labels[r]))
+    lab, j, p, v = labels[r][o], j[o], pos[r][o], v[o].conj()
+    first = np.r_[True, (lab[1:] != lab[:-1]) | (j[1:] != j[:-1])]
+    cuts = np.searchsorted(lab, np.arange(len(sectors) + 1))
+    G, cols = [], []
+    for s, a, b in zip(sectors, cuts[:-1], cuts[1:]):
+        starts = np.flatnonzero(first[a:b])
+        cols.append(j[a:b][starts])
+        G.append(sp.csr_matrix((v[a:b], p[a:b], np.r_[starts, b - a]),
+                               shape=(len(starts), len(s.index))))
+    return G, cols, sp.csr_matrix((np.ones(len(lab)), (lab, j)), shape=(len(sectors), chain.dim))
+
+
+def _half_block_groups(sectors, labels, pos, ck, ops, chain: ChainConfig, fold: bool) -> tuple:
+    """(G1, G2, groups) for the half block Q1^H A(t) Q2, Q_i = embed(ops[i]).  A group
+    joins the sectors A couples (pairs ``ck``) or whose rows share a column of Q1
+    or Q2; (shape, [(c, k, rows, cols)], plan) puts G1[c] A(t)[c, k] G2[k]^H at
+    (rows, cols).  With ``fold`` a group that F maps onto itself keeps one row per
+    F orbit and gets a _fold_plan.  Groups without columns of Q1 or Q2 are zero."""
+    (G1, cols1, T1), (G2, cols2, T2) = (_sector_isometries(sectors, labels, pos, op, chain)
+                                        for op in ops)
+    S_A = sp.csr_matrix((np.ones(len(ck)), (ck[:, 0], ck[:, 1])), shape=(len(sectors),) * 2)
+    n_grp, glabels = csgraph.connected_components(S_A + T1 @ T1.T + T2 @ T2.T, directed=False)
+    maps = [_reversal_map(op, chain) for op in ops] if fold else None
     groups = []
     for g in range(n_grp):
-        C1, C2 = ([c for c in np.flatnonzero(glabels == g) if len(ci[c])] for ci in cols)
+        C1, C2 = ([c for c in np.flatnonzero(glabels == g) if len(ci[c])] for ci in (cols1, cols2))
         if not (C1 and C2):
             continue
-        J1, J2 = (np.unique(np.concatenate([ci[c] for c in C])) for ci, C in zip(cols, (C1, C2)))
-        S_g = S_A[C1][:, C2].tocoo()
-        groups.append(((len(J1), len(J2)), [
-            (C1[i], C2[j], np.searchsorted(J1, cols[0][C1[i]]),
-             np.searchsorted(J2, cols[1][C2[j]])) for i, j in zip(S_g.row, S_g.col)]))
-    return G[0], G[1], groups
+        J1, J2 = (np.unique(np.concatenate([ci[c] for c in C]))
+                  for ci, C in ((cols1, C1), (cols2, C2)))
+        plan = None
+        if fold and np.array_equal(np.sort(maps[0][0][J1]), J1):  # F maps the group onto itself
+            for c in C1:  # keep one row per F orbit
+                keep = cols1[c] <= maps[0][0][cols1[c]]
+                G1[c], cols1[c] = G1[c][keep], cols1[c][keep]
+            J1 = J1[J1 <= maps[0][0][J1]]
+            plan = _fold_plan(J1, J2, maps)
+        pairs = [(c, k, np.searchsorted(J1, cols1[c]), np.searchsorted(J2, cols2[k]))
+                 for c, k in ck.tolist() if glabels[c] == g and len(cols1[c]) and len(cols2[k])]
+        groups.append(((len(J1), len(J2)), pairs, plan))
+    return G1, G2, groups
+
+
+def _fold_plan(J1, J2, maps) -> tuple:
+    """(C, PC, sC, w): with rows J1 (one per F orbit) and columns J2, the F blocks
+    in an orthonormal F-adapted basis are (X[:, C] + e sC X[:, PC]) * w[i], e = +1, -1;
+    a row or column that F fixes weighs 1/sqrt(2), a fixed row of the other sign 0."""
+    (pi1, s1), (pi2, s2) = maps
+    C = np.flatnonzero(J2 <= pi2[J2])
+    PC = np.searchsorted(J2, pi2[J2[C]])
+    fixed1, fixed2 = pi1[J1] == J1, PC == C
+    w = [np.outer(np.where(fixed1, math.sqrt(0.5) * (s1[J1] == e), 1.0),
+                  np.where(fixed2, math.sqrt(0.5), 1.0)) for e in (1.0, -1.0)]
+    return C, PC, s2[J2[C]], w if fixed1.any() or fixed2.any() else (1.0, 1.0)
 
 
 def _group_sigma_max(group, G1, G2, P, PM) -> float:
-    """Largest singular value of one group of the half block, from the smaller
-    of its two Gram matrices."""
-    shape, pairs = group
+    """Largest singular value of one group of the half block (of its two F blocks
+    if folded), each from the smaller of its two Gram matrices."""
+    shape, pairs, plan = group
     X = np.zeros(shape, dtype=np.complex128)
+    right = {k: (G2[k] @ P[k]).conj().T for k in {k for _, k, _, _ in pairs}}
     for c, k, rows, cols in pairs:
-        X[np.ix_(rows, cols)] += (G1[c] @ PM[c, k]) @ (G2[k] @ P[k]).conj().T
-    gram = X @ X.conj().T if shape[0] <= shape[1] else X.conj().T @ X
-    del X  # release the half block before eigvalsh allocates its workspace
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+        X[np.ix_(rows, cols)] += (G1[c] @ PM[c, k]) @ right[k]
+    blocks = [X]
+    if plan is not None:
+        C, PC, sC, w = plan
+        blocks = [(X[:, C] + e * sC * X[:, PC]) * we for e, we in zip((1.0, -1.0), w)]
+    grams = [Z @ Z.conj().T if Z.shape[0] <= Z.shape[1] else Z.conj().T @ Z for Z in blocks]
+    del X, blocks, right  # release the half block before eigvalsh allocates its workspace
+    return math.sqrt(max(max(float(np.linalg.eigvalsh(g)[-1]) for g in grams), 0.0))
 
 
 def _local_comm_norm(A: LocalOperator, B: LocalOperator, site_dim: int) -> float:
@@ -164,7 +213,8 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     ||[A(t), B]|| = |b2 - b1| sigma_max(P1 A(t) P2).  The scan runs per sector
     of ``ctx`` (built from ``phi`` if omitted): A enters the eigenbasis once
     per pair of sectors it couples, and each norm is a maximum over the groups
-    of sectors of the half block P1 A(t) P2.  t = 0 takes the local
+    of sectors of the half block P1 A(t) P2, or over their two F blocks when
+    spin inversion is exact (see the module docstring).  t = 0 takes the local
     commutator, exactly 0 for disjoint supports.  Points whose light cones
     could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are excluded from the
     comparison and flagged in the output.  A bad grid is refused before any
@@ -183,7 +233,9 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
             for t in ts}
     if params and ts and not any(live.values()):
         raise PreconditionError("every requested scan point lies beyond the wrap horizon")
-    gap, U1, U2 = _eigenspaces(B)
+    fold = all(np.array_equal(c, c[::-1, ::-1])  # F is a symmetry of H, A and B
+               for c in [m for _, m in phi.terms] + [A.coeffs, B.coeffs])
+    gap, U1, U2 = _eigenspaces(B, fold)
     if ctx is None:
         ctx = JointBasis.for_interaction(phi, chain)
     # periodic: ||[tau_x alpha_t(A), B]|| = ||[alpha_t(A), tau_{-x}(B)]||;
@@ -193,10 +245,12 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     sectors = ctx.sectors
     A_eig = ctx.matrix_elements(A)
     ck = np.array(list(A_eig), dtype=np.int64).reshape(-1, 2)  # the sector pairs A couples
-    S_A = sp.csr_matrix((np.ones(len(ck)), (ck[:, 0], ck[:, 1])), shape=(len(sectors),) * 2)
-    halves = {x: _half_block_groups(sectors, ctx.labels, S_A, *(
-        embed_sparse(translate(LocalOperator(B.support, U), step * x, chain), chain)
-        for U in (U1, U2))) for x in x_values}
+    pos = np.empty(chain.dim, dtype=np.int64)  # place of each basis state in its sector
+    for s in sectors:
+        pos[s.index] = np.arange(len(s.index))
+    halves = {x: _half_block_groups(sectors, ctx.labels, pos, ck, [
+        translate(LocalOperator(B.support, U), step * x, chain) for U in (U1, U2)], chain, fold)
+        for x in x_values}
 
     rows = []
     for t in ts:

@@ -204,13 +204,16 @@ def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int,
         vectors = Q @ evecs  # dense (dim, dm)
         bias_vals = np.zeros(dm)
         if bias is not None:
-            # refine each degenerate energy block with the bias operator
+            # refine each degenerate energy block with the bias operator (1 x 1: no eigh)
+            BV = bias @ vectors
             cuts = np.flatnonzero(np.diff(evals) > degeneracy_tol) + 1
             for start, stop in zip(np.r_[0, cuts], np.r_[cuts, dm]):
                 W = vectors[:, start:stop]
-                Jblk = W.conj().T @ (bias @ W)
-                Jblk = (Jblk + Jblk.conj().T) / 2
-                jv, ju = np.linalg.eigh(Jblk)
+                Jblk = W.conj().T @ BV[:, start:stop]
+                if stop - start == 1:
+                    bias_vals[start] = Jblk[0, 0].real
+                    continue
+                jv, ju = np.linalg.eigh((Jblk + Jblk.conj().T) / 2)
                 vectors[:, start:stop] = W @ ju
                 bias_vals[start:stop] = jv
         parts.append((evals, vectors, np.full(dm, m, dtype=np.int64), bias_vals))

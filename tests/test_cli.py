@@ -1,6 +1,7 @@
 """Config parsing, subcommand artifacts, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,13 @@ class TestConfig:
     def test_env_override(self):
         cfg = cli.parse_config(SMALL_CONFIG, env={"NESSLAB_CHAIN__N_SITES": "10"})
         assert cfg.n_sites == 10
+
+    def test_edge_values_allowed(self):
+        # an unbounded energy window and zero tolerances are valid settings
+        cfg = cli.parse_config(SMALL_CONFIG, env={"NESSLAB_CHECKS__EPSILON_WINDOWS": "0.2 inf",
+                                                  "NESSLAB_CHECKS__CONSERVATION_TOL": "0"})
+        assert cfg.epsilon_windows == (0.2, math.inf)
+        assert cfg.conservation_tol == 0.0
 
     def test_bad_schema_version(self):
         with pytest.raises(ConfigError):
@@ -158,6 +166,16 @@ class TestSubcommands:
         ("NESSLAB_BIAS__BETA", "nan"),
         ("NESSLAB_WINDOW__T", "0"),
         ("NESSLAB_WINDOW__T", "inf"),
+        ("NESSLAB_CHECKS__SUM_RULE_REL_ERR", "-1"),
+        ("NESSLAB_CHECKS__DERIVATIVE_REL_ERR", "-1"),
+        ("NESSLAB_CHECKS__CONSERVATION_TOL", "-1"),
+        ("NESSLAB_CHECKS__CONSERVATION_TOL", "nan"),
+        ("NESSLAB_CHECKS__EPSILON_WINDOWS", "nan"),
+        ("NESSLAB_CHECKS__EPSILON_WINDOWS", "0.2 -0.5"),
+        ("NESSLAB_CHECKS__EPSILON_WINDOWS", "0"),
+        ("NESSLAB_CHECKS__EPSILON_WINDOWS", ""),
+        ("NESSLAB_SCAN__X_VALUES", ""),
+        ("NESSLAB_SCAN__T_VALUES", ""),
     ])
     def test_exit_code_bad_value(self, small_cfg_path, tmp_path, monkeypatch, key, value):
         out = str(tmp_path / "bad")

@@ -149,11 +149,22 @@ def _random_unitary(rng, k: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _reversal_basis(rng, d: int) -> np.ndarray:
+    """Unitary whose columns are eigenvectors of the local reversal u: i -> d-1-i,
+    rotated at random inside each of u's two eigenspaces."""
+    vals, vecs = np.linalg.eigh(np.eye(d, dtype=np.complex128)[::-1])
+    for space in (vals < 0, vals > 0):
+        vecs[:, space] = vecs[:, space] @ _random_unitary(rng, int(space.sum()))
+    return vecs
+
+
 @st.composite
 def lr_case(draw):
     """A model, a random Hermitian A on one or two sites at 0 (diagonal or
     not), and a one-site B = u diag(b) u^H with two distinct eigenvalues (one
-    doubly degenerate for d = 3), u a diagonal phase or a random unitary."""
+    doubly degenerate for d = 3), u a diagonal phase or a random unitary.  An
+    F-even draw makes A and B equal their local reversal c[::-1, ::-1], so the
+    scan folds by spin inversion when the model is XXZ or spin-1 XX."""
     d = draw(st.sampled_from([2, 3]))
     width = draw(st.integers(1, 2))
     n = draw(st.integers(width + 3, 7 if d == 2 else 5))
@@ -163,23 +174,43 @@ def lr_case(draw):
         phi = nl.build_xxz_model(rng.uniform(-1, 1))[0] if d == 2 else _spin_one_xx()
     else:  # conserves nothing: one sector
         phi = nl.build_random_interaction(1, d, rng)
+    even = draw(st.booleans())
     a = rng.standard_normal((d**width, d**width)) + 1j * rng.standard_normal((d**width,) * 2)
-    if draw(st.booleans()):  # a diagonal A couples no two charge sectors
+    # a diagonal A couples no two charge sectors; an F-even diagonal one-site A
+    # would be a multiple of the identity, with a commutator of exactly 0
+    if draw(st.booleans()) and not (even and width == 1):
         a = np.diag(a.diagonal().real)
-    A = nl.LocalOperator(tuple(range(width)), (a + a.conj().T) / 2, hermitian=True)
+    a = (a + a.conj().T) / 2
+    if even:
+        a = (a + a[::-1, ::-1]) / 2
+    A = nl.LocalOperator(tuple(range(width)), a, hermitian=True)
     b1, b2 = rng.uniform(-2, 2, size=2)
     vals = [b1, b2] if d == 2 else draw(st.permutations([b1, b1, b2]))
-    if draw(st.booleans()):
+    if even:
+        u = _reversal_basis(rng, d)
+    elif draw(st.booleans()):
         u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d)))
     else:
         u = _random_unitary(rng, d)
     b = u @ np.diag(vals) @ u.conj().T
-    B = nl.LocalOperator((0,), (b + b.conj().T) / 2, hermitian=True)
+    b = (b + b.conj().T) / 2
+    if even:
+        b = (b + b[::-1, ::-1]) / 2
+    B = nl.LocalOperator((0,), b, hermitian=True)
     # 1e-10 relative needs norms far above the ~1e-15 absolute rounding floor:
     # x within two sites of the first admissible separation, t >= 0.5
     x = draw(st.integers(width + 2, min(width + 3, n - 1)))
     t = draw(st.floats(0.5, 1.5))
     return phi, chain, A, B, x, t
+
+
+def _dense_lr_norm(phi, A, B, chain, x, t) -> float:
+    """||[A(t), tau(B)]|| from expm, with B at -x on a ring and at +x on an open chain."""
+    H = nl.hamiltonian(phi, chain)
+    U = sla.expm(1j * t * H)
+    At = U @ nl.embed(A, chain) @ U.conj().T
+    Bx = nl.embed(nl.translate(B, -x if chain.periodic else x, chain), chain)
+    return np.linalg.norm(At @ Bx - Bx @ At, 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -188,12 +219,82 @@ def test_lr_scan_matches_dense_evolution(case):
     phi, chain, A, B, x, t = case
     # a tiny v_emp keeps every point inside the wrap horizon
     rows = nl.lr_scan(phi, A, B, [x], [t], chain, v_emp=1e-6)
-    H = nl.hamiltonian(phi, chain)
-    U = sla.expm(1j * t * H)
-    At = U @ nl.embed(A, chain) @ U.conj().T
-    Bx = nl.embed(nl.translate(B, -x if chain.periodic else x, chain), chain)
-    ref = np.linalg.norm(At @ Bx - Bx @ At, 2)
+    ref = _dense_lr_norm(phi, A, B, chain, x, t)
     assert abs(rows[0].empirical - ref) <= 1e-10 * ref
+
+
+def _scan_with_eigvalsh_sizes(monkeypatch, phi, A, B, chain, x_values, t_values):
+    """lr_scan rows and the size of every matrix it passes to eigvalsh."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rows = nl.lr_scan(phi, A, B, x_values, t_values, chain, v_emp=1e-6)
+    monkeypatch.undo()
+    return rows, sizes
+
+
+SX = nl.LocalOperator((0,), nl.models.PAULI_X, hermitian=True)
+
+
+class TestReversalFold:
+    """The spin-inversion fold of the half block, against dense evolution."""
+
+    @staticmethod
+    def assert_matches_expm(phi, A, B, chain, rows):
+        for r in rows:
+            ref = _dense_lr_norm(phi, A, B, chain, r.x, r.t)
+            assert abs(r.empirical - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("n, boundary", [(6, "periodic"), (8, "periodic"),
+                                             (6, "open"), (8, "open")])
+    def test_xxz_sigma_x(self, n, boundary):
+        phi = nl.build_xxz_model(0.5)[0]
+        chain = nl.ChainConfig(n, 2, boundary)
+        rows = nl.lr_scan(phi, SX, SX, [3, 4], [0.5, 1.0], chain, v_emp=1e-6)
+        self.assert_matches_expm(phi, SX, SX, chain, rows)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_spin_one_degenerate_b(self, monkeypatch, boundary):
+        # B projects on the middle local state: its other eigenspace is
+        # degenerate, and d = 3 leaves states that F maps to themselves
+        phi = _spin_one_xx()
+        chain = nl.ChainConfig(6, 3, boundary)
+        sx = np.diag([np.sqrt(2.0), np.sqrt(2.0)], k=-1)
+        A = nl.LocalOperator((0,), (sx + sx.T) / 2, hermitian=True)
+        B = nl.LocalOperator((0,), np.diag([0.0, 1.0, 0.0]), hermitian=True)
+        rows, sizes = _scan_with_eigvalsh_sizes(monkeypatch, phi, A, B, chain, [3, 4], [0.5, 1.0])
+        self.assert_matches_expm(phi, A, B, chain, rows)
+        assert max(sizes) == 122  # (3^5 + 1) / 2 F-even columns, not 3^5
+
+    def test_fold_halves_the_eigenproblem(self, monkeypatch):
+        phi = nl.build_xxz_model(0.5)[0]
+        chain = nl.ChainConfig(8, 2)
+        rows, sizes = _scan_with_eigvalsh_sizes(monkeypatch, phi, SX, SX, chain, [3], [0.5])
+        assert rows[0].empirical > 0
+        assert max(sizes) == 64  # two F blocks of the 128 x 128 half block
+
+    def test_groups_that_f_swaps_stay_whole(self):
+        # a diagonal Ising H has one sector per basis state; with A = sx sx and
+        # B = sx every group of the half block has a distinct F image, so
+        # nothing folds even though F is exact
+        phi = nl.Interaction(2, 1, (((0, 1), np.diag([1.0, -1.0, -1.0, 1.0])),))
+        chain = nl.ChainConfig(6, 2)
+        A = nl.LocalOperator((0, 1), nl.kron_le([nl.models.PAULI_X] * 2), hermitian=True)
+        rows = nl.lr_scan(phi, A, SX, [4], [0.5, 1.0], chain, v_emp=1e-6)
+        assert all(r.empirical > 0.1 for r in rows)
+        self.assert_matches_expm(phi, A, SX, chain, rows)
+
+    def test_fermions_with_interaction_do_not_fold(self, monkeypatch):
+        # the density interaction is not reversal-symmetric, so F is no symmetry
+        phi = nl.build_fermion_model(1.0, [0.5])[0]
+        chain = nl.ChainConfig(8, 2)
+        rows, sizes = _scan_with_eigvalsh_sizes(monkeypatch, phi, SX, SX, chain, [3], [0.5, 1.0])
+        self.assert_matches_expm(phi, SX, SX, chain, rows)
+        assert max(sizes) == 128
 
 
 def test_lr_scan_two_eigenvalue_requirement(xx_model):
