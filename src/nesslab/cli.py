@@ -57,7 +57,6 @@ class ExperimentConfig:
     window_T: float = 2.0
     x_values: tuple = (3, 4, 5)
     t_values: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-    M_values: tuple = (2, 3, 4)
     sum_rule_rel_err: float = 0.05
     derivative_rel_err: float = 0.10
     conservation_tol: float = 1e-12
@@ -97,8 +96,7 @@ class ExperimentConfig:
         out.write(f"T = {fmt(self.window_T)}\n\n")
         out.write("[scan]\n")
         out.write(f"x_values = {fmt(self.x_values)}\n")
-        out.write(f"t_values = {fmt(self.t_values)}\n")
-        out.write(f"M_values = {fmt(self.M_values)}\n\n")
+        out.write(f"t_values = {fmt(self.t_values)}\n\n")
         out.write("[checks]\n")
         out.write(f"sum_rule_rel_err = {fmt(self.sum_rule_rel_err)}\n")
         out.write(f"derivative_rel_err = {fmt(self.derivative_rel_err)}\n")
@@ -174,7 +172,6 @@ def parse_config(text: str, env: dict | None = None) -> ExperimentConfig:
         x_values=get("scan", "x_values", lambda s: _parse_tuple(s, int), (3, 4, 5)),
         t_values=get("scan", "t_values", lambda s: _parse_tuple(s, _finite),
                      (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
-        M_values=get("scan", "m_values", lambda s: _parse_tuple(s, int), (2, 3, 4)),
         sum_rule_rel_err=get("checks", "sum_rule_rel_err", _tolerance, 0.05),
         derivative_rel_err=get("checks", "derivative_rel_err", _tolerance, 0.10),
         conservation_tol=get("checks", "conservation_tol", _tolerance, 1e-12),

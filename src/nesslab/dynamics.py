@@ -21,7 +21,7 @@ import scipy.sparse.csgraph as csgraph
 
 from .errors import PreconditionError
 from .operators import (ChainConfig, LocalOperator, _global_indices, comm_norm, embed,
-                        embedded_entries, operator_norm, translate)
+                        embed_sparse, embedded_entries, operator_norm, translate)
 from . import models
 from .spectral import JointBasis, empirical_velocity
 
@@ -177,6 +177,24 @@ def _fold_plan(J1, J2, maps) -> tuple:
     return C, PC, s2[J2[C]], w if fixed1.any() or fixed2.any() else (1.0, 1.0)
 
 
+def _clusters(halves: dict, n_sectors: int) -> list:
+    """[(pairs, {x: groups})], one per cluster: the union of the sector sets of
+    every group at every separation, so one cluster's blocks of A and its
+    propagators serve all of its groups.  ``pairs`` lists the blocks of A the
+    groups use; a group without pairs is zero and is left out."""
+    grouped = [(x, g, sorted({s for c, k, _, _ in g[1] for s in (c, k)}))
+               for x, (_, _, groups) in halves.items() for g in groups if g[1]]
+    edges = np.array([(S[0], s) for _, _, S in grouped for s in S], dtype=np.int64).reshape(-1, 2)
+    label = csgraph.connected_components(sp.csr_matrix(
+        (np.ones(len(edges)), edges.T), shape=(n_sectors, n_sectors)), directed=False)[1]
+    clusters = {}
+    for x, g, S in grouped:
+        pairs, members = clusters.setdefault(label[S[0]], (set(), {}))
+        pairs.update((c, k) for c, k, _, _ in g[1])
+        members.setdefault(x, []).append(g)
+    return [(sorted(pairs), members) for pairs, members in clusters.values()]
+
+
 def _group_sigma_max(group, G1, G2, P, PM) -> float:
     """Largest singular value of one group of the half block (of its two F blocks
     if folded), each from the smaller of its two Gram matrices."""
@@ -211,10 +229,11 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
 
     B must have at most two distinct eigenvalues, B = b1 P1 + b2 P2; then
     ||[A(t), B]|| = |b2 - b1| sigma_max(P1 A(t) P2).  The scan runs per sector
-    of ``ctx`` (built from ``phi`` if omitted): A enters the eigenbasis once
-    per pair of sectors it couples, and each norm is a maximum over the groups
-    of sectors of the half block P1 A(t) P2, or over their two F blocks when
-    spin inversion is exact (see the module docstring).  t = 0 takes the local
+    of ``ctx`` (built from ``phi`` if omitted) and one cluster of sectors at a
+    time (see :func:`_clusters`): A enters the eigenbasis once per pair of
+    sectors it couples, and each norm is a maximum over the groups of sectors
+    of the half block P1 A(t) P2, or over their two F blocks when spin
+    inversion is exact (see the module docstring).  t = 0 takes the local
     commutator, exactly 0 for disjoint supports.  Points whose light cones
     could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are excluded from the
     comparison and flagged in the output.  A bad grid is refused before any
@@ -243,8 +262,8 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     step = -1 if chain.periodic else 1
 
     sectors = ctx.sectors
-    A_eig = ctx.matrix_elements(A)
-    ck = np.array(list(A_eig), dtype=np.int64).reshape(-1, 2)  # the sector pairs A couples
+    A_sp = embed_sparse(A, chain)
+    ck = np.array(ctx.coupled_pairs(A_sp), dtype=np.int64).reshape(-1, 2)
     pos = np.empty(chain.dim, dtype=np.int64)  # place of each basis state in its sector
     for s in sectors:
         pos[s.index] = np.arange(len(s.index))
@@ -252,21 +271,30 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
         translate(LocalOperator(B.support, U), step * x, chain) for U in (U1, U2)], chain, fold)
         for x in x_values}
 
+    sigmas = {(x, t): [] for t in ts if t != 0.0 for x in live[t]}
+    for pairs, members in _clusters(halves, len(sectors)):
+        A_eig = {(c, k): M for c, k, M in ctx.blocks(A_sp, pairs)}
+        used = sorted({s for pair in pairs for s in pair})
+        for t in ts:
+            if t == 0.0 or not live[t]:
+                continue
+            P = PM = None  # release the previous time's blocks before building these
+            P = {c: sectors[c].propagator(t) for c in used}
+            PM = {(c, k): P[c] @ M for (c, k), M in A_eig.items()}
+            for x in live[t]:
+                G1, G2, _ = halves[x]
+                sigmas[x, t] += [_group_sigma_max(g, G1, G2, P, PM) for g in members.get(x, ())]
+        A_eig = P = PM = None
+
     rows = []
     for t in ts:
-        if t != 0.0 and live[t]:
-            P = PM = None  # release the previous time's blocks before building these
-            P = [s.propagator(t) for s in sectors]
-            PM = {(c, k): P[c] @ M for (c, k), M in A_eig.items()}
         for x in x_values:
             if x not in live[t]:
                 emp = math.nan
             elif t == 0.0:
                 emp = _local_comm_norm(A, translate(B, step * x, chain), chain.site_dim)
             else:
-                G1, G2, groups = halves[x]
-                emp = gap * max((_group_sigma_max(g, G1, G2, P, PM) for g in groups),
-                                default=0.0)
+                emp = gap * max(sigmas[x, t], default=0.0)
             rows.append(LRScanRow(x=x, t=t, empirical=emp, bound=lr_bound(params[x], t),
                                   excluded=x not in live[t]))
     rows.sort(key=lambda r: (r.x, r.t))

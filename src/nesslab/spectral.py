@@ -160,16 +160,21 @@ class JointBasis:
         """Split a per-column array into one array per sector."""
         return [np.asarray(values)[cols] for cols in self.columns]
 
-    def matrix_elements(self, A) -> dict:
-        """<m|A|n> as blocks {(c, k): W_c^H A[c, k] W_k}, m in sector c and n in
-        sector k, one per pair of sectors that A couples; A may be dense, sparse
-        or a LocalOperator."""
-        A = _as_sparse(A, self.chain)
-        coo, n, S = A.tocoo(), len(self.sectors), self.sectors
+    def coupled_pairs(self, A) -> list:
+        """The pairs of sectors (c, k) that A couples (A[c, k] != 0), by c, then k."""
+        coo, n = _as_sparse(A, self.chain).tocoo(), len(self.sectors)
         C = sp.csr_matrix((np.ones(coo.nnz), (self.labels[coo.row], self.labels[coo.col])),
                           shape=(n, n)).tocoo()
-        return {(c, k): (S[c].vectors.conj().T @ A[S[c].index][:, S[k].index]) @ S[k].vectors
-                for c, k in zip(C.row.tolist(), C.col.tolist())}
+        return list(zip(C.row.tolist(), C.col.tolist()))
+
+    def blocks(self, A, pairs=None):
+        """Yield (c, k, W_c^H A[c, k] W_k), the <m|A|n> with m in sector c and n
+        in sector k, one pair at a time: for ``pairs`` in their order, else for
+        every pair of :meth:`coupled_pairs`.  A may be dense, sparse or a
+        LocalOperator; a consumer holds only the blocks it keeps."""
+        A, S = _as_sparse(A, self.chain), self.sectors
+        for c, k in self.coupled_pairs(A) if pairs is None else pairs:
+            yield c, k, (S[c].vectors.conj().T @ A[S[c].index][:, S[k].index]) @ S[k].vectors
 
     def diagonal(self, A) -> np.ndarray:
         """<n|A|n> for every column n, from the diagonal sector blocks of A."""
@@ -291,6 +296,18 @@ def _ordered_basis(chain: ChainConfig, parts, mode=None, bias_values=None) -> Jo
                       bias_values=None if bias_values is None else bias_values[order])
 
 
+def _matched_blocks(basis: JointBasis, A, B):
+    """Yield (c, k, A[c, k], B[k, c]) in the eigenbasis for every pair that A
+    couples and B couples back, one pair at a time; nothing here holds a block
+    once it is yielded."""
+    A, B = (_as_sparse(op, basis.chain) for op in (A, B))
+    B_pairs = set(basis.coupled_pairs(B))
+    pairs = [(c, k) for c, k in basis.coupled_pairs(A) if (k, c) in B_pairs]
+    A_blocks, B_blocks = basis.blocks(A, pairs), basis.blocks(B, [ck[::-1] for ck in pairs])
+    for _ in pairs:
+        yield next(A_blocks) + (next(B_blocks)[2],)
+
+
 # ---------------------------------------------------------------------------
 # window functions
 # ---------------------------------------------------------------------------
@@ -356,17 +373,21 @@ class CommutatorKernel:
     Writing K = i [rho, A], the trace identity C(t) = Tr(K B(t)) reduces every
     evaluation to phase sums over W = K~ * B~^T in the energy eigenbasis,
     C(t) = sum_mn W_mn exp(i (E_n - E_m) t).  W is kept as one block per pair
-    of sectors (c, k) with A coupling k into c and B coupling c into k; a
-    batch of times costs one thin matrix product per block.
+    of sectors (c, k) with A coupling k into c and B coupling c into k, formed
+    pair by pair; a batch of times costs one thin matrix product per block.
     """
 
     def __init__(self, state, A, B):
         basis = state.basis
         p = basis.per_sector(state.probs)
-        Bt = basis.matrix_elements(B)
         self._E = [s.energies for s in basis.sectors]
-        self._W = {(c, k): 1j * (p[c][:, None] - p[k][None, :]) * X * Bt[k, c].T
-                   for (c, k), X in basis.matrix_elements(A).items() if (k, c) in Bt}
+        self._W = {}
+        for c, k, X, Bkc in _matched_blocks(basis, A, B):
+            W = 1j * (p[c][:, None] - p[k][None, :])
+            W *= X
+            W *= Bkc.T
+            self._W[c, k] = W
+            del X, Bkc  # release this pair before the next one is formed
 
     def curve(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -386,14 +407,25 @@ class CommutatorKernel:
 
         The weights are summed per energy transfer rounded to 10 decimals, so
         ft is evaluated once per distinct transfer, at its first exact value.
+        Block by block, in block order, each sum adds its terms in the order of
+        the blocks laid end to end.
         """
-        de = np.concatenate([np.zeros(0)] + [(self._E[k][None, :] - self._E[c][:, None]).ravel()
-                                             for c, k in self._W])
-        w = np.concatenate([np.zeros(0)] + [W.real.ravel() for W in self._W.values()])
-        _, first, inv = np.unique(np.round(de, 10), return_index=True,
-                                  return_inverse=True)
-        sums = np.bincount(inv, weights=w, minlength=len(first))
-        return SQRT_2PI * float(np.dot(sums, window.fourier(de[first])))
+        def transfers(c, k):
+            de = (self._E[k][None, :] - self._E[c][:, None]).ravel()
+            return de, np.round(de, 10)
+
+        firsts = []  # each block's distinct keys, at their first exact transfer
+        for c, k in self._W:
+            de, key = transfers(c, k)
+            key, first = np.unique(key, return_index=True)
+            firsts.append((key, de[first]))
+        keys, first = np.unique(np.concatenate([np.zeros(0)] + [key for key, _ in firsts]),
+                                return_index=True)
+        de_first = np.concatenate([np.zeros(0)] + [de for _, de in firsts])[first]
+        sums = np.zeros(len(keys))
+        for (c, k), W in self._W.items():
+            np.add.at(sums, np.searchsorted(keys, transfers(c, k)[1]), W.real.ravel())
+        return SQRT_2PI * float(np.dot(sums, window.fourier(de_first)))
 
 
 def wrap_horizon(phi: models.Interaction, chain: ChainConfig, v_emp: float | None = None) -> float:
@@ -502,20 +534,23 @@ def _centered(op: LocalOperator, state) -> LocalOperator:
     return LocalOperator(op.support, op.coeffs - mean * np.eye(dim))
 
 
-def _class_table(blocks: dict, classes: list, n_cls: int) -> np.ndarray:
-    """Sum the entries of sector blocks into an n_cls x n_cls table by the
-    classes of their rows and columns (``classes[c]``: class of each column)."""
-    table = np.zeros((n_cls, n_cls), dtype=np.complex128)
+def _class_groups(classes: list) -> list:
+    """Per sector (``classes[c]``: class of each column): the order that sorts
+    its columns by class, the start of each class run in that order, and the
+    class of each run."""
     groups = []
     for ids in classes:
         order = np.argsort(ids, kind="stable")
         starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
         groups.append((order, starts, ids[order][starts]))
-    for (c, k), X in blocks.items():
-        (oc, sc, uc), (ok, sk, uk) = groups[c], groups[k]
-        agg = np.add.reduceat(np.add.reduceat(X[oc][:, ok], sc, axis=0), sk, axis=1)
-        table[np.ix_(uc, uk)] += agg
-    return table
+    return groups
+
+
+def _add_by_class(table: np.ndarray, groups: list, c: int, k: int, X: np.ndarray) -> None:
+    """Sum block X of sectors (c, k), its rows and columns already in class
+    order, into ``table`` by the classes of its rows and columns."""
+    (_, sc, uc), (_, sk, uk) = groups[c], groups[k]
+    table[np.ix_(uc, uk)] += np.add.reduceat(np.add.reduceat(X, sc, axis=0), sk, axis=1)
 
 
 def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator,
@@ -524,33 +559,66 @@ def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator,
     """Weights w(dk, de) = sum p_n i <n|n^|m><m|h^|n> grouped by transfer.
 
     Means are subtracted internally (n^ = n - w(n) etc.).  The weights are
-    formed per pair of sectors and summed into one table over (energy block,
-    momentum) classes, then grouped by transfer.  With ``verify`` the
+    formed one pair of sectors at a time and summed into one table over
+    (energy block, momentum) classes, then grouped by transfer.  With ``verify`` the
     completeness sum and the conjugate pairing against the swapped product are
     checked at construction.
     """
     basis = state.basis if basis is None else basis
     n = basis.chain.n_sites
     p = basis.per_sector(state.probs)
-    Nt = basis.matrix_elements(_centered(n_op, state))
-    Ht = basis.matrix_elements(_centered(h_op, state))
-    pairs = [ck for ck in Nt if ck[::-1] in Ht]
-    W = {(c, k): 1j * p[c][:, None] * Nt[c, k] * Ht[k, c].T for c, k in pairs}
 
     # (energy block, momentum) classes and one representative state of each
     cls = basis.energy_block_ids() * n + basis.mode
     present, first, cls_idx = np.unique(cls, return_index=True, return_inverse=True)
-    classes = basis.per_sector(cls_idx)
-    Wcls = _class_table(W, classes, len(present))
-    mode_rep = present % n
-    E_rep = basis.energies[first]
+    groups = _class_groups(basis.per_sector(cls_idx))
+    Wcls = np.zeros((len(present),) * 2, dtype=np.complex128)
+    Wcls_ba = np.zeros_like(Wcls) if verify else None
+    direct = 0
+    for c, k, N, H in _matched_blocks(basis, _centered(n_op, state), _centered(h_op, state)):
+        if verify:
+            direct += np.dot(p[c], np.einsum("mn,nm->m", N, H))
+        # N[c, k] and H[k, c]^T with rows and columns in class order, each
+        # replacing its block, so at most three blocks of the pair are alive
+        oc, ok = groups[c][0], groups[k][0]
+        N = N[np.ix_(oc, ok)]
+        H = H.T[np.ix_(oc, ok)]
+        W = 1j * p[c][oc, None] * N
+        W *= H
+        _add_by_class(Wcls, groups, c, k, W)
+        del W
+        if verify:
+            W_ba = 1j * p[k][ok, None] * H.T
+            W_ba *= N.T
+            _add_by_class(Wcls_ba, groups, k, c, W_ba)
+            del W_ba
+        del N, H  # release this pair before the next one is formed
+    if verify:
+        # conjugate pairing: conj(w_AB(dk, de)) = -w_BA(dk, de), summed in place
+        Wcls_ba.real += Wcls.real
+        Wcls_ba.imag -= Wcls.imag
+        pairing_dev = np.max(np.abs(Wcls_ba))
+        pairing_scale = max(1.0, np.max(np.abs(Wcls)))
+        del Wcls_ba
 
-    dE = E_rep[None, :] - E_rep[:, None]
-    dk_idx = centered_mode((mode_rep[None, :] - mode_rep[:, None]) % n, n)
-    de_keys, de_inv = np.unique(np.round(dE, de_decimals).ravel() + 0.0, return_inverse=True)
-    # one integer code per (dk, de) key, ordered by dk, then de
-    code = (dk_idx.ravel() + n) * len(de_keys) + de_inv
-    uniq, inv = np.unique(code, return_inverse=True)
+    # one integer code per (dk, de) key, ordered by dk, then de; the grid
+    # temporaries are formed in place and released as soon as they are used
+    E_rep = basis.energies[first]
+    de = (E_rep[None, :] - E_rep[:, None]).ravel()
+    np.round(de, de_decimals, out=de)
+    de += 0.0
+    de_keys = np.unique(de)
+    code = (present % n)[None, :] - (present % n)[:, None]
+    code %= n
+    code[code > n // 2] -= n  # centered momentum transfer
+    code += n
+    code *= len(de_keys)
+    code = code.ravel()
+    code += np.searchsorted(de_keys, de)
+    del de
+    uniq = np.unique(code)
+    inv = np.searchsorted(uniq, code)
+    del code
     flat_w = Wcls.ravel()
     agg = np.bincount(inv, weights=flat_w.real) + 1j * np.bincount(inv, weights=flat_w.imag)
 
@@ -562,20 +630,13 @@ def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator,
         meta={"n_support": n_op.support, "h_support": h_op.support},
     )
     if verify:
-        total = out.total()
-        direct = 1j * complex(sum(
-            np.dot(p[c], np.einsum("mn,nm->m", Nt[c, k], Ht[k, c])) for c, k in pairs))
+        total, direct = out.total(), 1j * complex(direct)
         if abs(total - direct) > 1e-10 * max(1.0, abs(direct)):
             raise NumericalCheckError(
                 f"spectral completeness violated: {total} vs {direct}"
             )
-        # conjugate pairing: conj(w_AB(dk, de)) = -w_BA(dk, de)
-        W_ba = {(k, c): 1j * p[k][:, None] * Ht[k, c] * Nt[c, k].T for c, k in pairs}
-        Wcls_ba = _class_table(W_ba, classes, len(present))
-        dev = np.max(np.abs(np.conj(Wcls) + Wcls_ba))
-        scale = max(1.0, np.max(np.abs(Wcls)))
-        if dev > 1e-10 * scale:
-            raise NumericalCheckError(f"hermitian pairing violated: {dev:.3e}")
+        if pairing_dev > 1e-10 * pairing_scale:
+            raise NumericalCheckError(f"hermitian pairing violated: {pairing_dev:.3e}")
     return out
 
 

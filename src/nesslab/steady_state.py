@@ -62,11 +62,10 @@ class StationaryState:
 
     def commutant_residual(self, A) -> float:
         """Frobenius norm of [rho, A] (an upper bound on the operator norm),
-        summed over the sector blocks of A."""
+        summed over the sector blocks of A one block at a time."""
         p = self.basis.per_sector(self.probs)
-        return math.sqrt(sum(
-            np.linalg.norm((p[c][:, None] - p[k][None, :]) * X) ** 2
-            for (c, k), X in self.basis.matrix_elements(A).items()))
+        return math.sqrt(sum(np.linalg.norm((p[c][:, None] - p[k][None, :]) * X) ** 2
+                             for c, k, X in self.basis.blocks(A)))
 
     def stationarity_residual(self, H) -> float:
         return self.commutant_residual(H)

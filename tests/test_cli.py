@@ -64,6 +64,12 @@ class TestConfig:
         assert again == cfg
         assert again.canonical_text() == text
 
+    def test_resolved_scan_section(self):
+        # the resolved config lists only the scan options the pipeline reads
+        text = cli.parse_config(SMALL_CONFIG, env={}).canonical_text()
+        scan = text.split("[scan]\n")[1].split("\n\n")[0].splitlines()
+        assert [line.split(" = ")[0] for line in scan] == ["x_values", "t_values"]
+
     def test_float_values_survive(self):
         cfg = cli.parse_config(SMALL_CONFIG, env={"NESSLAB_BIAS__BETA": "0.1"})
         assert cfg.beta == 0.1

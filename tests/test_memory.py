@@ -1,0 +1,65 @@
+"""Traced numpy peaks of the analyses that stream sector-pair blocks.
+
+Each analysis holds only the blocks of one pair of sectors (or of one cluster
+of sectors, for the Lieb-Robinson scan) next to what it keeps.  The bounds are
+in units of the state's sector-vector bytes (sum_q C(n, q)^2 complex entries),
+the size of one full set of sector blocks; building every block of an
+operator at once, next to its temporaries, reads 5 to 9 units here.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import nesslab as nl
+
+
+@pytest.fixture(scope="module")
+def xx8():
+    phi, spec = nl.build_xx_model()
+    chain = nl.ChainConfig(8, 2)
+    state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
+    unit = sum(s.vectors.nbytes for s in state.basis.sectors)
+    return phi, spec, chain, state, unit
+
+
+def _traced_peak(run) -> int:
+    """Peak traced bytes above what was allocated when ``run`` started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_lr_scan_holds_one_cluster(xx8):
+    phi, _, chain, _, unit = xx8
+    sz = nl.LocalOperator((0,), nl.models.PAULI_Z, hermitian=True)
+    peak = _traced_peak(lambda: nl.lr_scan(phi, sz, sz, [3, 4],
+                                           [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], chain))
+    assert peak < 4.0 * unit  # the scan's own eigenbasis is one unit of it
+
+
+def test_sum_rule_holds_one_pair(xx8):
+    phi, spec, chain, state, unit = xx8
+    geom = nl.CurrentGeometry(L=4, M=2, r=1)
+
+    def run():
+        kernel = nl.correlation_kernel(state, phi, spec, geom, chain)
+        nl.sum_rule_check(state, phi, spec, geom, nl.WindowFunction("hann", 1.5), chain,
+                          kernel=kernel)
+
+    assert _traced_peak(run) < 3.0 * unit  # the kernel keeps one unit
+
+
+def test_spectral_function_holds_one_pair(xx8):
+    phi, spec, chain, state, unit = xx8
+    n_op = nl.LocalOperator((0,), spec.n0)
+    h_op = nl.energy_density(phi, chain)
+    sf = []
+    peak = _traced_peak(lambda: sf.append(nl.spectral_function_rho(state, n_op, h_op)))
+    assert peak < 4.0 * unit
+    assert np.isfinite(sf[0].weights).all()

@@ -241,7 +241,7 @@ class TestSectoredBasis:
         for label, A in _probe_operators(chain).items():
             Ad = nl.embed(A, chain) if isinstance(A, nl.LocalOperator) else A.toarray()
             dense = V.conj().T @ Ad @ V
-            blocks = basis.matrix_elements(A)
+            blocks = {(c, k): X for c, k, X in basis.blocks(A)}
             covered = np.zeros(dense.shape, dtype=bool)
             for (c, k), X in blocks.items():
                 cell = np.ix_(basis.columns[c], basis.columns[k])
