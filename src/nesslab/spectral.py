@@ -28,6 +28,11 @@ from .operators import ChainConfig, LocalOperator, embed_sparse, shift_index_map
 from . import models
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+COMMUTE_TOL = 1e-10     # [A, B] residual, relative to the scale of A, below which A and B commute
+DEGENERACY_TOL = 1e-8   # energies closer than this (in sorted order) share a degenerate block
+DE_DECIMALS = 10        # energy transfers are keyed rounded to this many decimals
+NO_CURRENT_TOL = 1e-9   # |derivative-identity mass| below which a state carries no current
+_CURVE_CHUNK = 4096     # energy transfers per exp(i de t) batch of CommutatorKernel.curve
 
 
 def centered_mode(m, n_sites: int):
@@ -184,16 +189,15 @@ class JointBasis:
             out[cols] = np.einsum("in,in->n", s.vectors.conj(), A[s.index][:, s.index] @ s.vectors)
         return out
 
-    def energy_block_ids(self, tol: float = 1e-8) -> np.ndarray:
+    def energy_block_ids(self) -> np.ndarray:
         """Group (sorted) energies into degenerate blocks; returns a block id per state."""
         order = np.argsort(self.energies, kind="stable")
         ids = np.empty(len(order), dtype=np.int64)
-        ids[order] = np.cumsum(np.diff(self.energies[order], prepend=-np.inf) > tol) - 1
+        ids[order] = np.cumsum(np.diff(self.energies[order], prepend=-np.inf) > DEGENERACY_TOL) - 1
         return ids
 
 
-def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int,
-                          degeneracy_tol: float) -> tuple:
+def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int) -> tuple:
     """(energies, vectors, mode, bias) of H on one shift-invariant component,
     momentum sector by momentum sector, degenerate blocks refined by ``bias``."""
     dim = H.shape[0]
@@ -211,7 +215,7 @@ def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int,
         if bias is not None:
             # refine each degenerate energy block with the bias operator (1 x 1: no eigh)
             BV = bias @ vectors
-            cuts = np.flatnonzero(np.diff(evals) > degeneracy_tol) + 1
+            cuts = np.flatnonzero(np.diff(evals) > DEGENERACY_TOL) + 1
             for start, stop in zip(np.r_[0, cuts], np.r_[cuts, dm]):
                 W = vectors[:, start:stop]
                 Jblk = W.conj().T @ BV[:, start:stop]
@@ -225,8 +229,7 @@ def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int,
     return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
 
-def joint_spectrum(H, chain: ChainConfig, bias=None,
-                   comm_tol: float = 1e-10, degeneracy_tol: float = 1e-8) -> JointBasis:
+def joint_spectrum(H, chain: ChainConfig, bias=None) -> JointBasis:
     """Diagonalize a translation-invariant H block by block.
 
     The blocks are the connected components of the sparsity graph of
@@ -244,7 +247,7 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
     T = shift_unitary(chain)
     scale = max(1.0, abs(H_sp).max() if H_sp.nnz else 0.0)
     res = float(sp.linalg.norm(H_sp @ T - T @ H_sp))
-    if res > comm_tol * scale * chain.dim**0.5:
+    if res > COMMUTE_TOL * scale * chain.dim**0.5:
         raise PreconditionError(
             f"[H, T] residual {res:.3e} exceeds tolerance; H is not translation invariant"
         )
@@ -266,7 +269,7 @@ def joint_spectrum(H, chain: ChainConfig, bias=None,
         H_c = H_sp[idx][:, idx]
         sub = None if bias_sp is None else bias_sp[idx][:, idx]
         evals, vectors, *col_labels = _component_eigenbasis(
-            H_c, sub, [local[o] for o in orbits[c]], chain.n_sites, degeneracy_tol)
+            H_c, sub, [local[o] for o in orbits[c]], chain.n_sites)
         _certify(H_c, evals, vectors)
         parts.append((idx, evals, vectors))
         labels.append(col_labels)
@@ -306,6 +309,66 @@ def _matched_blocks(basis: JointBasis, A, B):
     A_blocks, B_blocks = basis.blocks(A, pairs), basis.blocks(B, [ck[::-1] for ck in pairs])
     for _ in pairs:
         yield next(A_blocks) + (next(B_blocks)[2],)
+
+
+def _class_groups(classes: list) -> list:
+    """Per sector (``classes[c]``: class of each column): the order that sorts
+    its columns by class, the start of each class run in that order, and the
+    class of each run."""
+    groups = []
+    for ids in classes:
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        groups.append((order, starts, ids[order][starts]))
+    return groups
+
+
+def _by_transfer(dk: np.ndarray, de: np.ndarray, sums: np.ndarray) -> tuple:
+    """Group by transfer: the distinct keys (dk, de rounded to DE_DECIMALS),
+    sorted by dk, then de, each with the first of its exact de and with the
+    columns of ``sums`` added up in their given order."""
+    key = np.round(de, DE_DECIMALS)
+    order = np.lexsort((key, dk))
+    dk, key = dk[order], key[order]
+    starts = np.flatnonzero(np.r_[True, (np.diff(dk) != 0) | (np.diff(key) != 0)])
+    return dk[starts], de[order[starts]], np.add.reduceat(sums[:, order], starts, axis=1)
+
+
+def _transfer_table(state, A, B) -> tuple:
+    """The weights i p_m A_mn B_nm and i p_n A_mn B_nm of a state, summed by
+    transfer (:func:`_by_transfer`): (dk, de, s) with one key per column of s;
+    s[0] sums the p_m weights and s[1] the p_n weights.
+
+    dk = k_n - k_m is the centered mode transfer and de = E_n - E_m the energy
+    transfer, both read off one representative of each (energy block,
+    momentum) class.  Each pair of sectors is reduced over the class runs of
+    its rows and columns and added onto the keys before the next pair is
+    formed, so no block outlives its pair.
+    """
+    basis = state.basis
+    n = basis.chain.n_sites
+    p = basis.per_sector(state.probs)
+    cls = basis.energy_block_ids() * n + basis.mode
+    _, first, cls_idx = np.unique(cls, return_index=True, return_inverse=True)
+    E, mode = basis.energies[first], basis.mode[first]
+    groups = _class_groups(basis.per_sector(cls_idx))
+    dk, de, s = np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((2, 0), dtype=np.complex128)
+    for c, k, X, Bkc in _matched_blocks(basis, A, B):
+        X *= Bkc.T  # X_mn = A_mn B_nm
+        del Bkc
+        (oc, sc, uc), (ok, sk, uk) = groups[c], groups[k]
+        X = X[np.ix_(oc, ok)]  # rows and columns in class order
+        s_m = np.add.reduceat(X, sk, axis=1)
+        s_m *= p[c][oc, None]
+        s_n = np.add.reduceat(X, sc, axis=0)
+        del X
+        s_n *= p[k][ok]
+        pair = np.stack([np.add.reduceat(s_m, sc, axis=0).ravel(),
+                         np.add.reduceat(s_n, sk, axis=1).ravel()])
+        pair_dk = centered_mode((mode[uk][None, :] - mode[uc][:, None]) % n, n).ravel()
+        pair_de = (E[uk][None, :] - E[uc][:, None]).ravel()
+        dk, de, s = _by_transfer(np.r_[dk, pair_dk], np.r_[de, pair_de], np.hstack([s, pair]))
+    return dk, de, 1j * s
 
 
 # ---------------------------------------------------------------------------
@@ -370,31 +433,23 @@ class WindowFunction:
 class CommutatorKernel:
     """Evaluates C(t) = <i [A, B(t)]> for a state diagonal in a joint basis.
 
-    Writing K = i [rho, A], the trace identity C(t) = Tr(K B(t)) reduces every
-    evaluation to phase sums over W = K~ * B~^T in the energy eigenbasis,
-    C(t) = sum_mn W_mn exp(i (E_n - E_m) t).  W is kept as one block per pair
-    of sectors (c, k) with A coupling k into c and B coupling c into k, formed
-    pair by pair; a batch of times costs one thin matrix product per block.
+    Writing K = i [rho, A], the trace identity C(t) = Tr(K B(t)) gives
+    C(t) = sum_mn W_mn exp(i (E_n - E_m) t) with W_mn = i (p_m - p_n) A_mn B_nm.
+    Only the sums of W per energy transfer are kept, the p_m minus the p_n
+    sums of :func:`_transfer_table` added up over momentum transfers, so a
+    time costs one exp per distinct transfer.
     """
 
     def __init__(self, state, A, B):
-        basis = state.basis
-        p = basis.per_sector(state.probs)
-        self._E = [s.energies for s in basis.sectors]
-        self._W = {}
-        for c, k, X, Bkc in _matched_blocks(basis, A, B):
-            W = 1j * (p[c][:, None] - p[k][None, :])
-            W *= X
-            W *= Bkc.T
-            self._W[c, k] = W
-            del X, Bkc  # release this pair before the next one is formed
+        dk, de, s = _transfer_table(state, A, B)
+        _, self._de, (self._w,) = _by_transfer(np.zeros_like(dk), de, (s[0] - s[1])[None])
 
     def curve(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        P = [np.exp(1j * np.outer(E, ts)) for E in self._E]
         vals = np.zeros(len(ts), dtype=np.complex128)
-        for (c, k), W in self._W.items():
-            vals += np.einsum("nj,nj->j", P[c].conj(), W @ P[k])
+        for i in range(0, len(self._de), _CURVE_CHUNK):
+            chunk = slice(i, i + _CURVE_CHUNK)
+            vals += np.einsum("k,kj->j", self._w[chunk], np.exp(1j * np.outer(self._de[chunk], ts)))
         if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals.real))):
             raise NumericalCheckError("commutator correlator came out complex")
         return vals.real
@@ -403,29 +458,9 @@ class CommutatorKernel:
         return float(self.curve([t])[0])
 
     def windowed_integral(self, window: WindowFunction) -> float:
-        """int C(t) f_T(t) dt = sqrt(2 pi) sum_mn W_mn ft(E_n - E_m), in closed form.
-
-        The weights are summed per energy transfer rounded to 10 decimals, so
-        ft is evaluated once per distinct transfer, at its first exact value.
-        Block by block, in block order, each sum adds its terms in the order of
-        the blocks laid end to end.
-        """
-        def transfers(c, k):
-            de = (self._E[k][None, :] - self._E[c][:, None]).ravel()
-            return de, np.round(de, 10)
-
-        firsts = []  # each block's distinct keys, at their first exact transfer
-        for c, k in self._W:
-            de, key = transfers(c, k)
-            key, first = np.unique(key, return_index=True)
-            firsts.append((key, de[first]))
-        keys, first = np.unique(np.concatenate([np.zeros(0)] + [key for key, _ in firsts]),
-                                return_index=True)
-        de_first = np.concatenate([np.zeros(0)] + [de for _, de in firsts])[first]
-        sums = np.zeros(len(keys))
-        for (c, k), W in self._W.items():
-            np.add.at(sums, np.searchsorted(keys, transfers(c, k)[1]), W.real.ravel())
-        return SQRT_2PI * float(np.dot(sums, window.fourier(de_first)))
+        """int C(t) f_T(t) dt = sqrt(2 pi) sum_mn W_mn ft(E_n - E_m), in closed form,
+        with ft evaluated once per distinct energy transfer."""
+        return SQRT_2PI * float(np.dot(self._w.real, window.fourier(self._de)))
 
 
 def wrap_horizon(phi: models.Interaction, chain: ChainConfig, v_emp: float | None = None) -> float:
@@ -534,109 +569,33 @@ def _centered(op: LocalOperator, state) -> LocalOperator:
     return LocalOperator(op.support, op.coeffs - mean * np.eye(dim))
 
 
-def _class_groups(classes: list) -> list:
-    """Per sector (``classes[c]``: class of each column): the order that sorts
-    its columns by class, the start of each class run in that order, and the
-    class of each run."""
-    groups = []
-    for ids in classes:
-        order = np.argsort(ids, kind="stable")
-        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
-        groups.append((order, starts, ids[order][starts]))
-    return groups
+def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator) -> SpectralFunction:
+    """Weights w(dk, de) = sum p_m i <m|n^|n><n|h^|m> grouped by transfer.
 
-
-def _add_by_class(table: np.ndarray, groups: list, c: int, k: int, X: np.ndarray) -> None:
-    """Sum block X of sectors (c, k), its rows and columns already in class
-    order, into ``table`` by the classes of its rows and columns."""
-    (_, sc, uc), (_, sk, uk) = groups[c], groups[k]
-    table[np.ix_(uc, uk)] += np.add.reduceat(np.add.reduceat(X, sc, axis=0), sk, axis=1)
-
-
-def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator,
-                          basis: JointBasis | None = None, verify: bool = True,
-                          de_decimals: int = 10) -> SpectralFunction:
-    """Weights w(dk, de) = sum p_n i <n|n^|m><m|h^|n> grouped by transfer.
-
-    Means are subtracted internally (n^ = n - w(n) etc.).  The weights are
-    formed one pair of sectors at a time and summed into one table over
-    (energy block, momentum) classes, then grouped by transfer.  With ``verify`` the
-    completeness sum and the conjugate pairing against the swapped product are
-    checked at construction.
+    Means are subtracted internally (n^ = n - w(n) etc.).  The weights are the
+    p_m sums of :func:`_transfer_table`, one row per transfer that occurs.
+    Two checks always run: the weights add up to i <n^ h^> (completeness),
+    and the p_n sums of the same pass pair with them as the hermiticity of n^
+    and h^ requires, conj(w(dk, de)) = -w_n(-dk, -de).
     """
-    basis = state.basis if basis is None else basis
-    n = basis.chain.n_sites
-    p = basis.per_sector(state.probs)
-
-    # (energy block, momentum) classes and one representative state of each
-    cls = basis.energy_block_ids() * n + basis.mode
-    present, first, cls_idx = np.unique(cls, return_index=True, return_inverse=True)
-    groups = _class_groups(basis.per_sector(cls_idx))
-    Wcls = np.zeros((len(present),) * 2, dtype=np.complex128)
-    Wcls_ba = np.zeros_like(Wcls) if verify else None
-    direct = 0
-    for c, k, N, H in _matched_blocks(basis, _centered(n_op, state), _centered(h_op, state)):
-        if verify:
-            direct += np.dot(p[c], np.einsum("mn,nm->m", N, H))
-        # N[c, k] and H[k, c]^T with rows and columns in class order, each
-        # replacing its block, so at most three blocks of the pair are alive
-        oc, ok = groups[c][0], groups[k][0]
-        N = N[np.ix_(oc, ok)]
-        H = H.T[np.ix_(oc, ok)]
-        W = 1j * p[c][oc, None] * N
-        W *= H
-        _add_by_class(Wcls, groups, c, k, W)
-        del W
-        if verify:
-            W_ba = 1j * p[k][ok, None] * H.T
-            W_ba *= N.T
-            _add_by_class(Wcls_ba, groups, k, c, W_ba)
-            del W_ba
-        del N, H  # release this pair before the next one is formed
-    if verify:
-        # conjugate pairing: conj(w_AB(dk, de)) = -w_BA(dk, de), summed in place
-        Wcls_ba.real += Wcls.real
-        Wcls_ba.imag -= Wcls.imag
-        pairing_dev = np.max(np.abs(Wcls_ba))
-        pairing_scale = max(1.0, np.max(np.abs(Wcls)))
-        del Wcls_ba
-
-    # one integer code per (dk, de) key, ordered by dk, then de; the grid
-    # temporaries are formed in place and released as soon as they are used
-    E_rep = basis.energies[first]
-    de = (E_rep[None, :] - E_rep[:, None]).ravel()
-    np.round(de, de_decimals, out=de)
-    de += 0.0
-    de_keys = np.unique(de)
-    code = (present % n)[None, :] - (present % n)[:, None]
-    code %= n
-    code[code > n // 2] -= n  # centered momentum transfer
-    code += n
-    code *= len(de_keys)
-    code = code.ravel()
-    code += np.searchsorted(de_keys, de)
-    del de
-    uniq = np.unique(code)
-    inv = np.searchsorted(uniq, code)
-    del code
-    flat_w = Wcls.ravel()
-    agg = np.bincount(inv, weights=flat_w.real) + 1j * np.bincount(inv, weights=flat_w.imag)
-
-    out = SpectralFunction(
-        n_sites=n,
-        dk_index=uniq // len(de_keys) - n,
-        de=de_keys[uniq % len(de_keys)],
-        weights=agg,
-        meta={"n_support": n_op.support, "h_support": h_op.support},
-    )
-    if verify:
-        total, direct = out.total(), 1j * complex(direct)
-        if abs(total - direct) > 1e-10 * max(1.0, abs(direct)):
-            raise NumericalCheckError(
-                f"spectral completeness violated: {total} vs {direct}"
-            )
-        if pairing_dev > 1e-10 * pairing_scale:
-            raise NumericalCheckError(f"hermitian pairing violated: {pairing_dev:.3e}")
+    chain = state.chain
+    n = chain.n_sites
+    N, H = (embed_sparse(_centered(op, state), chain) for op in (n_op, h_op))
+    dk, de, (w, w_n) = _transfer_table(state, N, H)
+    de = np.round(de, DE_DECIMALS) + 0.0  # the key, written without a sign on zero
+    out = SpectralFunction(n_sites=n, dk_index=dk, de=de, weights=w,
+                           meta={"n_support": n_op.support, "h_support": h_op.support})
+    total, direct = out.total(), 1j * state.expect(N @ H)
+    if abs(total - direct) > 1e-10 * max(1.0, abs(direct)):
+        raise NumericalCheckError(f"spectral completeness violated: {total} vs {direct}")
+    # the negated keys, sorted, are the keys themselves: neg[j] is the key whose negation is key j
+    neg_dk = centered_mode(-dk % n, n)
+    neg = np.lexsort((-de, neg_dk))
+    if not (np.array_equal(neg_dk[neg], dk) and np.array_equal(-de[neg], de)):
+        raise NumericalCheckError("hermitian pairing violated: a transfer has no negated partner")
+    pairing_dev = np.max(np.abs(w[neg].conj() + w_n), initial=0.0)
+    if pairing_dev > 1e-10 * max(1.0, np.max(np.abs(w), initial=0.0)):
+        raise NumericalCheckError(f"hermitian pairing violated: {pairing_dev:.3e}")
     return out
 
 
@@ -661,8 +620,7 @@ def _transfer_kernels(dk_idx: np.ndarray, n_sites: int, y_halfwidth: int):
 def momentum_derivative_check(state, spectral: SpectralFunction, window: WindowFunction,
                               geom: models.CurrentGeometry, chain: ChainConfig,
                               current_value: float,
-                              y_halfwidth: int | None = None,
-                              r_eff: int | None = None) -> dict:
+                              y_halfwidth: int | None = None) -> dict:
     """Integrated momentum-derivative identity at k = 0.
 
     The derivative is taken in position form, -sum_z z rho(z, -t) over the
@@ -673,9 +631,7 @@ def momentum_derivative_check(state, spectral: SpectralFunction, window: WindowF
     growing windows can be tracked.
     """
     n = chain.n_sites
-    if r_eff is None:
-        r_eff = geom.r
-    Y = geom.M - r_eff if y_halfwidth is None else y_halfwidth
+    Y = geom.M - geom.r if y_halfwidth is None else y_halfwidth
     if Y < 0 or 2 * Y + 1 > n:
         raise PreconditionError(f"invalid position window halfwidth Y = {Y}")
     S, Dk, tail = _transfer_kernels(spectral.dk_index, n, Y)
@@ -711,7 +667,7 @@ def boundary_commutator_integral(state, phi, spec, geom, window: WindowFunction,
 
 
 def singularity_diagnostic(spectral: SpectralFunction, epsilon_windows,
-                           z_halfwidth: int, current_tol: float = 1e-9) -> dict:
+                           z_halfwidth: int) -> dict:
     """Concentration of the derivative-identity mass near zero energy transfer.
 
     For each eps0 reports the fraction of the position-weighted k-derivative
@@ -723,7 +679,7 @@ def singularity_diagnostic(spectral: SpectralFunction, epsilon_windows,
     mass = -2.0 * np.real(spectral.weights * S)
     total = float(mass.sum())
     out = {"total_mass": total, "z_halfwidth": z_halfwidth, "fractions": {}, "no_current": False}
-    if abs(total) < current_tol:
+    if abs(total) < NO_CURRENT_TOL:
         out["no_current"] = True
         out["fractions"] = {float(e): None for e in epsilon_windows}
         return out

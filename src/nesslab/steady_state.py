@@ -18,9 +18,10 @@ import scipy.sparse as sp
 from .errors import NumericalCheckError, PreconditionError
 from .operators import ChainConfig, shift_unitary
 from . import models
-from .spectral import JointBasis, joint_spectrum
+from .spectral import COMMUTE_TOL, JointBasis, joint_spectrum
 
 RESIDUAL_TOL = 1e-10
+CURRENT_THRESHOLD = 1e-6  # |<j_0>| a steady state must exceed to count as current-carrying
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ class StationaryState:
 
 
 def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
-                       bias: BiasSpec, chain: ChainConfig,
-                       commute_tol: float = 1e-10) -> StationaryState:
+                       bias: BiasSpec, chain: ChainConfig) -> StationaryState:
     """rho proportional to exp(-beta (H - lambda J_tot)) on the periodic chain.
 
     Refuses interactions whose total current fails to commute with H (the
@@ -101,7 +101,7 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
         J = sp.csr_matrix(bias.conserved_op)
     scale = max(1.0, sp.linalg.norm(H))
     comm_res = sp.linalg.norm(H @ J - J @ H)
-    if comm_res > commute_tol * scale:
+    if comm_res > COMMUTE_TOL * scale:
         raise PreconditionError(
             f"bias operator does not commute with H (residual {comm_res:.3e}); "
             "the biased ensemble would not be stationary"
@@ -144,8 +144,7 @@ class NessReport:
 
 
 def verify_ness(state: StationaryState, phi: models.Interaction,
-                spec: models.ChargeSpec, chain: ChainConfig,
-                current_threshold: float = 1e-6) -> NessReport:
+                spec: models.ChargeSpec, chain: ChainConfig) -> NessReport:
     """Check the three defining conditions plus the charge-symmetry residual.
 
     The state is classified as a steady current-carrying state iff both
@@ -169,7 +168,7 @@ def verify_ness(state: StationaryState, phi: models.Interaction,
     sym = state.commutant_residual(N_tot)
     is_stationary = stat <= RESIDUAL_TOL
     is_trans = trans <= RESIDUAL_TOL
-    is_ness = is_stationary and is_trans and abs(current.real) > current_threshold
+    is_ness = is_stationary and is_trans and abs(current.real) > CURRENT_THRESHOLD
     return NessReport(
         stationarity_residual=stat,
         translation_residual=trans,
@@ -178,7 +177,7 @@ def verify_ness(state: StationaryState, phi: models.Interaction,
         is_stationary=is_stationary,
         is_translation_invariant=is_trans,
         is_ness=is_ness,
-        current_threshold=current_threshold,
+        current_threshold=CURRENT_THRESHOLD,
     )
 
 

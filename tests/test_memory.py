@@ -52,7 +52,22 @@ def test_sum_rule_holds_one_pair(xx8):
         nl.sum_rule_check(state, phi, spec, geom, nl.WindowFunction("hann", 1.5), chain,
                           kernel=kernel)
 
-    assert _traced_peak(run) < 3.0 * unit  # the kernel keeps one unit
+    assert _traced_peak(run) < 3.0 * unit
+
+
+def test_kernel_keeps_no_blocks(xx8):
+    # the kernel keeps its sums per energy transfer, not one weight per pair of eigenvectors
+    phi, spec, chain, state, unit = xx8
+    geom = nl.CurrentGeometry(L=4, M=2, r=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kernel = nl.correlation_kernel(state, phi, spec, geom, chain)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.25 * unit
+    assert np.isfinite(kernel.curve([0.0, 1.0])).all()
 
 
 def test_spectral_function_holds_one_pair(xx8):

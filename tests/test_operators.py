@@ -183,19 +183,10 @@ class TestCommutatorsAndNorms:
         assert abs(nl.operator_norm(PAULI_Z / 2) - 0.5) < 1e-14
         E01 = np.array([[0, 1], [0, 0]], dtype=complex)
         assert abs(nl.operator_norm(E01) - 1.0) < 1e-14
+        # anti-Hermitian: the eigvalsh path on i A
+        assert abs(nl.operator_norm(0.3j * PAULI_Z + 0.4 * (E01 - E01.T)) - 0.5) < 1e-14
         with pytest.raises(ValueError):
             nl.operator_norm(np.ones((2, 3)))
-
-    def test_iterative_norm_matches_dense(self, rng):
-        n = 1500  # above the exact-path threshold
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        A = (A + A.conj().T) / np.sqrt(n)
-        exact = np.max(np.abs(np.linalg.eigvalsh(A)))
-        assert abs(nl.operator_norm(A) - exact) < 1e-7 * exact
-        # generic (non-normal) path
-        B = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
-        exact = np.linalg.svd(B, compute_uv=False)[0]
-        assert abs(nl.operator_norm(B) - exact) < 1e-6 * exact
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -397,6 +397,23 @@ class TestCorrelation:
         ts = np.linspace(0.0, 1.2, 5)
         assert np.max(np.abs(forward.curve(ts) + backward.curve(-ts))) < 1e-9
 
+    def test_curve_matches_dense_commutator(self, xx_model, dense_evolve):
+        # C(t) against i Tr(rho [N, H_M(t)]) with H_M(t) evolved densely
+        phi, spec = xx_model
+        chain = nl.ChainConfig(8, 2)
+        state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
+        N = nl.models.charge_sparse(spec, (-3, 0), chain)
+        H_M = nl.models.window_hamiltonian_sparse(phi, (-2, 2), chain)
+        kernel = CommutatorKernel(state, N, H_M)
+        V = state.basis.vectors
+        rho = (V * state.probs) @ V.conj().T
+        N, H_M = N.toarray(), H_M.toarray()
+        for t in (-1.1, 0.4, 1.3):
+            H_t = dense_evolve(H_M, state.basis, t)
+            direct = 1j * np.trace(rho @ (N @ H_t - H_t @ N))
+            assert abs(direct.imag) < 1e-12
+            assert abs(kernel.at(t) - direct.real) < 1e-12
+
     def test_flatness_within_bound(self, xx10_state, xx_model, chain10):
         phi, spec = xx_model
         geom = nl.CurrentGeometry(4, 2, 1)
