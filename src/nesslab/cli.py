@@ -2,7 +2,8 @@
 
 Config files are INI text (key = value under section tables), versioned by a
 schema_version key and overridable per key through environment variables
-NESSLAB_<SECTION>__<KEY>.  Every artifact is written atomically (temp file
+NESSLAB_<SECTION>__<KEY>; a section or key not declared in ``_SETTINGS`` is a
+config error.  Every artifact is written atomically (temp file
 plus rename) with round-trip-exact decimal floats, so reruns of the same
 config are byte-identical.
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
+import itertools
 import json
 import logging
 import math
@@ -39,10 +40,9 @@ _EXIT_NUMERICAL = 4
 
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description; the defaults of every key."""
 
     label: str = "experiment"
-    seed: int = 0
     model_kind: str = "xx"
     lambda_aniso: float = 0.0
     t_hop: float = 1.0
@@ -63,7 +63,7 @@ class ExperimentConfig:
     epsilon_windows: tuple = (0.2, 0.5, 1.0)
 
     def canonical_text(self) -> str:
-        """Round-trip-exact INI rendering (floats via repr)."""
+        """Round-trip-exact INI rendering (floats via repr), one line per setting."""
 
         def fmt(v):
             if isinstance(v, float):
@@ -72,51 +72,40 @@ class ExperimentConfig:
                 return ", ".join(fmt(x) for x in v)
             return str(v)
 
-        out = io.StringIO()
-        out.write("[run]\n")
-        out.write(f"schema_version = {SCHEMA_VERSION}\n")
-        out.write(f"label = {self.label}\n")
-        out.write(f"seed = {self.seed}\n\n")
-        out.write("[model]\n")
-        out.write(f"kind = {self.model_kind}\n")
-        out.write(f"lambda_aniso = {fmt(self.lambda_aniso)}\n")
-        out.write(f"t_hop = {fmt(self.t_hop)}\n")
-        out.write(f"v = {fmt(self.v)}\n\n")
-        out.write("[chain]\n")
-        out.write(f"n_sites = {self.n_sites}\n")
-        out.write(f"boundary = {self.boundary}\n\n")
-        out.write("[bias]\n")
-        out.write(f"beta = {fmt(self.beta)}\n")
-        out.write(f"lambda = {fmt(self.lam)}\n\n")
-        out.write("[geometry]\n")
-        out.write(f"M = {self.M}\n")
-        out.write(f"L = {self.L}\n\n")
-        out.write("[window]\n")
-        out.write(f"kind = {self.window_kind}\n")
-        out.write(f"T = {fmt(self.window_T)}\n\n")
-        out.write("[scan]\n")
-        out.write(f"x_values = {fmt(self.x_values)}\n")
-        out.write(f"t_values = {fmt(self.t_values)}\n\n")
-        out.write("[checks]\n")
-        out.write(f"sum_rule_rel_err = {fmt(self.sum_rule_rel_err)}\n")
-        out.write(f"derivative_rel_err = {fmt(self.derivative_rel_err)}\n")
-        out.write(f"conservation_tol = {fmt(self.conservation_tol)}\n")
-        out.write(f"epsilon_windows = {fmt(self.epsilon_windows)}\n")
-        return out.getvalue()
+        blocks = []
+        for section, rows in itertools.groupby(_SETTINGS, key=lambda row: row[0]):
+            lines = [f"[{section}]"]
+            for _, key, name, _ in rows:
+                value = getattr(self, name) if name else SCHEMA_VERSION
+                lines.append(f"{key} = {fmt(value)}")
+            blocks.append("\n".join(lines) + "\n")
+        return "\n".join(blocks)
 
 
-def _parse_tuple(text: str, cast):
-    parts = [p.strip() for p in text.replace(",", " ").split()]
-    return tuple(cast(p) for p in parts if p)
-
-
-def _number(valid, what: str):  # a float parser; nan fails every ``valid``
-    def cast(text: str) -> float:
-        value = float(text)
+def _number(valid, what: str, cast=float):  # nan fails every ``valid``
+    def parse(text: str):
+        value = cast(text)
         if not valid(value):
             raise ValueError(f"{text!r} is not {what}")
         return value
-    return cast
+    return parse
+
+
+def _choice(*allowed: str):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"{text!r} is not one of {', '.join(allowed)}")
+        return text
+    return parse
+
+
+def _values(parse, empty_ok: bool = False):  # comma- or space-separated
+    def parse_all(text: str) -> tuple:
+        values = tuple(parse(p) for p in text.replace(",", " ").split())
+        if not (values or empty_ok):
+            raise ValueError("the list is empty")
+        return values
+    return parse_all
 
 
 _finite = _number(math.isfinite, "finite")
@@ -124,71 +113,75 @@ _positive = _number(lambda v: math.isfinite(v) and v > 0, "finite and positive")
 _tolerance = _number(lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
 _window_width = _number(lambda v: v > 0, "positive")  # inf is an unbounded window
 
+# Every config key, once: (section, key, ExperimentConfig field, parser).  The
+# parser holds the key's checks; the defaults are the fields'.  canonical_text
+# renders the keys in this order.  schema_version has no field: only
+# SCHEMA_VERSION parses.
+_SETTINGS = (
+    ("run", "schema_version", None,
+     _number(lambda v: v == SCHEMA_VERSION, f"the supported version {SCHEMA_VERSION}", int)),
+    ("run", "label", "label", str),
+    ("model", "kind", "model_kind", _choice("xx", "xxz", "fermion")),
+    ("model", "lambda_aniso", "lambda_aniso", _finite),
+    ("model", "t_hop", "t_hop", _finite),
+    ("model", "v", "v", _values(_finite, empty_ok=True)),
+    ("chain", "n_sites", "n_sites", _number(lambda v: v >= 2, "at least 2", int)),
+    ("chain", "boundary", "boundary", _choice("periodic", "open")),
+    ("bias", "beta", "beta", _positive),
+    ("bias", "lambda", "lam", _finite),
+    ("geometry", "M", "M", int),
+    ("geometry", "L", "L", int),
+    ("window", "kind", "window_kind", _choice("hann", "truncated_gaussian")),
+    ("window", "T", "window_T", _positive),
+    ("scan", "x_values", "x_values", _values(int)),
+    ("scan", "t_values", "t_values", _values(_finite)),
+    ("checks", "sum_rule_rel_err", "sum_rule_rel_err", _tolerance),
+    ("checks", "derivative_rel_err", "derivative_rel_err", _tolerance),
+    ("checks", "conservation_tol", "conservation_tol", _tolerance),
+    ("checks", "epsilon_windows", "epsilon_windows", _values(_window_width)),
+)
+
 
 def parse_config(text: str, env: dict | None = None) -> ExperimentConfig:
-    """Parse INI text, apply NESSLAB_<SECTION>__<KEY> environment overrides."""
+    """Parse INI text, apply NESSLAB_<SECTION>__<KEY> environment overrides.
+
+    A section or key that is not in ``_SETTINGS`` is a ConfigError, whether it
+    comes from the text, its [DEFAULT] section or an override.
+    """
     env = dict(os.environ) if env is None else env
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no default section: [DEFAULT] is one more unknown section; no
+    # interpolation: a value is its literal text
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   default_section="", interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    for key, value in env.items():
-        if not key.startswith(ENV_PREFIX) or "__" not in key:
+    given = {(section, key): raw for section in cp.sections() for key, raw in cp.items(section)}
+    for name, raw in env.items():
+        if name.startswith(ENV_PREFIX) and "__" in name:
+            section, key = name[len(ENV_PREFIX):].lower().split("__", 1)
+            given[section, key] = raw
+
+    known = {(section, key.lower()) for section, key, _, _ in _SETTINGS}
+    for section, key in given:
+        if (section, key) not in known:
+            raise ConfigError(f"unknown config key [{section}] {key}")
+    for section in cp.sections():
+        if section not in {s for s, _ in known}:
+            raise ConfigError(f"unknown config section [{section}]")
+    values = {}
+    for section, key, name, parse in _SETTINGS:
+        raw = given.get((section, key.lower()))
+        if raw is None:
             continue
-        section, option = key[len(ENV_PREFIX):].split("__", 1)
-        section, option = section.lower(), option.lower()
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, option, value)
-
-    def get(section, option, cast, default):
-        if not cp.has_option(section, option):
-            return default
-        raw = cp.get(section, option)
         try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for [{section}] {option}: {raw!r}") from exc
-
-    version = get("run", "schema_version", int, SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}")
-    cfg = ExperimentConfig(
-        label=get("run", "label", str, "experiment"),
-        seed=get("run", "seed", int, 0),
-        model_kind=get("model", "kind", str, "xx"),
-        lambda_aniso=get("model", "lambda_aniso", _finite, 0.0),
-        t_hop=get("model", "t_hop", _finite, 1.0),
-        v=get("model", "v", lambda s: _parse_tuple(s, _finite), (0.5,)),
-        n_sites=get("chain", "n_sites", int, 12),
-        boundary=get("chain", "boundary", str, "periodic"),
-        beta=get("bias", "beta", _positive, 1.0),
-        lam=get("bias", "lambda", _finite, 0.5),
-        M=get("geometry", "m", int, 3),
-        L=get("geometry", "l", int, 7),
-        window_kind=get("window", "kind", str, "hann"),
-        window_T=get("window", "t", _positive, 2.0),
-        x_values=get("scan", "x_values", lambda s: _parse_tuple(s, int), (3, 4, 5)),
-        t_values=get("scan", "t_values", lambda s: _parse_tuple(s, _finite),
-                     (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
-        sum_rule_rel_err=get("checks", "sum_rule_rel_err", _tolerance, 0.05),
-        derivative_rel_err=get("checks", "derivative_rel_err", _tolerance, 0.10),
-        conservation_tol=get("checks", "conservation_tol", _tolerance, 1e-12),
-        epsilon_windows=get("checks", "epsilon_windows",
-                            lambda s: _parse_tuple(s, _window_width), (0.2, 0.5, 1.0)),
-    )
-    if not (cfg.x_values and cfg.t_values and cfg.epsilon_windows):
-        raise ConfigError("x_values, t_values and epsilon_windows must not be empty")
-    if cfg.n_sites < 2:
-        raise ConfigError(f"[chain] n_sites must be >= 2, got {cfg.n_sites}")
-    if cfg.model_kind not in ("xx", "xxz", "fermion"):
-        raise ConfigError(f"unknown model kind {cfg.model_kind!r}")
-    if cfg.boundary not in ("periodic", "open"):
-        raise ConfigError(f"unknown boundary {cfg.boundary!r}")
-    if cfg.window_kind not in ("hann", "truncated_gaussian"):
-        raise ConfigError(f"unknown window kind {cfg.window_kind!r}")
-    return cfg
+            value = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+        if name:
+            values[name] = value
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str, env: dict | None = None) -> ExperimentConfig:
@@ -243,6 +236,8 @@ class _Workspace:
             self.phi, self.spec = models.build_xxz_model(cfg.lambda_aniso)
         else:
             self.phi, self.spec = models.build_fermion_model(cfg.t_hop, list(cfg.v))
+        if not self.phi.max_term_norm() > 0:
+            raise PreconditionError("every term of the interaction is zero; there are no dynamics")
         self.chain = ChainConfig(cfg.n_sites, self.phi.site_dim, cfg.boundary)
         self.geom = models.CurrentGeometry(L=cfg.L, M=cfg.M, r=self.phi.r)
         # fail fast: validate the full geometry before any diagonalization
@@ -296,7 +291,7 @@ def _cmd_build(ws: _Workspace, out: str) -> int:
         "interaction": json.loads(models.interaction_to_json(ws.phi)),
     }
     _write_json(os.path.join(out, "build.json"), doc)
-    if residual > cfg.conservation_tol:
+    if not residual <= cfg.conservation_tol:
         raise NumericalCheckError(
             f"conservation residual {residual:.3e} exceeds {cfg.conservation_tol}"
         )
@@ -312,7 +307,7 @@ def _cmd_verify_lr(ws: _Workspace, out: str) -> int:
     rows = lr_scan(ws.phi, sz, sz, list(ws.cfg.x_values), list(ws.cfg.t_values), ws.chain)
     _atomic_write(os.path.join(out, "lr_scan.csv"), lr_scan_csv(rows))
     live = [r for r in rows if not r.excluded]
-    violations = [r for r in live if r.empirical > r.bound]
+    violations = [r for r in live if not r.empirical <= r.bound]
     _write_json(os.path.join(out, "lr_summary.json"), {
         "points": len(rows),
         "excluded": len(rows) - len(live),
@@ -341,7 +336,7 @@ def _cmd_sumrule(ws: _Workspace, out: str) -> int:
     _atomic_write(os.path.join(out, "c_curve.csv"), "\n".join(lines) + "\n")
     res = sum_rule_check(state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain, kernel=kernel)
     _write_json(os.path.join(out, "sumrule.json"), res)
-    if res["rel_err"] > ws.cfg.sum_rule_rel_err:
+    if not res["rel_err"] <= ws.cfg.sum_rule_rel_err:
         raise NumericalCheckError(
             f"sum-rule rel_err {res['rel_err']:.4f} exceeds {ws.cfg.sum_rule_rel_err}"
         )
@@ -358,7 +353,7 @@ def _cmd_spectral(ws: _Workspace, out: str) -> int:
     )
     state = ws.state()
     report = ws.report()
-    if report.symmetry_residual > 1e-10:
+    if not report.symmetry_residual <= 1e-10:
         raise PreconditionError(
             "state breaks the charge symmetry; the symmetric-branch identity "
             "does not apply (symmetry-breaking branch is out of scope)"
@@ -373,7 +368,7 @@ def _cmd_spectral(ws: _Workspace, out: str) -> int:
     diag = singularity_diagnostic(sf, list(ws.cfg.epsilon_windows),
                                   z_halfwidth=max(1, ws.geom.M - ws.phi.r))
     _write_json(os.path.join(out, "singularity.json"), diag)
-    if not diag["no_current"] and res["rel_err"] > ws.cfg.derivative_rel_err:
+    if not (diag["no_current"] or res["rel_err"] <= ws.cfg.derivative_rel_err):
         raise NumericalCheckError(
             f"derivative-check rel_err {res['rel_err']:.4f} exceeds "
             f"{ws.cfg.derivative_rel_err}"

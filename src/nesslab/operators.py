@@ -234,11 +234,11 @@ def translate_global(G: np.ndarray, x: int, chain: ChainConfig) -> np.ndarray:
     return G[np.ix_(tinv, tinv)]
 
 
-def extract_local(G: np.ndarray, support, chain: ChainConfig, verify_tol: float | None = 1e-12) -> LocalOperator:
+def extract_local(G: np.ndarray, support, chain: ChainConfig) -> LocalOperator:
     """Reduce a full-chain operator to a LocalOperator on ``support``.
 
-    Requires G to act as identity outside the support; with ``verify_tol`` set,
-    raises if the reduction does not reproduce G to that tolerance.
+    Requires G to act as identity outside the support: raises if the reduction
+    does not reproduce G to 1e-12 relative to max(1, ||G||_F).
     """
     support = tuple(sorted(int(s) for s in support))
     g = _global_indices(support, chain)
@@ -246,13 +246,10 @@ def extract_local(G: np.ndarray, support, chain: ChainConfig, verify_tol: float 
     block = G[g[:, None, :], g[None, :, :]]  # (mS, mS, mR)
     coeffs = block.sum(axis=2) / mR
     op = LocalOperator(support, coeffs)
-    if verify_tol is not None:
-        dev = np.linalg.norm(embed(op, chain) - G)
-        scale = max(1.0, np.linalg.norm(G))
-        if dev > verify_tol * scale:
-            raise PreconditionError(
-                f"operator is not supported on {support}: residual {dev:.3e}"
-            )
+    dev = np.linalg.norm(embed(op, chain) - G)
+    scale = max(1.0, np.linalg.norm(G))
+    if dev > 1e-12 * scale:
+        raise PreconditionError(f"operator is not supported on {support}: residual {dev:.3e}")
     return op
 
 

@@ -26,11 +26,10 @@ CURRENT_THRESHOLD = 1e-6  # |<j_0>| a steady state must exceed to count as curre
 
 @dataclass(frozen=True)
 class BiasSpec:
-    """Inverse temperature plus a current bias along a conserved operator."""
+    """Inverse temperature plus a current bias along the total current."""
 
     beta: float
     lam: float = 0.0
-    conserved_op: str = "total_current"
 
     def __post_init__(self):
         if not (self.beta > 0 and math.isfinite(self.beta)):
@@ -47,6 +46,8 @@ class StationaryState:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < -1e-15):
             raise ValueError("probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -95,19 +96,22 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
     if not chain.periodic:
         raise PreconditionError("biased Gibbs construction requires a periodic chain")
     H = models.hamiltonian(phi, chain, sparse=True)
-    if bias.conserved_op == "total_current":
-        J = models.total_current(phi, spec, chain, sparse=True)
-    else:
-        J = sp.csr_matrix(bias.conserved_op)
+    J = models.total_current(phi, spec, chain, sparse=True)
     scale = max(1.0, sp.linalg.norm(H))
     comm_res = sp.linalg.norm(H @ J - J @ H)
-    if comm_res > COMMUTE_TOL * scale:
+    if not comm_res <= COMMUTE_TOL * scale:
         raise PreconditionError(
             f"bias operator does not commute with H (residual {comm_res:.3e}); "
             "the biased ensemble would not be stationary"
         )
     basis = joint_spectrum(H, chain, bias=J)
-    logw = -bias.beta * (basis.energies - bias.lam * basis.bias_values)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        logw = -bias.beta * (basis.energies - bias.lam * basis.bias_values)
+    if not np.all(np.isfinite(logw)):
+        raise NumericalCheckError(
+            f"the weights exp(-beta (E - lambda J)) overflow at beta = {bias.beta!r}, "
+            f"lambda = {bias.lam!r}"
+        )
     logw -= logw.max()
     p = np.exp(logw)
     p /= p.sum()
@@ -122,7 +126,7 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
     )
     stat = state.stationarity_residual(H)
     trans = state.translation_residual()
-    if stat > RESIDUAL_TOL or trans > RESIDUAL_TOL:
+    if not (stat <= RESIDUAL_TOL and trans <= RESIDUAL_TOL):
         raise NumericalCheckError(
             f"constructed state violates residual tolerances: [rho,H] {stat:.2e}, "
             f"[rho,T] {trans:.2e}"
@@ -162,7 +166,7 @@ def verify_ness(state: StationaryState, phi: models.Interaction,
         trans = state.translation_residual()
     j0 = models.current_local(phi, spec, chain)
     current = state.expect(j0)
-    if abs(current.imag) > 1e-10:
+    if not abs(current.imag) <= 1e-10:
         raise NumericalCheckError(f"current expectation came out complex: {current}")
     N_tot = models.charge_sparse(spec, (0, chain.n_sites - 1), chain)
     sym = state.commutant_residual(N_tot)

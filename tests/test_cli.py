@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -42,6 +43,46 @@ epsilon_windows = 0.2, 0.5
 """
 
 
+# canonical_text() of SMALL_CONFIG: every key once, in table order
+SMALL_CANONICAL = """\
+[run]
+schema_version = 1
+label = clitest
+
+[model]
+kind = xx
+lambda_aniso = 0.0
+t_hop = 1.0
+v = 0.5
+
+[chain]
+n_sites = 8
+boundary = periodic
+
+[bias]
+beta = 1.0
+lambda = 0.5
+
+[geometry]
+M = 2
+L = 4
+
+[window]
+kind = hann
+T = 1.5
+
+[scan]
+x_values = 3
+t_values = 0.0, 0.2
+
+[checks]
+sum_rule_rel_err = 0.05
+derivative_rel_err = 0.1
+conservation_tol = 1e-12
+epsilon_windows = 0.2, 0.5
+"""
+
+
 @pytest.fixture(scope="module")
 def small_cfg_path(tmp_path_factory):
     p = tmp_path_factory.mktemp("cfg") / "small.ini"
@@ -63,6 +104,15 @@ class TestConfig:
         again = cli.parse_config(text, env={})
         assert again == cfg
         assert again.canonical_text() == text
+
+    def test_canonical_text_golden(self):
+        assert cli.parse_config(SMALL_CONFIG, env={}).canonical_text() == SMALL_CANONICAL
+
+    def test_readme_example_parses(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        example = open(readme, encoding="utf-8").read().split("```ini\n")[1].split("```")[0]
+        cfg = cli.parse_config(example, env={})
+        assert cfg.label == "acceptance" and cfg.n_sites == 12
 
     def test_resolved_scan_section(self):
         # the resolved config lists only the scan options the pipeline reads
@@ -190,6 +240,40 @@ class TestSubcommands:
         err = json.loads(open(os.path.join(out, "error.json")).read())
         assert err["error"] == "config"
         assert not os.path.exists(os.path.join(out, "config.resolved.ini"))
+
+    @pytest.mark.parametrize("text, env, named", [
+        (SMALL_CONFIG.replace("n_sites = 8", "n_site = 8"), {}, "[chain] n_site"),
+        (SMALL_CONFIG + "\n[chains]\nn_sites = 8\n", {}, "[chains] n_sites"),
+        ("[DEFAULT]\nbeta = 2.0\n\n" + SMALL_CONFIG, {}, "[DEFAULT] beta"),
+        (SMALL_CONFIG, {"NESSLAB_SCAN__X_VALUE": "9"}, "[scan] x_value"),
+    ], ids=["typo_key", "unknown_section", "default_key", "unknown_override"])
+    def test_exit_code_unknown_key(self, tmp_path, monkeypatch, text, env, named):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(text)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = str(tmp_path / "typo")
+        assert cli.main(["ness", "--config", str(cfg), "--out", out]) == 2
+        err = json.loads(open(os.path.join(out, "error.json")).read())
+        assert err["error"] == "config" and named in err["message"]
+        assert not os.path.exists(os.path.join(out, "config.resolved.ini"))
+
+    @pytest.mark.parametrize("env, code, kind", [
+        # exp(-beta (E - lambda J)) overflows: no NaN may reach an artifact
+        ({"NESSLAB_BIAS__BETA": "1e308"}, 4, "numerical-check"),
+        ({"NESSLAB_BIAS__LAMBDA": "1e308"}, 4, "numerical-check"),
+        ({"NESSLAB_MODEL__KIND": "fermion", "NESSLAB_MODEL__T_HOP": "0",
+          "NESSLAB_MODEL__V": "0"}, 3, "precondition"),
+    ], ids=["beta_overflow", "lambda_overflow", "zero_interaction"])
+    def test_exit_code_degenerate_input(self, small_cfg_path, tmp_path, monkeypatch,
+                                        env, code, kind):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = str(tmp_path / "degenerate")
+        assert cli.main(["all", "--config", small_cfg_path, "--out", out]) == code
+        assert json.loads(open(os.path.join(out, "error.json")).read())["error"] == kind
+        for name in os.listdir(out):
+            assert not re.search(r"\bnan\b", open(os.path.join(out, name)).read(), re.I), name
 
     def test_exit_code_self_check(self, small_cfg_path, tmp_path, monkeypatch):
         # a failed internal residual check is a numerical-check failure, not a crash

@@ -460,15 +460,6 @@ class TestSerialization:
             assert np.array_equal(m1, m2)  # bit-exact binary64 round trip
         assert nl.interaction_to_json(back) == text
 
-    def test_charge_round_trip(self, xx_model):
-        _, spec = xx_model
-        from nesslab.models import charge_from_json, charge_to_json
-
-        text = charge_to_json(spec)
-        back = charge_from_json(text)
-        assert np.array_equal(back.n0, spec.n0)
-        assert charge_to_json(back) == text
-
     def test_unknown_schema(self):
         with pytest.raises(ValueError):
             nl.interaction_from_json('{"schema": "other/9"}')

@@ -199,6 +199,10 @@ class TestSummary:
         basis = xx10_state.basis
         with pytest.raises(ValueError):
             StationaryState(basis=basis, probs=np.full(len(basis.energies), 0.5))
+        nan = np.zeros(len(basis.energies))
+        nan[:2] = np.nan, 1.0  # sums to nan, which no comparison refuses
+        with pytest.raises(ValueError):
+            StationaryState(basis=basis, probs=nan)
 
     def test_row_order_survives_degenerate_rounding(self, xx_model, rng):
         # an eigensolver that returns the same levels 1e-15 apart, with its
