@@ -82,7 +82,7 @@ class ExperimentConfig:
         return "\n".join(blocks)
 
 
-def _number(valid, what: str, cast=float):  # nan fails every ``valid``
+def _checked(valid, what: str, cast=float):  # nan fails every ``valid``
     def parse(text: str):
         value = cast(text)
         if not valid(value):
@@ -108,10 +108,12 @@ def _values(parse, empty_ok: bool = False):  # comma- or space-separated
     return parse_all
 
 
-_finite = _number(math.isfinite, "finite")
-_positive = _number(lambda v: math.isfinite(v) and v > 0, "finite and positive")
-_tolerance = _number(lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
-_window_width = _number(lambda v: v > 0, "positive")  # inf is an unbounded window
+_finite = _checked(math.isfinite, "finite")
+_positive = _checked(lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_tolerance = _checked(lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
+_window_width = _checked(lambda v: v > 0, "positive")  # inf is an unbounded window
+_label = _checked(lambda v: v == v.strip() and not set(v) & set(";#\r\n"),  # written back as is
+                 "free of ';', '#', line breaks and outer whitespace", str)
 
 # Every config key, once: (section, key, ExperimentConfig field, parser).  The
 # parser holds the key's checks; the defaults are the fields'.  canonical_text
@@ -119,13 +121,13 @@ _window_width = _number(lambda v: v > 0, "positive")  # inf is an unbounded wind
 # SCHEMA_VERSION parses.
 _SETTINGS = (
     ("run", "schema_version", None,
-     _number(lambda v: v == SCHEMA_VERSION, f"the supported version {SCHEMA_VERSION}", int)),
-    ("run", "label", "label", str),
+     _checked(lambda v: v == SCHEMA_VERSION, f"the supported version {SCHEMA_VERSION}", int)),
+    ("run", "label", "label", _label),
     ("model", "kind", "model_kind", _choice("xx", "xxz", "fermion")),
     ("model", "lambda_aniso", "lambda_aniso", _finite),
     ("model", "t_hop", "t_hop", _finite),
     ("model", "v", "v", _values(_finite, empty_ok=True)),
-    ("chain", "n_sites", "n_sites", _number(lambda v: v >= 2, "at least 2", int)),
+    ("chain", "n_sites", "n_sites", _checked(lambda v: v >= 2, "at least 2", int)),
     ("chain", "boundary", "boundary", _choice("periodic", "open")),
     ("bias", "beta", "beta", _positive),
     ("bias", "lambda", "lam", _finite),
@@ -181,7 +183,11 @@ def parse_config(text: str, env: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
         if name:
             values[name] = value
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    for name, kind in (("lambda_aniso", "xxz"), ("t_hop", "fermion"), ("v", "fermion")):
+        if cfg.model_kind != kind and getattr(cfg, name) != getattr(ExperimentConfig, name):
+            raise ConfigError(f"[model] {name} is read only by kind = {kind}, not {cfg.model_kind}")
+    return cfg
 
 
 def load_config(path: str, env: dict | None = None) -> ExperimentConfig:

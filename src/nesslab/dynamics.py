@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .errors import PreconditionError
-from .operators import (ChainConfig, LocalOperator, _global_indices, comm_norm, embed,
-                        embed_sparse, embedded_entries, operator_norm, translate)
+from .operators import (ChainConfig, LocalOperator, _global_indices, comm_norm,
+                        connected_components, embed, embed_sparse, embedded_entries,
+                        operator_norm, translate)
 from . import models
 from .spectral import JointBasis, empirical_velocity
 
@@ -142,7 +142,7 @@ def _half_block_groups(sectors, labels, pos, ck, ops, chain: ChainConfig, fold: 
     (G1, cols1, T1), (G2, cols2, T2) = (_sector_isometries(sectors, labels, pos, op, chain)
                                         for op in ops)
     S_A = sp.csr_matrix((np.ones(len(ck)), (ck[:, 0], ck[:, 1])), shape=(len(sectors),) * 2)
-    n_grp, glabels = csgraph.connected_components(S_A + T1 @ T1.T + T2 @ T2.T, directed=False)
+    n_grp, glabels = connected_components(S_A + T1 @ T1.T + T2 @ T2.T)
     maps = [_reversal_map(op, chain) for op in ops] if fold else None
     groups = []
     for g in range(n_grp):
@@ -165,51 +165,54 @@ def _half_block_groups(sectors, labels, pos, ck, ops, chain: ChainConfig, fold: 
 
 
 def _fold_plan(J1, J2, maps) -> tuple:
-    """(C, PC, sC, w): with rows J1 (one per F orbit) and columns J2, the F blocks
-    in an orthonormal F-adapted basis are (X[:, C] + e sC X[:, PC]) * w[i], e = +1, -1;
+    """(C, PC, sC, w): with rows J1 (one per F orbit) and columns J2, the F blocks in an
+    orthonormal F-adapted basis are (X[:, C] + e sC X[:, PC]) * outer(*w[i]), e = +1, -1;
     a row or column that F fixes weighs 1/sqrt(2), a fixed row of the other sign 0."""
     (pi1, s1), (pi2, s2) = maps
     C = np.flatnonzero(J2 <= pi2[J2])
     PC = np.searchsorted(J2, pi2[J2[C]])
     fixed1, fixed2 = pi1[J1] == J1, PC == C
-    w = [np.outer(np.where(fixed1, math.sqrt(0.5) * (s1[J1] == e), 1.0),
-                  np.where(fixed2, math.sqrt(0.5), 1.0)) for e in (1.0, -1.0)]
-    return C, PC, s2[J2[C]], w if fixed1.any() or fixed2.any() else (1.0, 1.0)
+    w = [(np.where(fixed1, math.sqrt(0.5) * (s1[J1] == e), 1.0),
+          np.where(fixed2, math.sqrt(0.5), 1.0)) for e in (1.0, -1.0)]
+    return C, PC, s2[J2[C]], w
 
 
 def _clusters(halves: dict, n_sectors: int) -> list:
-    """[(pairs, {x: groups})], one per cluster: the union of the sector sets of
-    every group at every separation, so one cluster's blocks of A and its
-    propagators serve all of its groups.  ``pairs`` lists the blocks of A the
-    groups use; a group without pairs is zero and is left out."""
+    """One {(c, k): [(i, x, group, rows, cols)]} per cluster (the union of the sector
+    sets of every group at every separation): the groups i that use each block of A,
+    keyed in ``ck`` order.  A group without pairs is zero and is left out."""
     grouped = [(x, g, sorted({s for c, k, _, _ in g[1] for s in (c, k)}))
                for x, (_, _, groups) in halves.items() for g in groups if g[1]]
     edges = np.array([(S[0], s) for _, _, S in grouped for s in S], dtype=np.int64).reshape(-1, 2)
-    label = csgraph.connected_components(sp.csr_matrix(
-        (np.ones(len(edges)), edges.T), shape=(n_sectors, n_sectors)), directed=False)[1]
+    label = connected_components(sp.csr_matrix(
+        (np.ones(len(edges)), edges.T), shape=(n_sectors, n_sectors)))[1]
     clusters = {}
-    for x, g, S in grouped:
-        pairs, members = clusters.setdefault(label[S[0]], (set(), {}))
-        pairs.update((c, k) for c, k, _, _ in g[1])
-        members.setdefault(x, []).append(g)
-    return [(sorted(pairs), members) for pairs, members in clusters.values()]
+    for i, (x, g, S) in enumerate(grouped):
+        uses = clusters.setdefault(label[S[0]], {})
+        for c, k, rows, cols in g[1]:
+            uses.setdefault((c, k), []).append((i, x, g, rows, cols))
+    return [dict(sorted(uses.items())) for uses in clusters.values()]
 
 
-def _group_sigma_max(group, G1, G2, P, PM) -> float:
-    """Largest singular value of one group of the half block (of its two F blocks
-    if folded), each from the smaller of its two Gram matrices."""
-    shape, pairs, plan = group
-    X = np.zeros(shape, dtype=np.complex128)
-    right = {k: (G2[k] @ P[k]).conj().T for k in {k for _, k, _, _ in pairs}}
-    for c, k, rows, cols in pairs:
-        X[np.ix_(rows, cols)] += (G1[c] @ PM[c, k]) @ right[k]
-    blocks = [X]
+def _group_sigma_max(acc: dict, key, plan) -> float:
+    """Largest singular value of the half block ``acc.pop(key)`` (of its two F blocks,
+    formed in place of its column halves, if folded), from the smaller Gram matrices."""
+    blocks = [acc.pop(key)]
     if plan is not None:
         C, PC, sC, w = plan
-        blocks = [(X[:, C] + e * sC * X[:, PC]) * we for e, we in zip((1.0, -1.0), w)]
-    grams = [Z @ Z.conj().T if Z.shape[0] <= Z.shape[1] else Z.conj().T @ Z for Z in blocks]
-    del X, blocks, right  # release the half block before eigvalsh allocates its workspace
-    return math.sqrt(max(max(float(np.linalg.eigvalsh(g)[-1]) for g in grams), 0.0))
+        XC, XP = blocks[0][:, C], blocks.pop()[:, PC]  # the half block goes with the pop
+        XP *= sC
+        blocks = [XC + XP, np.subtract(XC, XP, out=XC)]
+        XC = XP = None
+        for Z, we in zip(blocks, w):
+            Z *= np.outer(*we)
+    tops = []
+    while blocks:  # each block goes once its Gram matrix is formed
+        Z = blocks.pop(0)
+        g = Z @ Z.conj().T if Z.shape[0] <= Z.shape[1] else Z.conj().T @ Z
+        Z = None
+        tops.append(float(np.linalg.eigvalsh(g)[-1]))
+    return math.sqrt(max(max(tops), 0.0))
 
 
 def _local_comm_norm(A: LocalOperator, B: LocalOperator, site_dim: int) -> float:
@@ -272,19 +275,27 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
         for x in x_values}
 
     sigmas = {(x, t): [] for t in ts if t != 0.0 for x in live[t]}
-    for pairs, members in _clusters(halves, len(sectors)):
-        A_eig = {(c, k): M for c, k, M in ctx.blocks(A_sp, pairs)}
-        used = sorted({s for pair in pairs for s in pair})
-        for t in ts:
-            if t == 0.0 or not live[t]:
-                continue
-            P = PM = None  # release the previous time's blocks before building these
-            P = {c: sectors[c].propagator(t) for c in used}
-            PM = {(c, k): P[c] @ M for (c, k), M in A_eig.items()}
-            for x in live[t]:
-                G1, G2, _ = halves[x]
-                sigmas[x, t] += [_group_sigma_max(g, G1, G2, P, PM) for g in members.get(x, ())]
-        A_eig = P = PM = None
+    for uses in _clusters(halves, len(sectors)):
+        A_eig = list(ctx.blocks(A_sp, list(uses)))
+        for t in sorted({t for _, t in sigmas}):
+            acc = {}  # half blocks of the groups between their first and last pair
+            for c, k, M in A_eig:
+                users = [u for u in uses[c, k] if u[1] in live[t]]
+                if not users:
+                    continue
+                P = sectors[c].propagator(t)
+                PM = P @ M
+                P = P if k == c else sectors[k].propagator(t)
+                for i, x, (shape, group_pairs, plan), rows, cols in users:
+                    np.conjugate(R := halves[x][1][k] @ P, out=R)
+                    if i not in acc:
+                        acc[i] = np.zeros(shape, dtype=np.complex128)
+                    acc[i][np.ix_(rows, cols)] += (halves[x][0][c] @ PM) @ R.T
+                    R = None
+                    if group_pairs[-1][:2] == (c, k):
+                        sigmas[x, t].append(_group_sigma_max(acc, i, plan))
+                P = PM = None  # release this pair's blocks before building the next
+        A_eig = None
 
     rows = []
     for t in ts:

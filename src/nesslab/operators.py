@@ -83,10 +83,6 @@ class LocalOperator:
             if dev > HERMITICITY_TOL * max(1.0, np.linalg.norm(c)):
                 raise ValueError(f"operator flagged hermitian deviates by {dev:.3e}")
 
-    @property
-    def n_support(self) -> int:
-        return len(self.support)
-
     def width(self) -> int:
         """Number of sites in the support hull (diameter + 1)."""
         return self.support[-1] - self.support[0] + 1
@@ -166,6 +162,24 @@ def embed_sparse(op: LocalOperator, chain: ChainConfig) -> sp.csr_matrix:
     rows, cols, data = embedded_entries(op, chain)
     D = chain.dim
     return sp.coo_matrix((data, (rows, cols)), shape=(D, D)).tocsr()
+
+
+def sparse_fro_norm(A) -> np.float64:
+    """||A||_F of a sparse matrix, as scipy.sparse.linalg.norm: duplicates summed in place."""
+    A.sum_duplicates()
+    return np.linalg.norm(A.data)
+
+
+def connected_components(graph) -> tuple:
+    """(count, labels) of the undirected graph of a sparse matrix's stored entries, numbered
+    by smallest vertex as in scipy's csgraph: roots hook onto their smallest neighbour root."""
+    g, parent = graph.tocoo(), np.arange(graph.shape[0])
+    while not np.array_equal(a := parent[g.row], b := parent[g.col]):
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    roots, labels = np.unique(parent, return_inverse=True)
+    return len(roots), labels
 
 
 def _digit_permutation_matrix(perm, d: int) -> np.ndarray:

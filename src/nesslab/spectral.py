@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .errors import NumericalCheckError, PreconditionError
-from .operators import ChainConfig, LocalOperator, embed_sparse, shift_index_map, shift_unitary
+from .operators import (ChainConfig, LocalOperator, connected_components, embed_sparse,
+                        shift_index_map, shift_unitary, sparse_fro_norm)
 from . import models
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -70,7 +70,7 @@ def _certify(H: sp.csr_matrix, energies: np.ndarray, vectors: np.ndarray) -> Non
     """Refuse the eigenpairs of one block unless ||H W - W E||_F <= 1e-10 max(1, ||H||_F);
     for unitary W this equals ||H - W E W^H||_F and costs one sparse product."""
     res = np.linalg.norm(H @ vectors - vectors * energies)
-    if res > 1e-10 * max(1.0, sp.linalg.norm(H)):
+    if res > 1e-10 * max(1.0, sparse_fro_norm(H)):
         raise NumericalCheckError(f"eigendecomposition residual {res:.3e} too large")
 
 
@@ -129,7 +129,7 @@ class JointBasis:
         an interaction that conserves nothing.  Each gets one certified eigh.
         """
         H = models.hamiltonian(phi, chain, sparse=True)
-        n_comp, comp = csgraph.connected_components(abs(H), directed=False)
+        n_comp, comp = connected_components(abs(H))
         parts = []
         for idx in (np.flatnonzero(comp == c) for c in range(n_comp)):
             H_c = H[idx][:, idx]
@@ -246,7 +246,7 @@ def joint_spectrum(H, chain: ChainConfig, bias=None) -> JointBasis:
     H_sp = _as_sparse(H, chain)
     T = shift_unitary(chain)
     scale = max(1.0, abs(H_sp).max() if H_sp.nnz else 0.0)
-    res = float(sp.linalg.norm(H_sp @ T - T @ H_sp))
+    res = float(sparse_fro_norm(H_sp @ T - T @ H_sp))
     if res > COMMUTE_TOL * scale * chain.dim**0.5:
         raise PreconditionError(
             f"[H, T] residual {res:.3e} exceeds tolerance; H is not translation invariant"
@@ -256,7 +256,7 @@ def joint_spectrum(H, chain: ChainConfig, bias=None) -> JointBasis:
     if bias is not None:
         bias_sp = _as_sparse(bias, chain)
         graph = graph + abs(bias_sp)
-    n_comp, comp = csgraph.connected_components(graph, directed=False)
+    n_comp, comp = connected_components(graph)
 
     orbits = [[] for _ in range(n_comp)]
     for orbit in translation_orbits(chain):

@@ -13,10 +13,9 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalCheckError, PreconditionError
-from .operators import ChainConfig, shift_unitary
+from .operators import ChainConfig, shift_unitary, sparse_fro_norm
 from . import models
 from .spectral import COMMUTE_TOL, JointBasis, joint_spectrum
 
@@ -97,8 +96,8 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
         raise PreconditionError("biased Gibbs construction requires a periodic chain")
     H = models.hamiltonian(phi, chain, sparse=True)
     J = models.total_current(phi, spec, chain, sparse=True)
-    scale = max(1.0, sp.linalg.norm(H))
-    comm_res = sp.linalg.norm(H @ J - J @ H)
+    scale = max(1.0, sparse_fro_norm(H))
+    comm_res = sparse_fro_norm(H @ J - J @ H)
     if not comm_res <= COMMUTE_TOL * scale:
         raise PreconditionError(
             f"bias operator does not commute with H (residual {comm_res:.3e}); "

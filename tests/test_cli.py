@@ -105,6 +105,18 @@ class TestConfig:
         assert again == cfg
         assert again.canonical_text() == text
 
+    @pytest.mark.parametrize("env", [
+        {"NESSLAB_RUN__LABEL": "run 2 = [x], 'naive' caf\u00e9"},
+        {"NESSLAB_RUN__LABEL": ""},
+        {"NESSLAB_MODEL__KIND": "xxz", "NESSLAB_MODEL__LAMBDA_ANISO": "0.7"},
+        {"NESSLAB_MODEL__KIND": "fermion", "NESSLAB_MODEL__T_HOP": "0.3",
+         "NESSLAB_MODEL__V": "0.1 -0.2"},
+    ], ids=["label", "empty_label", "xxz", "fermion"])
+    def test_canonical_text_parses_back(self, env):
+        # config.resolved.ini names the run that was made
+        cfg = cli.parse_config(SMALL_CONFIG, env=env)
+        assert cli.parse_config(cfg.canonical_text(), env={}) == cfg
+
     def test_canonical_text_golden(self):
         assert cli.parse_config(SMALL_CONFIG, env={}).canonical_text() == SMALL_CANONICAL
 
@@ -256,6 +268,33 @@ class TestSubcommands:
         assert cli.main(["ness", "--config", str(cfg), "--out", out]) == 2
         err = json.loads(open(os.path.join(out, "error.json")).read())
         assert err["error"] == "config" and named in err["message"]
+        assert not os.path.exists(os.path.join(out, "config.resolved.ini"))
+
+    @pytest.mark.parametrize("label", ["a ;b", "a#b", "; a", " a", "a ", "a\nb", "a\rb"])
+    def test_exit_code_label_not_written_back(self, small_cfg_path, tmp_path, monkeypatch,
+                                              label):
+        # canonical_text would write a label that parses as another value or key
+        monkeypatch.setenv("NESSLAB_RUN__LABEL", label)
+        out = str(tmp_path / "label")
+        assert cli.main(["build", "--config", small_cfg_path, "--out", out]) == 2
+        err = json.loads(open(os.path.join(out, "error.json")).read())
+        assert err["error"] == "config" and "[run] label" in err["message"]
+        assert not os.path.exists(os.path.join(out, "config.resolved.ini"))
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("xx", "lambda_aniso", "0.7"), ("fermion", "lambda_aniso", "-0.5"),
+        ("xx", "t_hop", "2.0"), ("xxz", "t_hop", "0.5"),
+        ("xx", "v", "0.1"), ("xxz", "v", ""),
+    ])
+    def test_exit_code_key_of_another_model(self, small_cfg_path, tmp_path, monkeypatch,
+                                            kind, key, value):
+        # the chosen model never reads the key, so the resolved config would misname the run
+        monkeypatch.setenv("NESSLAB_MODEL__KIND", kind)
+        monkeypatch.setenv(f"NESSLAB_MODEL__{key.upper()}", value)
+        out = str(tmp_path / "model")
+        assert cli.main(["build", "--config", small_cfg_path, "--out", out]) == 2
+        err = json.loads(open(os.path.join(out, "error.json")).read())
+        assert err["error"] == "config" and f"[model] {key}" in err["message"]
         assert not os.path.exists(os.path.join(out, "config.resolved.ini"))
 
     @pytest.mark.parametrize("env, code, kind", [

@@ -43,6 +43,19 @@ def test_lr_scan_holds_one_cluster(xx8):
     assert peak < 4.0 * unit  # the scan's own eigenbasis is one unit of it
 
 
+def test_lr_scan_streams_one_cluster_pair_by_pair(xx8):
+    # sigma_x on XXZ joins every charge sector into one cluster with one group per x:
+    # the eigenbasis (1 unit), A's blocks (1.8) and one half block per x (0.6 each)
+    # stay, and each time's propagators and products live one pair of sectors at a
+    # time; the peak reads 6.3 units (9.4 when every sector's were held at once)
+    _, _, chain, _, unit = xx8
+    phi, _ = nl.build_xxz_model(0.5)
+    sx = nl.LocalOperator((0,), nl.models.PAULI_X, hermitian=True)
+    peak = _traced_peak(lambda: nl.lr_scan(phi, sx, sx, [3, 4],
+                                           [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], chain))
+    assert peak < 8.0 * unit
+
+
 def test_sum_rule_holds_one_pair(xx8):
     phi, spec, chain, state, unit = xx8
     geom = nl.CurrentGeometry(L=4, M=2, r=1)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import nesslab as nl
 from nesslab.models import PAULI_X, PAULI_Y, PAULI_Z
@@ -223,3 +224,68 @@ class TestShift:
         for _ in range(chain.n_sites):
             cur = t[cur]
         assert np.array_equal(cur, np.arange(chain.dim))
+
+
+class TestSparseGraphHelpers:
+    """The connected-components helper and the sparse Frobenius norm; scipy's csgraph
+    and sparse.linalg serve here only as oracles."""
+
+    @staticmethod
+    def _assert_same_components(G):
+        from scipy.sparse import csgraph
+
+        n, labels = nl.operators.connected_components(G)
+        n_ref, ref = csgraph.connected_components(G, directed=False)
+        assert n == n_ref
+        np.testing.assert_array_equal(labels, ref)
+
+    def test_random_graphs(self, rng):
+        # sparse random edges in one direction leave isolated vertices and many components
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            m = int(rng.integers(0, 2 * n))
+            rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+            self._assert_same_components(sp.csr_matrix((np.ones(m), (rows, cols)), shape=(n, n)))
+
+    def test_star_edges_of_sector_sets(self, rng):
+        # the lr_scan cluster graph: each set of sectors joins its smallest to the others
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            sets = [np.unique(rng.integers(0, n, rng.integers(1, 4)))
+                    for _ in range(int(rng.integers(0, n)))]
+            edges = np.array([(S[0], s) for S in sets for s in S], dtype=np.int64).reshape(-1, 2)
+            self._assert_same_components(sp.csr_matrix((np.ones(len(edges)), edges.T),
+                                                       shape=(n, n)))
+
+    def test_explicit_zeros_are_edges(self):
+        G = sp.csr_matrix((np.array([0.0, 1.0]), (np.array([0, 3]), np.array([2, 1]))),
+                          shape=(5, 5))
+        assert G.nnz == 2
+        self._assert_same_components(G)
+        np.testing.assert_array_equal(nl.operators.connected_components(G)[1], [0, 1, 0, 1, 2])
+
+    def test_frobenius_norm_matches_scipy(self, rng):
+        from scipy.sparse.linalg import norm
+
+        # duplicate entries are summed before the norm, as scipy does
+        rows, cols = rng.integers(0, 6, 30), rng.integers(0, 6, 30)
+        vals = rng.normal(size=30) + 1j * rng.normal(size=30)
+        A = sp.coo_matrix((vals, (rows, cols)), shape=(6, 6))
+        assert nl.operators.sparse_fro_norm(A.copy()) == norm(A.copy())
+        H = nl.hamiltonian(nl.build_xxz_model(0.5)[0], nl.ChainConfig(6, 2), sparse=True)
+        assert nl.operators.sparse_fro_norm(H.copy()) == norm(H)
+
+
+def test_import_loads_no_csgraph_or_sparse_linalg():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(nl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, nesslab; "
+            "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
