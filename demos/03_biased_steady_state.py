@@ -3,7 +3,9 @@
 On the XX ring the total current commutes with H, so exp(-beta (H - lambda J))
 is exactly stationary and translation invariant, and lambda tilts it into a
 nonequilibrium steady state.  We sweep lambda, verify the three defining
-conditions at each point, and show the current is odd in the bias.
+conditions at each point, and show the current is odd in the bias.  The two
+residual columns are certified upper bounds on ||[rho, H]||_F and
+||[rho, T]||_F: the norm of V^H A V off its diagonal, in the state's basis V.
 """
 
 
@@ -25,9 +27,13 @@ for lam in LAMBDAS:
           f"{rep.stationarity_residual:>11.1e} {rep.translation_residual:>9.1e} "
           f"{str(rep.is_ness):>6}")
 
-print("\nA model whose total current is not conserved is refused:")
+print("\nA model whose total current is not conserved takes no bias:")
 phi_xxz, spec_xxz = nl.build_xxz_model(0.5)
 try:
     nl.build_biased_gibbs(phi_xxz, spec_xxz, nl.BiasSpec(beta=1.0, lam=0.3), chain)
 except nl.PreconditionError as exc:
     print(f"  XXZ(0.5): {exc}")
+thermal = nl.build_biased_gibbs(phi_xxz, spec_xxz, nl.BiasSpec(beta=1.0, lam=0.0), chain)
+rep = nl.verify_ness(thermal, phi_xxz, spec_xxz, chain)
+print(f"  at lambda = 0 its Gibbs state is stationary ({rep.stationarity_residual:.1e}) "
+      f"and carries no current ({rep.current_value:.1e})")

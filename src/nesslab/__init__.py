@@ -40,7 +40,6 @@ from .models import (
     energy_current_operators,
     energy_density,
     hamiltonian,
-    interaction_from_json,
     interaction_to_json,
     local_hamiltonian,
     lr_velocity,
@@ -58,7 +57,6 @@ from .spectral import (
     JointBasis,
     WindowFunction,
     boundary_commutator_integral,
-    correlation_C,
     correlation_kernel,
     joint_spectrum,
     momentum_derivative_check,

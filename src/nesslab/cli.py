@@ -332,7 +332,7 @@ def _cmd_ness(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_sumrule(ws: _Workspace, out: str) -> int:
-    from .spectral import correlation_kernel, sum_rule_check
+    from .spectral import NO_CURRENT_TOL, correlation_kernel, sum_rule_check
 
     state = ws.state()
     kernel = correlation_kernel(state, ws.phi, ws.spec, ws.geom, ws.chain)
@@ -342,7 +342,13 @@ def _cmd_sumrule(ws: _Workspace, out: str) -> int:
     _atomic_write(os.path.join(out, "c_curve.csv"), "\n".join(lines) + "\n")
     res = sum_rule_check(state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain, kernel=kernel)
     _write_json(os.path.join(out, "sumrule.json"), res)
-    if not res["rel_err"] <= ws.cfg.sum_rule_rel_err:
+    if res["no_current"]:  # both sides are rounding noise: their ratio means nothing
+        if not res["abs_err"] <= NO_CURRENT_TOL:
+            raise NumericalCheckError(
+                f"sum-rule abs_err {res['abs_err']:.3e} of a state without current "
+                f"exceeds {NO_CURRENT_TOL}"
+            )
+    elif not res["rel_err"] <= ws.cfg.sum_rule_rel_err:
         raise NumericalCheckError(
             f"sum-rule rel_err {res['rel_err']:.4f} exceeds {ws.cfg.sum_rule_rel_err}"
         )

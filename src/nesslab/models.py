@@ -553,16 +553,11 @@ def lr_velocity(phi: Interaction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization: structured text, bit-exact round trip for binary64 values
+# serialization: JSON text whose binary64 values read back bit for bit
 # ---------------------------------------------------------------------------
 
 def _matrix_to_pairs(mat: np.ndarray):
     return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
-
-
-def _matrix_from_pairs(pairs, dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return flat.reshape(dim, dim)
 
 
 def interaction_to_json(phi: Interaction) -> str:
@@ -576,16 +571,3 @@ def interaction_to_json(phi: Interaction) -> str:
         ],
     }
     return json.dumps(doc, indent=1)
-
-
-def interaction_from_json(text: str) -> Interaction:
-    doc = json.loads(text)
-    if doc.get("schema") != "nesslab.interaction/1":
-        raise ValueError(f"unknown interaction schema: {doc.get('schema')!r}")
-    d = int(doc["site_dim"])
-    terms = []
-    for entry in doc["terms"]:
-        offsets = tuple(int(o) for o in entry["offsets"])
-        dim = d ** len(offsets)
-        terms.append((offsets, _matrix_from_pairs(entry["matrix"], dim)))
-    return Interaction(site_dim=d, r=int(doc["range"]), terms=tuple(terms))

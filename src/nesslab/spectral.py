@@ -31,7 +31,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 COMMUTE_TOL = 1e-10     # [A, B] residual, relative to the scale of A, below which A and B commute
 DEGENERACY_TOL = 1e-8   # energies closer than this (in sorted order) share a degenerate block
 DE_DECIMALS = 10        # energy transfers are keyed rounded to this many decimals
-NO_CURRENT_TOL = 1e-9   # |derivative-identity mass| below which a state carries no current
+NO_CURRENT_TOL = 1e-9   # |<j_0>| or |derivative-identity mass| below which a state carries no current
 _CURVE_CHUNK = 4096     # energy transfers per exp(i de t) batch of CommutatorKernel.curve
 
 
@@ -66,10 +66,19 @@ def _as_sparse(A, chain: ChainConfig) -> sp.csr_matrix:
     return A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
 
 
+def _block_residual(A: sp.csr_matrix, vectors: np.ndarray, values=None) -> float:
+    """||A W - W diag(values)||_F of one sector block, one sparse product; for
+    unitary W this is ||W^H A W - diag(values)||_F.  ``values`` defaults to the
+    diagonal of W^H A W, which leaves its off-diagonal part."""
+    AW = A @ vectors
+    if values is None:
+        values = np.einsum("in,in->n", vectors.conj(), AW)
+    return float(np.linalg.norm(AW - vectors * values))
+
+
 def _certify(H: sp.csr_matrix, energies: np.ndarray, vectors: np.ndarray) -> None:
-    """Refuse the eigenpairs of one block unless ||H W - W E||_F <= 1e-10 max(1, ||H||_F);
-    for unitary W this equals ||H - W E W^H||_F and costs one sparse product."""
-    res = np.linalg.norm(H @ vectors - vectors * energies)
+    """Refuse the eigenpairs of one block unless ||H W - W E||_F <= 1e-10 max(1, ||H||_F)."""
+    res = _block_residual(H, vectors, energies)
     if res > 1e-10 * max(1.0, sparse_fro_norm(H)):
         raise NumericalCheckError(f"eigendecomposition residual {res:.3e} too large")
 
@@ -172,13 +181,13 @@ class JointBasis:
                           shape=(n, n)).tocoo()
         return list(zip(C.row.tolist(), C.col.tolist()))
 
-    def blocks(self, A, pairs=None):
+    def blocks(self, A, pairs):
         """Yield (c, k, W_c^H A[c, k] W_k), the <m|A|n> with m in sector c and n
-        in sector k, one pair at a time: for ``pairs`` in their order, else for
-        every pair of :meth:`coupled_pairs`.  A may be dense, sparse or a
+        in sector k, one pair at a time for ``pairs`` in their order (those of
+        :meth:`coupled_pairs`, or a subset).  A may be dense, sparse or a
         LocalOperator; a consumer holds only the blocks it keeps."""
         A, S = _as_sparse(A, self.chain), self.sectors
-        for c, k in self.coupled_pairs(A) if pairs is None else pairs:
+        for c, k in pairs:
             yield c, k, (S[c].vectors.conj().T @ A[S[c].index][:, S[k].index]) @ S[k].vectors
 
     def diagonal(self, A) -> np.ndarray:
@@ -188,6 +197,22 @@ class JointBasis:
         for s, cols in zip(self.sectors, self.columns):
             out[cols] = np.einsum("in,in->n", s.vectors.conj(), A[s.index][:, s.index] @ s.vectors)
         return out
+
+    def residual(self, A) -> float:
+        """sqrt(sum_c ||A_cc W_c - W_c diag(W_c^H A_cc W_c)||_F^2 + ||A off the sector
+        blocks||_F^2): the Frobenius norm of V^H A V without its diagonal.
+
+        ``V^H [rho, A] V`` has entries (p_m - p_n) (V^H A V)_mn and no diagonal, so
+        this certifies ||[rho, A]||_F <= residual(A) for every state
+        rho = V diag(p) V^H with 0 <= p <= 1.  Each sector costs one sparse product.
+        """
+        A = _as_sparse(A, self.chain)
+        coo = A.tocoo()
+        off = np.abs(coo.data[self.labels[coo.row] != self.labels[coo.col]])
+        sq = float(np.dot(off, off))
+        for s in self.sectors:
+            sq += _block_residual(A[s.index][:, s.index], s.vectors) ** 2
+        return math.sqrt(sq)
 
     def energy_block_ids(self) -> np.ndarray:
         """Group (sorted) energies into degenerate blocks; returns a block id per state."""
@@ -482,25 +507,13 @@ def correlation_kernel(state, phi: models.Interaction, spec: models.ChargeSpec,
     return CommutatorKernel(state, N_w, H_M)
 
 
-def correlation_C(state, phi, spec, geom, t: float, chain: ChainConfig,
-                  kernel: CommutatorKernel | None = None) -> float:
-    """C(t) = <i [N_[-L,0], H_[-M,M](t)]>, refusing times beyond the wrap horizon."""
-    horizon = wrap_horizon(phi, chain)
-    if abs(t) > horizon:
-        raise PreconditionError(
-            f"|t| = {abs(t)} exceeds the wrap horizon {horizon:.3f} of this chain"
-        )
-    if kernel is None:
-        kernel = correlation_kernel(state, phi, spec, geom, chain)
-    return kernel.at(t)
-
-
 def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainConfig,
                    kernel: CommutatorKernel | None = None) -> dict:
     """Windowed current sum rule: int C(t) f_T(t) dt against sqrt(2 pi) w(j_0) ft(0).
 
     ``kernel`` is the :func:`correlation_kernel` of the same arguments, built
-    here when not given.
+    here when not given.  ``no_current`` flags |w(j_0)| < NO_CURRENT_TOL, where
+    both sides are rounding noise and ``rel_err`` says nothing.
     """
     horizon = wrap_horizon(phi, chain)
     if window.T > horizon:
@@ -521,6 +534,7 @@ def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainC
         "abs_err": abs_err,
         "rel_err": rel_err,
         "current": current,
+        "no_current": abs(current) < NO_CURRENT_TOL,
         "horizon": horizon,
         "T": window.T,
         "M": geom.M,

@@ -61,19 +61,6 @@ class StationaryState:
         """sum_n p_n <n|A|n>; A may be dense, sparse or a LocalOperator."""
         return complex(np.dot(self.probs, self.basis.diagonal(A)))
 
-    def commutant_residual(self, A) -> float:
-        """Frobenius norm of [rho, A] (an upper bound on the operator norm),
-        summed over the sector blocks of A one block at a time."""
-        p = self.basis.per_sector(self.probs)
-        return math.sqrt(sum(np.linalg.norm((p[c][:, None] - p[k][None, :]) * X) ** 2
-                             for c, k, X in self.basis.blocks(A)))
-
-    def stationarity_residual(self, H) -> float:
-        return self.commutant_residual(H)
-
-    def translation_residual(self) -> float:
-        return self.commutant_residual(shift_unitary(self.chain))
-
     def spectrum_rows(self):
         """Per-eigenvector (energy, momentum, probability) rows, ordered by
         degenerate energy block, then momentum mode, then bias value, so that
@@ -88,50 +75,43 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
                        bias: BiasSpec, chain: ChainConfig) -> StationaryState:
     """rho proportional to exp(-beta (H - lambda J_tot)) on the periodic chain.
 
-    Refuses interactions whose total current fails to commute with H (the
-    state would not be stationary); the returned state is checked against the
-    stationarity and translation residual tolerances.
+    For lambda != 0, refuses interactions whose total current fails to commute
+    with H (the state would not be stationary); at lambda = 0 the state is the
+    Gibbs state of any translation-invariant H.  The basis of the returned
+    state is certified by :meth:`JointBasis.residual` of H and of the shift.
     """
     if not chain.periodic:
         raise PreconditionError("biased Gibbs construction requires a periodic chain")
     H = models.hamiltonian(phi, chain, sparse=True)
-    J = models.total_current(phi, spec, chain, sparse=True)
-    scale = max(1.0, sparse_fro_norm(H))
-    comm_res = sparse_fro_norm(H @ J - J @ H)
-    if not comm_res <= COMMUTE_TOL * scale:
-        raise PreconditionError(
-            f"bias operator does not commute with H (residual {comm_res:.3e}); "
-            "the biased ensemble would not be stationary"
-        )
-    basis = joint_spectrum(H, chain, bias=J)
+    if bias.lam == 0:
+        basis = joint_spectrum(H, chain)
+    else:
+        J = models.total_current(phi, spec, chain, sparse=True)
+        comm_res = sparse_fro_norm(H @ J - J @ H)
+        if not comm_res <= COMMUTE_TOL * max(1.0, sparse_fro_norm(H)):
+            raise PreconditionError(
+                f"bias operator does not commute with H (residual {comm_res:.3e}); "
+                "the biased ensemble would not be stationary"
+            )
+        basis = joint_spectrum(H, chain, bias=J)
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        logw = -bias.beta * (basis.energies - bias.lam * basis.bias_values)
+        tilt = 0.0 if basis.bias_values is None else bias.lam * basis.bias_values
+        logw = -bias.beta * (basis.energies - tilt)
     if not np.all(np.isfinite(logw)):
         raise NumericalCheckError(
             f"the weights exp(-beta (E - lambda J)) overflow at beta = {bias.beta!r}, "
             f"lambda = {bias.lam!r}"
         )
-    logw -= logw.max()
-    p = np.exp(logw)
-    p /= p.sum()
-    state = StationaryState(
-        basis=basis,
-        probs=p,
-        meta={
-            "beta": bias.beta,
-            "lambda": bias.lam,
-            "bias_commutator_residual": float(comm_res),
-        },
-    )
-    stat = state.stationarity_residual(H)
-    trans = state.translation_residual()
+    stat, trans = basis.residual(H), basis.residual(shift_unitary(chain))
     if not (stat <= RESIDUAL_TOL and trans <= RESIDUAL_TOL):
         raise NumericalCheckError(
             f"constructed state violates residual tolerances: [rho,H] {stat:.2e}, "
             f"[rho,T] {trans:.2e}"
         )
-    state.meta.update(interaction=phi, stationarity_residual=stat, translation_residual=trans)
-    return state
+    logw -= logw.max()
+    p = np.exp(logw)
+    p /= p.sum()
+    return StationaryState(basis=basis, probs=p, meta={"beta": bias.beta, "lambda": bias.lam})
 
 
 @dataclass(frozen=True)
@@ -150,25 +130,21 @@ def verify_ness(state: StationaryState, phi: models.Interaction,
                 spec: models.ChargeSpec, chain: ChainConfig) -> NessReport:
     """Check the three defining conditions plus the charge-symmetry residual.
 
-    The state is classified as a steady current-carrying state iff both
-    invariance residuals pass and the current expectation clears the
-    threshold; the symmetry residual [rho, N_chain] decides whether the
-    symmetric-branch momentum-derivative identity applies to it.  The two
-    invariance residuals of a state from :func:`build_biased_gibbs` with the
-    same ``phi`` and chain are the ones it certified, not computed again.
+    Each residual is the certified bound :meth:`JointBasis.residual` on
+    ||[rho, A]||_F, for A = H(phi), the shift and N_chain.  The state is
+    classified as a steady current-carrying state iff both invariance
+    residuals pass and the current expectation clears the threshold; the
+    symmetry residual decides whether the symmetric-branch momentum-derivative
+    identity applies to it.
     """
-    if state.meta.get("interaction") is phi and state.chain == chain:
-        # certified by build_biased_gibbs for this very interaction and chain
-        stat, trans = state.meta["stationarity_residual"], state.meta["translation_residual"]
-    else:
-        stat = state.stationarity_residual(models.hamiltonian(phi, chain, sparse=True))
-        trans = state.translation_residual()
+    basis = state.basis
+    stat = basis.residual(models.hamiltonian(phi, chain, sparse=True))
+    trans = basis.residual(shift_unitary(chain))
     j0 = models.current_local(phi, spec, chain)
     current = state.expect(j0)
     if not abs(current.imag) <= 1e-10:
         raise NumericalCheckError(f"current expectation came out complex: {current}")
-    N_tot = models.charge_sparse(spec, (0, chain.n_sites - 1), chain)
-    sym = state.commutant_residual(N_tot)
+    sym = basis.residual(models.charge_sparse(spec, (0, chain.n_sites - 1), chain))
     is_stationary = stat <= RESIDUAL_TOL
     is_trans = trans <= RESIDUAL_TOL
     is_ness = is_stationary and is_trans and abs(current.real) > CURRENT_THRESHOLD

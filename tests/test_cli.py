@@ -334,16 +334,52 @@ class TestSubcommands:
         assert not os.path.exists(os.path.join(out, "build.json"))
         assert not os.path.exists(os.path.join(out, "ness.json"))
 
-    def test_all_computes_three_residuals(self, small_cfg_path, tmp_path, monkeypatch):
-        # [rho, H] and [rho, T] once in the builder, [rho, N_tot] in verify_ness
-        from nesslab.steady_state import StationaryState
+    def test_all_computes_three_residuals(self, small_cfg_path, tmp_path):
+        # ness.json reports the certificates of [rho, H], [rho, T] and [rho, N_tot]
+        out = str(tmp_path / "a")
+        assert cli.main(["all", "--config", small_cfg_path, "--out", out]) == 0
+        doc = json.loads(open(os.path.join(out, "ness.json")).read())
+        phi, spec = nl.build_xx_model()
+        chain = nl.ChainConfig(8, 2)
+        basis = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(1.0, 0.5), chain).basis
+        assert doc["stationarity_residual"] == basis.residual(nl.hamiltonian(phi, chain))
+        assert doc["translation_residual"] == basis.residual(nl.shift_unitary(chain))
+        assert doc["symmetry_residual"] == basis.residual(
+            nl.models.charge_sparse(spec, (0, 7), chain))
+        assert max(doc[k] for k in ("stationarity_residual", "translation_residual",
+                                    "symmetry_residual")) <= 1e-12
 
-        calls = []
-        real = StationaryState.commutant_residual
-        monkeypatch.setattr(StationaryState, "commutant_residual",
-                            lambda self, A: calls.append(A) or real(self, A))
-        assert cli.main(["all", "--config", small_cfg_path, "--out", str(tmp_path / "a")]) == 0
-        assert len(calls) == 3
+    def test_sumrule_without_current(self, small_cfg_path, tmp_path, monkeypatch):
+        # at lambda = 0 both sides of the sum rule are rounding noise: the check
+        # is their absolute difference, and rel_err is reported as it comes out
+        monkeypatch.setenv("NESSLAB_BIAS__LAMBDA", "0")
+        out = str(tmp_path / "sr0")
+        assert cli.main(["sumrule", "--config", small_cfg_path, "--out", out]) == 0
+        doc = json.loads(open(os.path.join(out, "sumrule.json")).read())
+        assert doc["no_current"] is True
+        assert doc["abs_err"] <= 1e-9 and math.isfinite(doc["rel_err"])
+
+    @pytest.mark.parametrize("kind, lam, code", [
+        ("xxz", "0", 0), ("xxz", "0.5", 3), ("fermion", "0", 0), ("fermion", "0.5", 3),
+    ])
+    def test_unbiased_interacting_models(self, small_cfg_path, tmp_path, monkeypatch,
+                                         kind, lam, code):
+        # exp(-beta H) needs no commuting current; a bias does
+        monkeypatch.setenv("NESSLAB_MODEL__KIND", kind)
+        if kind == "xxz":
+            monkeypatch.setenv("NESSLAB_MODEL__LAMBDA_ANISO", "0.5")
+        else:  # t_hop = 1 puts the wrap horizon of 8 sites at T = 1.0
+            monkeypatch.setenv("NESSLAB_WINDOW__T", "0.8")
+        monkeypatch.setenv("NESSLAB_BIAS__LAMBDA", lam)
+        out = str(tmp_path / "thermal")
+        assert cli.main(["all", "--config", small_cfg_path, "--out", out]) == code
+        if code == 0:
+            ness = json.loads(open(os.path.join(out, "ness.json")).read())
+            assert ness["is_stationary"] and not ness["is_ness"]
+            assert json.loads(open(os.path.join(out, "sumrule.json")).read())["no_current"]
+        else:
+            err = json.loads(open(os.path.join(out, "error.json")).read())
+            assert err["error"] == "precondition" and "commute" in err["message"]
 
     @pytest.mark.parametrize("key,value", [("X_VALUES", "1"), ("T_VALUES", "50.0")])
     def test_bad_scan_grid_refused_before_diagonalization(self, small_cfg_path, tmp_path,

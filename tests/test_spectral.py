@@ -241,7 +241,7 @@ class TestSectoredBasis:
         for label, A in _probe_operators(chain).items():
             Ad = nl.embed(A, chain) if isinstance(A, nl.LocalOperator) else A.toarray()
             dense = V.conj().T @ Ad @ V
-            blocks = {(c, k): X for c, k, X in basis.blocks(A)}
+            blocks = {(c, k): X for c, k, X in basis.blocks(A, basis.coupled_pairs(A))}
             covered = np.zeros(dense.shape, dtype=bool)
             for (c, k), X in blocks.items():
                 cell = np.ix_(basis.columns[c], basis.columns[k])
@@ -254,17 +254,22 @@ class TestSectoredBasis:
             diag = basis.diagonal(A)
             assert np.max(np.abs(diag - np.diag(dense))) < 1e-12, label
 
-    def test_commutant_residual_matches_dense(self, name):
+    def test_residual_bounds_commutator(self, name):
+        # residual(A) is the norm of V^H A V without its diagonal, and bounds
+        # ||[rho, A]||_F for every rho = V diag(p) V^H with 0 <= p <= 1
         chain, _, _, basis = _sectored_case(name)
         rng = np.random.default_rng(3)
-        p = rng.random(chain.dim)
-        state = StationaryState(basis=basis, probs=p / p.sum())
         V = basis.vectors
-        rho = (V * state.probs) @ V.conj().T
         for label, A in _probe_operators(chain).items():
             Ad = nl.embed(A, chain) if isinstance(A, nl.LocalOperator) else A.toarray()
-            dense = np.linalg.norm(rho @ Ad - Ad @ rho)
-            assert abs(state.commutant_residual(A) - dense) < 1e-12 * max(1.0, dense), label
+            X = V.conj().T @ Ad @ V
+            off_diagonal = np.linalg.norm(X - np.diag(np.diag(X)))
+            cert = basis.residual(A)
+            assert abs(cert - off_diagonal) < 1e-12 * max(1.0, off_diagonal), label
+            for _ in range(3):
+                rho = (V * rng.random(chain.dim)) @ V.conj().T
+                dense = np.linalg.norm(rho @ Ad - Ad @ rho)
+                assert dense <= cert * (1.0 + 1e-12) + 1e-14, label
 
 
 class TestWindowFunction:
@@ -369,7 +374,7 @@ class TestCorrelation:
         phi, spec = xx_model
         geom = nl.CurrentGeometry(4, 2, 1)
         j0 = nl.current_local(phi, spec, chain10)
-        c0 = nl.correlation_C(xx10_state, phi, spec, geom, 0.0, chain10)
+        c0 = nl.correlation_kernel(xx10_state, phi, spec, geom, chain10).at(0.0)
         assert abs(c0 - xx10_state.expect(j0).real) < 1e-10
 
     def test_zero_current_state_flat_zero(self, xx_model, chain10):
@@ -377,12 +382,6 @@ class TestCorrelation:
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
         kernel = nl.correlation_kernel(state, phi, spec, nl.CurrentGeometry(4, 2, 1), chain10)
         assert np.max(np.abs(kernel.curve(np.linspace(0, 1.5, 7)))) < 1e-10
-
-    def test_horizon_refusal(self, xx10_state, xx_model, chain10):
-        phi, spec = xx_model
-        geom = nl.CurrentGeometry(4, 2, 1)
-        with pytest.raises(PreconditionError):
-            nl.correlation_C(xx10_state, phi, spec, geom, 4.0, chain10)
 
     def test_forward_backward_consistency(self, xx10_state, xx_model, chain10):
         # <i[N, H_M(t)]> = <i[N(-t), H_M]> for a stationary state

@@ -14,10 +14,12 @@ from nesslab.steady_state import StationaryState, state_summary
 
 class TestConstruction:
     def test_residual_invariants(self, xx10_state, xx_model, chain10):
-        phi, _ = xx_model
-        H = nl.hamiltonian(phi, chain10, sparse=True)
-        assert xx10_state.stationarity_residual(H) <= 1e-10
-        assert xx10_state.translation_residual() <= 1e-10
+        # the certificates of [rho, H], [rho, T] and [rho, N_tot] are far below 1e-10
+        phi, spec = xx_model
+        basis = xx10_state.basis
+        assert basis.residual(nl.hamiltonian(phi, chain10, sparse=True)) <= 1e-12
+        assert basis.residual(nl.shift_unitary(chain10)) <= 1e-12
+        assert basis.residual(nl.models.charge_sparse(spec, (0, 9), chain10)) <= 1e-12
         assert abs(xx10_state.probs.sum() - 1.0) <= 1e-12
         assert np.all(xx10_state.probs >= 0)
 
@@ -40,6 +42,23 @@ class TestConstruction:
         chain = nl.ChainConfig(8, 2)
         with pytest.raises(PreconditionError):
             nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.3), chain)
+
+    @pytest.mark.parametrize("model", ["xxz", "fermion"])
+    def test_unbiased_gibbs_of_interacting_models(self, model):
+        # exp(-beta H) is stationary whether or not J_tot commutes with H
+        phi, spec = (nl.build_xxz_model(0.5) if model == "xxz"
+                     else nl.build_fermion_model(1.0, [0.5]))
+        chain = nl.ChainConfig(8, 2)
+        state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain)
+        assert state.basis.bias_values is None
+        rep = nl.verify_ness(state, phi, spec, chain)
+        assert rep.is_stationary and rep.is_translation_invariant and not rep.is_ness
+        assert abs(rep.current_value) < 1e-12
+        H = nl.hamiltonian(phi, chain)
+        rho = sla.expm(-H)
+        rho /= np.trace(rho).real
+        E = nl.embed(nl.energy_density(phi, chain), chain)
+        assert abs(state.expect(E) - np.trace(rho @ E)) < 1e-10
 
     def test_open_chain_refused(self, xx_model):
         phi, spec = xx_model
@@ -118,24 +137,24 @@ class TestVerifyNess:
         assert rep.symmetry_residual <= 1e-10
         assert abs(rep.current_value) > 1e-3
 
-    def test_builder_residuals_reused(self, xx_model, monkeypatch):
-        # verify_ness takes [rho, H] and [rho, T] from the builder's certificate
-        # only for the same interaction and chain; any other state gets both
+    def test_builder_residuals_reused(self, xx_model):
+        # the report depends on the basis, the probabilities and phi's value only
         phi, spec = xx_model
         chain = nl.ChainConfig(8, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
-        calls = []
-        real = StationaryState.commutant_residual
-        monkeypatch.setattr(StationaryState, "commutant_residual",
-                            lambda self, A: calls.append(A) or real(self, A))
         rep = nl.verify_ness(state, phi, spec, chain)
-        assert len(calls) == 1  # [rho, N_tot] only
         bare = StationaryState(basis=state.basis, probs=state.probs)
         assert nl.verify_ness(bare, phi, spec, chain) == rep
-        assert len(calls) == 4
-        other, _ = nl.build_xx_model()  # an equal model, but not the certified object
+        other, _ = nl.build_xx_model()  # an equal model, but another object
         assert nl.verify_ness(state, other, spec, chain) == rep
-        assert len(calls) == 7
+
+    def test_other_interaction_not_stationary(self, xx10_state, chain10):
+        # the XX state under an XXZ(0.5) H: the certificate is not vacuous
+        phi, spec = nl.build_xxz_model(0.5)
+        rep = nl.verify_ness(xx10_state, phi, spec, chain10)
+        assert not rep.is_stationary and not rep.is_ness
+        assert rep.stationarity_residual > 1e-3
+        assert rep.translation_residual <= 1e-12 and rep.symmetry_residual <= 1e-12
 
     def test_thermal_not_ness(self, xx_model, chain10):
         phi, spec = xx_model
