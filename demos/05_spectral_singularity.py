@@ -20,8 +20,7 @@ phi, spec = nl.build_xx_model()
 print("integrated momentum-derivative identity on 10 sites:")
 chain = nl.ChainConfig(10, 2)
 state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=BETA, lam=LAM), chain)
-sf = nl.spectral_function_rho(state, nl.LocalOperator((0,), spec.n0),
-                              nl.energy_density(phi, chain))
+sf = nl.spectral_function_rho(state, phi, spec)
 cur = state.expect(nl.current_local(phi, spec, chain)).real
 res = nl.momentum_derivative_check(state, sf, WINDOW, nl.CurrentGeometry(4, 2, 1),
                                    chain, current_value=cur)
@@ -34,8 +33,7 @@ print(f"\nconcentration of the derivative mass in |de| < {EPS0}:")
 for n in (8, 10):
     chain = nl.ChainConfig(n, 2)
     state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=BETA, lam=LAM), chain)
-    sf = nl.spectral_function_rho(state, nl.LocalOperator((0,), spec.n0),
-                                  nl.energy_density(phi, chain))
+    sf = nl.spectral_function_rho(state, phi, spec)
     M_max = (n - 3 * phi.r - 1) // 2
     diag = nl.singularity_diagnostic(sf, [EPS0, 0.5, np.inf],
                                      z_halfwidth=M_max - phi.r)

@@ -33,7 +33,6 @@ from .models import (
     build_random_interaction,
     build_xx_model,
     build_xxz_model,
-    charge_operator,
     check_conservation,
     current_local,
     current_operator,
@@ -41,7 +40,6 @@ from .models import (
     energy_density,
     hamiltonian,
     interaction_to_json,
-    local_hamiltonian,
     lr_velocity,
     total_current,
 )

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -255,25 +256,26 @@ class _Workspace:
             raise PreconditionError(
                 f"window T = {self.window.T} exceeds the wrap horizon of this chain"
             )
-        self._state = None
-        self._report = None
 
+    @cached_property
     def state(self):
-        if self._state is None:
-            from .steady_state import BiasSpec, build_biased_gibbs
+        from .steady_state import BiasSpec, build_biased_gibbs
 
-            self._state = build_biased_gibbs(
-                self.phi, self.spec, BiasSpec(beta=self.cfg.beta, lam=self.cfg.lam),
-                self.chain,
-            )
-        return self._state
+        return build_biased_gibbs(self.phi, self.spec,
+                                  BiasSpec(beta=self.cfg.beta, lam=self.cfg.lam), self.chain)
 
+    @cached_property
     def report(self):
-        if self._report is None:
-            from .steady_state import verify_ness
+        from .steady_state import verify_ness
 
-            self._report = verify_ness(self.state(), self.phi, self.spec, self.chain)
-        return self._report
+        return verify_ness(self.state, self.phi, self.spec, self.chain)
+
+    @cached_property
+    def tables(self):
+        """The state's transfer tables, one per term class, shared by every windowed sum."""
+        from .spectral import term_tables
+
+        return term_tables(self.state, self.phi, self.spec)
 
 
 def _cmd_build(ws: _Workspace, out: str) -> int:
@@ -327,20 +329,19 @@ def _cmd_verify_lr(ws: _Workspace, out: str) -> int:
 def _cmd_ness(ws: _Workspace, out: str) -> int:
     from .steady_state import state_summary
 
-    _write_json(os.path.join(out, "ness.json"), state_summary(ws.state(), ws.report()))
+    _write_json(os.path.join(out, "ness.json"), state_summary(ws.state, ws.report))
     return _EXIT_OK
 
 
 def _cmd_sumrule(ws: _Workspace, out: str) -> int:
     from .spectral import NO_CURRENT_TOL, correlation_kernel, sum_rule_check
 
-    state = ws.state()
-    kernel = correlation_kernel(state, ws.phi, ws.spec, ws.geom, ws.chain)
+    kernel = correlation_kernel(ws.state, ws.phi, ws.spec, ws.geom, ws.chain, tables=ws.tables)
     ts = np.linspace(-ws.window.T, ws.window.T, 129)
     curve = kernel.curve(ts)
     lines = ["t,C"] + [f"{t!r},{c!r}" for t, c in zip(ts.tolist(), curve.tolist())]
     _atomic_write(os.path.join(out, "c_curve.csv"), "\n".join(lines) + "\n")
-    res = sum_rule_check(state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain, kernel=kernel)
+    res = sum_rule_check(ws.state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain, kernel=kernel)
     _write_json(os.path.join(out, "sumrule.json"), res)
     if res["no_current"]:  # both sides are rounding noise: their ratio means nothing
         if not res["abs_err"] <= NO_CURRENT_TOL:
@@ -356,25 +357,17 @@ def _cmd_sumrule(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_spectral(ws: _Workspace, out: str) -> int:
-    from . import models
-    from .operators import LocalOperator
-    from .spectral import (
-        momentum_derivative_check,
-        singularity_diagnostic,
-        spectral_function_rho,
-    )
-    state = ws.state()
-    report = ws.report()
+    from .spectral import momentum_derivative_check, singularity_diagnostic, spectral_function_rho
+
+    report = ws.report
     if not report.symmetry_residual <= 1e-10:
         raise PreconditionError(
             "state breaks the charge symmetry; the symmetric-branch identity "
             "does not apply (symmetry-breaking branch is out of scope)"
         )
-    n_op = LocalOperator((0,), ws.spec.n0)
-    h_op = models.energy_density(ws.phi, ws.chain)
-    sf = spectral_function_rho(state, n_op, h_op)
+    sf = spectral_function_rho(ws.state, ws.phi, ws.spec, tables=ws.tables)
     _atomic_write(os.path.join(out, "spectral.csv"), sf.to_csv())
-    res = momentum_derivative_check(state, sf, ws.window, ws.geom, ws.chain,
+    res = momentum_derivative_check(ws.state, sf, ws.window, ws.geom, ws.chain,
                                     current_value=report.current_value)
     _write_json(os.path.join(out, "derivative.json"), res)
     diag = singularity_diagnostic(sf, list(ws.cfg.epsilon_windows),

@@ -301,20 +301,10 @@ def window_hamiltonian_sparse(phi: Interaction, window, chain: ChainConfig):
     return _assemble(_translates(phi, lo, len(arc_sites(lo, hi, chain)), chain), chain)
 
 
-def local_hamiltonian(phi: Interaction, window, chain: ChainConfig) -> np.ndarray:
-    """Dense :func:`window_hamiltonian_sparse`."""
-    return window_hamiltonian_sparse(phi, window, chain).toarray()
-
-
 def charge_sparse(spec: ChargeSpec, window, chain: ChainConfig):
     """Sparse N_window = sum of the single-site charge over the window arc."""
     lo, hi = int(window[0]), int(window[1])
     return _assemble([LocalOperator((x,), spec.n0) for x in arc_sites(lo, hi, chain)], chain)
-
-
-def charge_operator(spec: ChargeSpec, window, chain: ChainConfig) -> np.ndarray:
-    """Dense :func:`charge_sparse`."""
-    return charge_sparse(spec, window, chain).toarray()
 
 
 def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
@@ -329,7 +319,7 @@ def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
     for w in range(2, top + 1):
         wchain = _window_chain(w, phi.site_dim)
         H = hamiltonian(phi, wchain)
-        N = charge_operator(spec, (0, w - 1), wchain)
+        N = charge_sparse(spec, (0, w - 1), wchain).toarray()
         worst = max(worst, operator_norm(commutator(N, H)))
     return worst
 

@@ -396,6 +396,32 @@ def _transfer_table(state, A, B) -> tuple:
     return dk, de, 1j * s
 
 
+def term_tables(state, phi: models.Interaction, spec: models.ChargeSpec) -> list:
+    """[(span, dk, de, s)]: the :func:`_transfer_table` of n_0 against each term
+    class of ``phi`` at the origin.  In the joint basis a translate is a phase,
+    <m|tau_x(O)|n> = e^{i k x} O_mn, so these give the table of every window
+    sum of n_0 and the terms (:func:`_reduce`)."""
+    n0 = LocalOperator((0,), spec.n0)
+    return [(offsets[-1], *_transfer_table(state, n0, LocalOperator(offsets, mat)))
+            for offsets, mat in phi.terms]
+
+
+def _phase_sum(dk_idx: np.ndarray, n_sites: int, zs, weights=1.0) -> np.ndarray:
+    """sum_z weights_z e^{i k z} over the sites zs, for each k = 2 pi dk / n."""
+    return (np.exp(1j * np.outer(2.0 * math.pi * dk_idx / n_sites, zs)) * weights).sum(axis=1)
+
+
+def _reduce(tables: list, n_sites: int, anchors) -> tuple:
+    """The table of (sum_x tau_x(n_0), sum_c sum_u tau_u(term_c)), (xs, us) =
+    anchors(span_c): each key of class c weighted by sum_x e^{ikx} sum_u e^{-iku}."""
+    parts = []
+    for span, dk, de, s in tables:
+        xs, us = anchors(span)
+        weight = _phase_sum(dk, n_sites, xs) * _phase_sum(dk, n_sites, np.negative(us))
+        parts.append((dk, de, s * weight))
+    return _by_transfer(*(np.concatenate(p, axis=-1) for p in zip(*parts)))
+
+
 # ---------------------------------------------------------------------------
 # window functions
 # ---------------------------------------------------------------------------
@@ -460,14 +486,13 @@ class CommutatorKernel:
 
     Writing K = i [rho, A], the trace identity C(t) = Tr(K B(t)) gives
     C(t) = sum_mn W_mn exp(i (E_n - E_m) t) with W_mn = i (p_m - p_n) A_mn B_nm.
-    Only the sums of W per energy transfer are kept, the p_m minus the p_n
-    sums of :func:`_transfer_table` added up over momentum transfers, so a
-    time costs one exp per distinct transfer.
+    Built from the energy transfers ``de`` of a table of (A, B) and its p_m
+    minus p_n sums ``w`` (:func:`_transfer_table`), it keeps only the sums of
+    W per energy transfer, so a time costs one exp per distinct transfer.
     """
 
-    def __init__(self, state, A, B):
-        dk, de, s = _transfer_table(state, A, B)
-        _, self._de, (self._w,) = _by_transfer(np.zeros_like(dk), de, (s[0] - s[1])[None])
+    def __init__(self, de: np.ndarray, w: np.ndarray):
+        _, self._de, (self._w,) = _by_transfer(np.zeros(len(de), dtype=np.int64), de, w[None])
 
     def curve(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -500,11 +525,22 @@ def empirical_velocity(phi: models.Interaction) -> float:
 
 
 def correlation_kernel(state, phi: models.Interaction, spec: models.ChargeSpec,
-                       geom: models.CurrentGeometry, chain: ChainConfig) -> CommutatorKernel:
+                       geom: models.CurrentGeometry, chain: ChainConfig,
+                       tables: list | None = None) -> CommutatorKernel:
+    """C(t) of A = N_[-L,0] and B = H_[-M,M], reduced from the :func:`term_tables`
+    of the state (built here when not given)."""
     geom.validate_for_chain(chain, wrap_clearance=True)
-    N_w = models.charge_sparse(spec, (-geom.L, 0), chain)
-    H_M = models.window_hamiltonian_sparse(phi, (-geom.M, geom.M), chain)
-    return CommutatorKernel(state, N_w, H_M)
+    tables = term_tables(state, phi, spec) if tables is None else tables
+    _, de, s = _reduce(tables, chain.n_sites, lambda span: (
+        np.arange(-geom.L, 1), np.arange(-geom.M, geom.M - span + 1)))
+    return CommutatorKernel(de, s[0] - s[1])
+
+
+def _compared(lhs: float, rhs: float) -> dict:
+    """The head of a check's report: lhs, rhs and their absolute and relative errors."""
+    abs_err = abs(lhs - rhs)
+    rel_err = abs_err / abs(rhs) if rhs != 0 else (0.0 if abs_err < 1e-12 else math.inf)
+    return {"lhs": lhs, "rhs": rhs, "abs_err": abs_err, "rel_err": rel_err}
 
 
 def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainConfig,
@@ -526,20 +562,9 @@ def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainC
     j0 = models.current_local(phi, spec, chain)
     current = float(np.real(state.expect(j0)))
     rhs = SQRT_2PI * current * window.fourier0()
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / abs(rhs) if rhs != 0 else (0.0 if abs_err < 1e-12 else math.inf)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_err": abs_err,
-        "rel_err": rel_err,
-        "current": current,
-        "no_current": abs(current) < NO_CURRENT_TOL,
-        "horizon": horizon,
-        "T": window.T,
-        "M": geom.M,
-        "L": geom.L,
-    }
+    return {**_compared(lhs, rhs), "current": current,
+            "no_current": abs(current) < NO_CURRENT_TOL, "horizon": horizon, "T": window.T,
+            "M": geom.M, "L": geom.L}
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +579,6 @@ class SpectralFunction:
     dk_index: np.ndarray  # centered integer momentum transfer
     de: np.ndarray
     weights: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def dk_values(self) -> np.ndarray:
@@ -577,29 +601,30 @@ class SpectralFunction:
         return "\n".join(lines) + "\n"
 
 
-def _centered(op: LocalOperator, state) -> LocalOperator:
-    mean = complex(state.expect(op))
-    dim = op.coeffs.shape[0]
-    return LocalOperator(op.support, op.coeffs - mean * np.eye(dim))
+def spectral_function_rho(state, phi: models.Interaction, spec: models.ChargeSpec,
+                          tables: list | None = None) -> SpectralFunction:
+    """Weights w(dk, de) = sum p_m i <m|n^|n><n|h^|m> grouped by transfer, for
+    n^ = n_0 - <n_0> and h^ = h - <h>, h the energy density of ``phi``.
 
-
-def spectral_function_rho(state, n_op: LocalOperator, h_op: LocalOperator) -> SpectralFunction:
-    """Weights w(dk, de) = sum p_m i <m|n^|n><n|h^|m> grouped by transfer.
-
-    Means are subtracted internally (n^ = n - w(n) etc.).  The weights are the
-    p_m sums of :func:`_transfer_table`, one row per transfer that occurs.
-    Two checks always run: the weights add up to i <n^ h^> (completeness),
-    and the p_n sums of the same pass pair with them as the hermiticity of n^
-    and h^ requires, conj(w(dk, de)) = -w_n(-dk, -de).
+    h sums the term classes anchored at -(span_c // 2), so w is the p_m sum of
+    the :func:`term_tables` (built here when not given) with those phases, one
+    row per transfer that occurs; the means move only w(0, 0), by -i <n_0> <h>.
+    Two checks always run: the weights add up to i <n^ h^> (completeness), and
+    the p_n sums pair with them as the hermiticity of n^ and h^ requires,
+    conj(w(dk, de)) = -w_n(-dk, -de).
     """
     chain = state.chain
     n = chain.n_sites
-    N, H = (embed_sparse(_centered(op, state), chain) for op in (n_op, h_op))
-    dk, de, (w, w_n) = _transfer_table(state, N, H)
+    tables = term_tables(state, phi, spec) if tables is None else tables
+    dk, de, s = _reduce(tables, n, lambda span: ((0,), (-(span // 2),)))
     de = np.round(de, DE_DECIMALS) + 0.0  # the key, written without a sign on zero
-    out = SpectralFunction(n_sites=n, dk_index=dk, de=de, weights=w,
-                           meta={"n_support": n_op.support, "h_support": h_op.support})
-    total, direct = out.total(), 1j * state.expect(N @ H)
+    N, H = (embed_sparse(op, chain)
+            for op in (LocalOperator((0,), spec.n0), models.energy_density(phi, chain)))
+    means = 1j * state.expect(N) * state.expect(H)
+    s[:, (dk == 0) & (de == 0)] -= means
+    w, w_n = s
+    out = SpectralFunction(n_sites=n, dk_index=dk, de=de, weights=w)
+    total, direct = out.total(), 1j * state.expect(N @ H) - means
     if abs(total - direct) > 1e-10 * max(1.0, abs(direct)):
         raise NumericalCheckError(f"spectral completeness violated: {total} vs {direct}")
     # the negated keys, sorted, are the keys themselves: neg[j] is the key whose negation is key j
@@ -619,16 +644,10 @@ def _transfer_kernels(dk_idx: np.ndarray, n_sites: int, y_halfwidth: int):
     Returns (S, D, tail): sum z e^{ikz}, sum e^{ikz} over |z| <= Y, and the sum
     of e^{ikz} over the remaining representatives z < -Y of the centered range.
     """
-    n = n_sites
-    k = 2.0 * math.pi * dk_idx / n
-    zs = np.arange(-((n - 1) // 2), n // 2 + 1)
-    inner = np.abs(zs) <= y_halfwidth
-    tail_mask = zs < -y_halfwidth
-    phase = np.exp(1j * np.outer(k, zs))
-    S = (phase[:, inner] * zs[inner]).sum(axis=1)
-    Dk = phase[:, inner].sum(axis=1)
-    tail = phase[:, tail_mask].sum(axis=1)
-    return S, Dk, tail
+    zs = np.arange(-((n_sites - 1) // 2), n_sites // 2 + 1)
+    inner = zs[np.abs(zs) <= y_halfwidth]
+    return (_phase_sum(dk_idx, n_sites, inner, inner), _phase_sum(dk_idx, n_sites, inner),
+            _phase_sum(dk_idx, n_sites, zs[zs < -y_halfwidth]))
 
 
 def momentum_derivative_check(state, spectral: SpectralFunction, window: WindowFunction,
@@ -657,27 +676,25 @@ def momentum_derivative_check(state, spectral: SpectralFunction, window: WindowF
     tail_term = 2.0 * SQRT_2PI * (2 * Y + 1) * float(np.real(np.sum(w * ft * tail)))
     lhs = derivative_term / SQRT_2PI
     rhs = current_value * window.fourier0()
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / abs(rhs) if rhs != 0 else (0.0 if abs_err < 1e-12 else math.inf)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_err": abs_err,
-        "rel_err": rel_err,
-        "tail_term": tail_term,
-        "count_term": count_term,
-        "derivative_term": derivative_term,
-        "Y": Y,
-    }
+    return {**_compared(lhs, rhs), "tail_term": tail_term, "count_term": count_term,
+            "derivative_term": derivative_term, "Y": Y}
 
 
 def boundary_commutator_integral(state, phi, spec, geom, window: WindowFunction,
-                                 chain: ChainConfig) -> float:
-    """Windowed <i [N_[-L,0], (C_-M + C_M)(t)]>, the boundary-complement piece of C(t)."""
-    N_w = models.charge_sparse(spec, (-geom.L, 0), chain)
-    cm, cp = models.boundary_complements(phi, geom.M, chain)
-    C_ops = embed_sparse(cm, chain) + embed_sparse(cp, chain)
-    return CommutatorKernel(state, N_w, C_ops).windowed_integral(window)
+                                 chain: ChainConfig, tables: list | None = None) -> float:
+    """Windowed <i [N_[-L,0], (C_-M + C_M)(t)]>, the boundary-complement piece of
+    C(t), reduced from the :func:`term_tables` (built here when not given): the
+    complements (:func:`models.boundary_complements`) hold the translates u in
+    [-M, M] of each class that miss [-M + r_eff, M - r_eff] - span // 2."""
+    tables = term_tables(state, phi, spec) if tables is None else tables
+    M, r_eff = geom.M, phi.max_diameter()
+
+    def anchors(span):
+        u = np.arange(-M, M - span + 1)
+        return np.arange(-geom.L, 1), u[np.abs(u + span // 2) > M - r_eff]
+
+    _, de, s = _reduce(tables, chain.n_sites, anchors)
+    return CommutatorKernel(de, s[0] - s[1]).windowed_integral(window)
 
 
 def singularity_diagnostic(spectral: SpectralFunction, epsilon_windows,

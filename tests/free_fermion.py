@@ -15,8 +15,15 @@ With Pi_P = (1 + P (-1)^N) / 2 and Q_P = H_P - lambda J_P,
 for s = +1, -1 and q = Phi diag(eps) Phi^H; every trace is an n x n matrix
 product (Lieb, Schultz & Mattis 1961; Peschel 2003).
 
+The modes of sector P are plane waves with e^{i k n} = -P, so the spectral
+weights of <i n^ E(.) h^> follow from Wick's theorem mode pair by mode pair
+(:meth:`FreeFermionXX.spectral`), and the Lieb-Robinson norm
+||[sigma^z_0(t), sigma^z_x]|| from one entry of exp(-i h_P t) (:func:`lr_norm`).
+
 Run as a script, this prints the sum-rule rel_err table of the M-trend
-geometries for n = 12 .. 32: ``python tests/free_fermion.py``.
+geometries for n = 12 .. 32, the criterion-8 terms and criterion-9 fraction
+for n = 8 .. 40, and the Lieb-Robinson floor point x = 5, t = 0.1:
+``python tests/free_fermion.py``.
 """
 
 import math
@@ -24,7 +31,7 @@ import math
 import numpy as np
 
 import nesslab as nl
-from nesslab.spectral import SQRT_2PI
+from nesslab.spectral import DE_DECIMALS, SQRT_2PI, SpectralFunction, centered_mode
 
 
 def _one_body(coeffs: np.ndarray, occupied: int, empty: int):
@@ -43,7 +50,7 @@ class FreeFermionXX:
     def __init__(self, n: int, beta: float, lam: float, cut: int):
         phi, spec = nl.build_xx_model()
         n0 = np.real(np.diag(spec.n0))
-        self.n, self.cut = n, cut
+        self.n, self.cut, self.beta, self.lam = n, cut, beta, lam
         self._occ = int(np.argmax(n0)), int(np.argmin(n0))
         (_, bond), = phi.terms
         j0 = nl.current_local(phi, spec, nl.ChainConfig(4, 2))
@@ -120,6 +127,84 @@ class FreeFermionXX:
         rel_err = abs(lhs - rhs) / abs(rhs) if rhs else math.inf
         return {"lhs": float(lhs), "rhs": float(rhs), "rel_err": float(rel_err)}
 
+    def _plane_waves(self, P: int):
+        """Mode indices m, energies eps (of h_P) and q (of Q_P), and the modes as
+        columns: psi_m(j) = e^{i k_m j} / sqrt(n), k_m = 2 pi (m + theta) / n."""
+        theta = 0.5 if P == 1 else 0.0
+        m = np.arange(self.n)
+        psi = np.exp(2j * np.pi * np.outer(np.arange(self.n), m + theta) / self.n) / np.sqrt(self.n)
+        h = psi.conj().T @ self._ring(self.bond[0], P) @ psi
+        q = h - self.lam * (psi.conj().T @ self._ring(self.j0[0], P) @ psi)
+        assert np.max(np.abs(q - np.diag(np.diag(q)))) < 1e-12
+        return m, np.diag(h).real, np.diag(q).real, psi
+
+    def spectral(self) -> SpectralFunction:
+        """The weights w(dk, de) of <i n^_0 E(.) h^> (n^ = n_0 - <n_0>, h^ the
+        centred bond on sites 0, 1), one row per particle-hole transfer a -> b of
+        each sector and s, plus one row at (0, 0) for the diagonal terms; de is
+        rounded to DE_DECIMALS, as the program keys it.
+
+        With G_s = s^N exp(-beta Q_P) and e_l = exp(-beta q_l), Wick's theorem
+        gives Tr(G_s n_a (1 - n_b)) = s e_a prod_{l != a, b} (1 + s e_l) and
+        Tr(G_s n_l n_l') = e_l e_l' prod_{l'' != l, l'} (1 + s e_l''); the sector
+        takes (Tr G_+ X + P Tr G_- X) / 2.  Every trace stays a product, so
+        Z_- = 0 (a mode with q_l = 0) needs no special case."""
+        (x, x0), (y, y0) = self.n0, self.bond
+        rows, moments = [], []  # moments: per sector and s, (weight, <n_l>, <n_l n_l'>)
+        for P, *_ in self.sectors:
+            m, eps, q, psi = self._plane_waves(P)
+            X = psi.conj().T @ self._place(x, 0) @ psi
+            Y = psi.conj().T @ self._place(y, 0) @ psi
+            n = self.n
+            for s in (1.0, -1.0):
+                c = (1.0 if s == 1 else P) / (2 * self.Z)
+                f = 1.0 + s * np.exp(-self.beta * q)
+                e = np.exp(-self.beta * q)
+                pair = np.ones((n, n))  # prod over l != a, b of f_l (l != a on the diagonal)
+                for a in range(n):
+                    for b in range(n):
+                        pair[a, b] = np.prod(np.delete(f, [a, b] if a != b else [a]))
+                occ = s * e * np.diag(pair)  # Tr(G_s n_l)
+                both = np.outer(e, e) * pair  # Tr(G_s n_l n_l'), l != l'
+                np.fill_diagonal(both, occ)
+                moments.append((c, np.prod(f), occ, both, np.diag(X), np.diag(Y)))
+                hop = c * 1j * X * Y.T * (s * e[:, None] * pair)  # a occupied, b empty
+                np.fill_diagonal(hop, 0.0)
+                rows.append((centered_mode((m[None, :] - m[:, None]) % n, n).ravel(),
+                             np.subtract.outer(eps, eps).T.ravel(), hop.ravel()))
+        nu = x0 + sum(c * xd @ occ for c, _, occ, _, xd, _ in moments)
+        eta = y0 + sum(c * yd @ occ for c, _, occ, _, _, yd in moments)
+        diag = 1j * sum(c * ((x0 - nu) * (y0 - eta) * z + (x0 - nu) * yd @ occ
+                             + (y0 - eta) * xd @ occ + xd @ both @ yd)
+                        for c, z, occ, both, xd, yd in moments)
+        dk, de, w = (np.concatenate(part) for part in zip(*rows))
+        return SpectralFunction(self.n, np.r_[dk, 0], np.round(np.r_[de, 0.0], DE_DECIMALS),
+                                np.r_[w, diag])
+
+
+def lr_norm(n: int, x: int, t: float, orders: int = 80) -> float:
+    """||[sigma^z_0(t), sigma^z_x]|| on the XX ring of n sites.
+
+    sigma^z = 2 c^dag c - 1 carries no string, so the commutator is the one-body
+    form c^dag [Psi_P, E_x] c on each parity sector, of norm
+    4 |u_P| sqrt(1 - |u_P|^2) with u_P = exp(-i h_P t)_{0x}.  u_P is summed as
+    its Taylor series: every path from x to 0 of one length that does not wrap
+    the ring has the same sign, so no terms cancel and u_P keeps its full
+    relative precision where the norm is 1e-8.
+    """
+    ring = FreeFermionXX(n, 1.0, 0.0, cut=-1)  # fermion j is site j
+    norm = 0.0
+    for P in (1, -1):
+        h = ring._ring(ring.bond[0], P)
+        v = np.zeros(n, dtype=np.complex128)
+        v[x % n] = 1.0
+        u = v[0]
+        for k in range(1, orders):  # v = (-i t)^k h^k e_x / k!
+            v = (-1j * t / k) * (h @ v)
+            u += v[0]
+        norm = max(norm, 4.0 * float(abs(u)) * math.sqrt(1.0 - abs(u) ** 2))
+    return norm
+
 
 def m_trend_table(ns=range(12, 33), beta=1.0, lam=0.5, window=None):
     """{n: {(L - M, M): rel_err or None}} over the M-trend geometries, hann T = 2;
@@ -137,8 +222,32 @@ def m_trend_table(ns=range(12, 33), beta=1.0, lam=0.5, window=None):
     return table
 
 
+def spectral_table(ns=range(8, 41), beta=1.0, lam=0.5):
+    """{n: (rel_err, tail_term, count_term, fraction)}: criterion 8's derivative
+    identity at (M, L) = (3, 7), Y = M - r = 2, hann T = 2, and criterion 9's
+    fraction of the derivative mass at |de| < 0.2, z_halfwidth = M_max - r."""
+    window = nl.WindowFunction("hann", 2.0)
+    table = {}
+    for n in ns:
+        oracle = FreeFermionXX(n, beta, lam, n // 2)
+        sf = oracle.spectral()
+        res = nl.momentum_derivative_check(None, sf, window, nl.CurrentGeometry(7, 3, 1),
+                                           nl.ChainConfig(n, 2, dim_cap=2**n),
+                                           current_value=oracle.current())
+        fraction = nl.singularity_diagnostic(sf, [0.2], z_halfwidth=(n - 4) // 2 - 1)
+        table[n] = (res["rel_err"], res["tail_term"], res["count_term"],
+                    fraction["fractions"][0.2])
+    return table
+
+
 if __name__ == "__main__":
     print("n   L-M=4: M=2, 3, 4               L-M=2: M=2, 3, 4")
     for n, row in m_trend_table().items():
         cells = ["n/a" if v is None else f"{v:.4g}" for v in row.values()]
         print(f"{n:<3} {', '.join(cells[:3]):<30} {', '.join(cells[3:])}")
+    print("\nn   criterion 8: rel_err, tail_term, count_term   criterion 9: fraction(|de| < 0.2)")
+    for n, (rel_err, tail, count, fraction) in spectral_table().items():
+        print(f"{n:<3} {rel_err:.4g}, {tail:.4g}, {count:.4g}{'':<12} {fraction:.4f}")
+    print("\nn   ||[sigma^z_0(t), sigma^z_x]|| at x = 5, t = 0.1")
+    for n in (10, 12, 14):
+        print(f"{n:<3} {lr_norm(n, 5, 0.1)!r}")

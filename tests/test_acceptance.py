@@ -28,9 +28,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def xx12_spectral(xx12_state, xx_model, chain12):
     phi, spec = xx_model
-    n_op = nl.LocalOperator((0,), spec.n0)
-    h_op = nl.energy_density(phi, chain12)
-    return nl.spectral_function_rho(xx12_state, n_op, h_op)
+    return nl.spectral_function_rho(xx12_state, phi, spec)
 
 
 def test_criterion_1_conservation(chain10):
@@ -105,7 +103,7 @@ def test_criterion_4_telescoping(chain12):
     M = 4
     for r in (1, 2, 3):
         phi = nl.build_random_interaction(r, 2, rng)
-        H_M = nl.local_hamiltonian(phi, (-M, M), chain12)
+        H_M = nl.models.window_hamiltonian_sparse(phi, (-M, M), chain12).toarray()
         h = nl.energy_density(phi, chain12)
         r_eff = phi.max_diameter()
         S = np.zeros_like(H_M)
@@ -260,8 +258,7 @@ def test_criterion_9_singularity_trend(xx_model, xx10_state, xx12_state):
         else:
             state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5),
                                           chain)
-        sf = nl.spectral_function_rho(state, nl.LocalOperator((0,), spec.n0),
-                                      nl.energy_density(phi, chain))
+        sf = nl.spectral_function_rho(state, phi, spec)
         # largest M with wrap clearance on this ring: L = M + 2r and
         # L + M + r < n, i.e. M = floor((n - 3r - 1) / 2)
         M_max = (n - 3 * phi.r - 1) // 2

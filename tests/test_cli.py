@@ -408,6 +408,19 @@ class TestSubcommands:
         doc = json.loads(open(os.path.join(out2, "sumrule.json")).read())
         assert doc["rel_err"] <= 0.05
 
+    def test_all_makes_one_table_pass_per_term_class(self, tmp_path, monkeypatch):
+        # the sum rule and the spectral function reduce the same per-term tables
+        passes = []
+        table = nl.spectral._transfer_table
+
+        def counted(*args):
+            passes.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(nl.spectral, "_transfer_table", counted)
+        assert cli.run("all", cli.parse_config(SMALL_CONFIG, env={}), str(tmp_path)) == 0
+        assert len(passes) == len(nl.build_xx_model()[0].terms) == 1
+
     def test_spectral_artifacts(self, small_cfg_path, tmp_path):
         out = str(tmp_path / "sp")
         assert cli.main(["spectral", "--config", small_cfg_path, "--out", out]) == 0

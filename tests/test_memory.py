@@ -85,9 +85,7 @@ def test_kernel_keeps_no_blocks(xx8):
 
 def test_spectral_function_holds_one_pair(xx8):
     phi, spec, chain, state, unit = xx8
-    n_op = nl.LocalOperator((0,), spec.n0)
-    h_op = nl.energy_density(phi, chain)
     sf = []
-    peak = _traced_peak(lambda: sf.append(nl.spectral_function_rho(state, n_op, h_op)))
+    peak = _traced_peak(lambda: sf.append(nl.spectral_function_rho(state, phi, spec)))
     assert peak < 4.0 * unit
     assert np.isfinite(sf[0].weights).all()

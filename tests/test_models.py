@@ -56,7 +56,7 @@ class TestBuilders:
         phi, spec = nl.build_fermion_model(0.0, [1.0])
         chain = nl.ChainConfig(6, 2)
         H = nl.hamiltonian(phi, chain)
-        N = nl.charge_operator(spec, (0, 5), chain)
+        N = charge_sparse(spec, (0, 5), chain).toarray()
         assert nl.comm_norm(N, H) == 0.0  # diagonal operators commute exactly
 
     def test_fermion_long_range(self):
@@ -79,12 +79,12 @@ class TestWindowHamiltonian:
     def test_single_site_window_empty(self, xx_model):
         phi, _ = xx_model
         chain = nl.ChainConfig(6, 2)
-        assert np.linalg.norm(nl.local_hamiltonian(phi, (0, 0), chain)) == 0.0
+        assert np.linalg.norm(window_hamiltonian_sparse(phi, (0, 0), chain).toarray()) == 0.0
 
     def test_two_site_window(self, xx_model):
         phi, _ = xx_model
         chain = nl.ChainConfig(6, 2)
-        H = nl.local_hamiltonian(phi, (0, 1), chain)
+        H = window_hamiltonian_sparse(phi, (0, 1), chain).toarray()
         expect = nl.embed(nl.LocalOperator((0, 1), xx_bond()), chain)
         assert np.linalg.norm(H - expect) < 1e-13
 
@@ -92,8 +92,8 @@ class TestWindowHamiltonian:
         # H_window2 - H_window1 contains exactly the translates not inside window1
         phi = nl.build_random_interaction(2, 2, rng)
         chain = nl.ChainConfig(8, 2)
-        H1 = nl.local_hamiltonian(phi, (-1, 2), chain)
-        H2 = nl.local_hamiltonian(phi, (-2, 3), chain)
+        H1 = window_hamiltonian_sparse(phi, (-1, 2), chain).toarray()
+        H2 = window_hamiltonian_sparse(phi, (-2, 3), chain).toarray()
         # term-enumeration oracle for the difference
         diff_expect = np.zeros_like(H1)
         for offsets, mat in phi.terms:
@@ -109,7 +109,7 @@ class TestWindowHamiltonian:
     def test_full_ring_translation_invariant(self, xx_model):
         phi, _ = xx_model
         chain = nl.ChainConfig(6, 2)
-        H = nl.local_hamiltonian(phi, (0, 5), chain)
+        H = window_hamiltonian_sparse(phi, (0, 5), chain).toarray()
         T = nl.shift_unitary(chain).toarray()
         assert nl.comm_norm(H, T) < 1e-12
 
@@ -160,12 +160,10 @@ class TestAssembly:
         H_w = _embed_sum(translates(range(lo, hi + 1), hi), chain)
         assert np.linalg.norm(window_hamiltonian_sparse(phi, (lo, hi), chain).toarray()
                               - H_w) < 1e-12
-        assert np.linalg.norm(nl.local_hamiltonian(phi, (lo, hi), chain) - H_w) < 1e-12
 
         N_w = _embed_sum([nl.LocalOperator((x % n,), spec.n0) for x in range(lo, hi + 1)],
                          chain)
         assert np.linalg.norm(charge_sparse(spec, (lo, hi), chain).toarray() - N_w) < 1e-12
-        assert np.linalg.norm(nl.charge_operator(spec, (lo, hi), chain) - N_w) < 1e-12
 
         if chain.periodic and name != "random_r2_d3":
             j0 = nl.current_local(phi, spec, chain)
@@ -179,29 +177,29 @@ class TestCharge:
     def test_single_site(self, xx_model):
         _, spec = xx_model
         chain = nl.ChainConfig(6, 2)
-        N = nl.charge_operator(spec, (2, 2), chain)
+        N = charge_sparse(spec, (2, 2), chain).toarray()
         assert np.allclose(N, nl.embed(nl.LocalOperator((2,), S3), chain))
 
     def test_full_chain_eigenvalues(self, xx_model):
         _, spec = xx_model
         chain = nl.ChainConfig(6, 2)
-        N = nl.charge_operator(spec, (0, 5), chain)
+        N = charge_sparse(spec, (0, 5), chain).toarray()
         evals = np.unique(np.round(np.linalg.eigvalsh(N), 10))
         assert np.allclose(evals, np.arange(-3.0, 3.5, 1.0))
 
     def test_additivity(self, xx_model):
         _, spec = xx_model
         chain = nl.ChainConfig(8, 2)
-        whole = nl.charge_operator(spec, (-2, 3), chain)
-        left = nl.charge_operator(spec, (-2, 0), chain)
-        right = nl.charge_operator(spec, (1, 3), chain)
+        whole = charge_sparse(spec, (-2, 3), chain).toarray()
+        left = charge_sparse(spec, (-2, 0), chain).toarray()
+        right = charge_sparse(spec, (1, 3), chain).toarray()
         assert np.linalg.norm(whole - left - right) == 0.0
 
     def test_translation_covariance(self, xx_model):
         _, spec = xx_model
         chain = nl.ChainConfig(8, 2)
-        N = nl.charge_operator(spec, (0, 2), chain)
-        Nshift = nl.charge_operator(spec, (3, 5), chain)
+        N = charge_sparse(spec, (0, 2), chain).toarray()
+        Nshift = charge_sparse(spec, (3, 5), chain).toarray()
         assert np.linalg.norm(nl.translate_global(N, 3, chain) - Nshift) < 1e-13
 
 
@@ -250,8 +248,8 @@ class TestCurrentOperator:
         phi, spec = xx_model
         chain = nl.ChainConfig(8, 2)
         geom = nl.CurrentGeometry(5, 2, 1)
-        N = nl.charge_operator(spec, (-5, 0), chain)
-        H = nl.local_hamiltonian(phi, (-2, 2), chain)
+        N = charge_sparse(spec, (-5, 0), chain).toarray()
+        H = window_hamiltonian_sparse(phi, (-2, 2), chain).toarray()
         direct = 1j * nl.commutator(N, H)
         j0 = nl.current_operator(phi, spec, geom, chain)
         assert np.linalg.norm(direct - nl.embed(j0, chain)) < 1e-12
@@ -292,8 +290,8 @@ class TestEnergyCurrents:
         chain = nl.ChainConfig(10, 2)
         M = 2
         Jp, Jm = nl.energy_current_operators(phi, M, chain)
-        H_M = nl.local_hamiltonian(phi, (-M, M), chain)
-        H_big = nl.local_hamiltonian(phi, (-M - 1, M + 1), chain)
+        H_M = window_hamiltonian_sparse(phi, (-M, M), chain).toarray()
+        H_big = window_hamiltonian_sparse(phi, (-M - 1, M + 1), chain).toarray()
         lhs = nl.embed(Jp, chain) - nl.embed(Jm, chain)
         assert np.linalg.norm(lhs - 1j * nl.commutator(H_M, H_big)) < 1e-12
 
@@ -303,7 +301,7 @@ class TestEnergyCurrents:
         chain = nl.ChainConfig(10, 2)
         M = 2
         Jp, Jm = nl.energy_current_operators(phi, M, chain)
-        H_M = nl.local_hamiltonian(phi, (-M, M), chain)
+        H_M = window_hamiltonian_sparse(phi, (-M, M), chain).toarray()
         H_full = nl.hamiltonian(phi, chain)
         generator = 1j * nl.commutator(H_full, H_M)
         assert np.linalg.norm(
@@ -385,7 +383,7 @@ class TestEnergyDensity:
         def window_embed(lo, hi):
             if hi < lo:
                 return np.zeros((chain.dim, chain.dim), dtype=complex)
-            return nl.local_hamiltonian(phi, (lo, hi), chain)
+            return window_hamiltonian_sparse(phi, (lo, hi), chain).toarray()
 
         total = window_embed(0, 0)
         for m in range(1, phi.r + 1):
@@ -402,7 +400,7 @@ class TestEnergyDensity:
         phi = nl.build_random_interaction(r, 2, rng)
         chain = nl.ChainConfig(10, 2)
         M = 4
-        H_M = nl.local_hamiltonian(phi, (-M, M), chain)
+        H_M = window_hamiltonian_sparse(phi, (-M, M), chain).toarray()
         h = nl.energy_density(phi, chain)
         r_eff = phi.max_diameter()
         S = np.zeros_like(H_M)
@@ -428,7 +426,7 @@ class TestSymmetry:
         for phi, spec in (nl.build_xxz_model(0.7), nl.build_fermion_model(1.0, [0.5])):
             chain = nl.ChainConfig(6, 2)
             H = nl.hamiltonian(phi, chain)
-            N = nl.charge_operator(spec, (0, 5), chain)
+            N = charge_sparse(spec, (0, 5), chain).toarray()
             evals, vecs = np.linalg.eigh(N)
             U = (vecs * np.exp(1j * theta * evals)) @ vecs.conj().T
             assert np.linalg.norm(U @ H @ U.conj().T - H) < 1e-12

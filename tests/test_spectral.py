@@ -15,6 +15,7 @@ from nesslab.spectral import (
     CommutatorKernel,
     SQRT_2PI,
     WindowFunction,
+    _transfer_table,
     centered_mode,
     momentum_sector_basis,
     translation_orbits,
@@ -23,6 +24,12 @@ from nesslab.operators import shift_index_map
 from nesslab.steady_state import StationaryState
 
 S1, S2, S3 = SPIN_HALF
+
+
+def table_kernel(state, A, B):
+    """C(t) = <i [A, B(t)]> from the generic transfer table of (A, B)."""
+    _, de, s = _transfer_table(state, A, B)
+    return CommutatorKernel(de, s[0] - s[1])
 
 
 @pytest.fixture(scope="module")
@@ -391,19 +398,19 @@ class TestCorrelation:
 
         N = charge_sparse(spec, (-geom.L, 0), chain10)
         H_M = window_hamiltonian_sparse(phi, (-geom.M, geom.M), chain10)
-        forward = CommutatorKernel(xx10_state, N, H_M)
-        backward = CommutatorKernel(xx10_state, H_M, N)
+        forward = table_kernel(xx10_state, N, H_M)
+        backward = table_kernel(xx10_state, H_M, N)
         ts = np.linspace(0.0, 1.2, 5)
         assert np.max(np.abs(forward.curve(ts) + backward.curve(-ts))) < 1e-9
 
     def test_curve_matches_dense_commutator(self, xx_model, dense_evolve):
-        # C(t) against i Tr(rho [N, H_M(t)]) with H_M(t) evolved densely
+        # the reduced C(t) against i Tr(rho [N, H_M(t)]) with H_M(t) evolved densely
         phi, spec = xx_model
         chain = nl.ChainConfig(8, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
-        N = nl.models.charge_sparse(spec, (-3, 0), chain)
+        N = nl.models.charge_sparse(spec, (-4, 0), chain)
         H_M = nl.models.window_hamiltonian_sparse(phi, (-2, 2), chain)
-        kernel = CommutatorKernel(state, N, H_M)
+        kernel = nl.correlation_kernel(state, phi, spec, nl.CurrentGeometry(4, 2, 1), chain)
         V = state.basis.vectors
         rho = (V * state.probs) @ V.conj().T
         N, H_M = N.toarray(), H_M.toarray()
@@ -451,10 +458,53 @@ def xx10_spectral(request):
     phi, spec = nl.build_xx_model()
     chain = nl.ChainConfig(10, 2)
     state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
-    n_op = nl.LocalOperator((0,), spec.n0)
-    h_op = nl.energy_density(phi, chain)
-    sf = nl.spectral_function_rho(state, n_op, h_op)
-    return chain, state, sf
+    return chain, state, nl.spectral_function_rho(state, phi, spec)
+
+
+def xx_with_field():
+    """XX plus an on-site field: two term classes, one of span 0."""
+    phi, spec = nl.build_xx_model()
+    return nl.Interaction(site_dim=2, r=1, terms=phi.terms + (((0,), 0.3 * S3),)), spec
+
+
+class TestTermTables:
+    """Every windowed sum reduced from the per-term tables against the generic
+    table of its assembled operator pair."""
+
+    @pytest.mark.parametrize("model", [nl.build_xx_model, xx_with_field])
+    def test_reductions_match_assembled_operators(self, model):
+        phi, spec = model()
+        chain = nl.ChainConfig(8, 2)
+        state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
+        tables = nl.spectral.term_tables(state, phi, spec)
+        assert len(tables) == len(phi.terms)
+        win = WindowFunction("hann", 1.5)
+        ts = np.linspace(-1.5, 1.5, 13)
+        geometries = [(L, M) for M in range(2, 8) for L in range(M + 2, 8)
+                      if L + M + 1 < chain.n_sites]
+        assert geometries == [(4, 2)]
+        for L, M in geometries:
+            geom = nl.CurrentGeometry(L, M, 1)
+            N = nl.models.charge_sparse(spec, (-L, 0), chain)
+            H_M = nl.models.window_hamiltonian_sparse(phi, (-M, M), chain)
+            ref = table_kernel(state, N, H_M)
+            kernel = nl.correlation_kernel(state, phi, spec, geom, chain, tables=tables)
+            assert abs(kernel.windowed_integral(win) - ref.windowed_integral(win)) < 1e-15
+            assert np.max(np.abs(kernel.curve(ts) - ref.curve(ts))) < 1e-15
+            cm, cp = nl.boundary_complements(phi, M, chain)
+            C = nl.embed_sparse(cm, chain) + nl.embed_sparse(cp, chain)
+            bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, chain, tables=tables)
+            assert abs(bc - table_kernel(state, N, C).windowed_integral(win)) < 1e-15
+
+        n_op = nl.LocalOperator((0,), spec.n0)
+        h_op = nl.energy_density(phi, chain)
+        n_hat, h_hat = (nl.embed_sparse(op, chain) - state.expect(op) * sp.identity(chain.dim)
+                        for op in (n_op, h_op))
+        dk, de, (w, w_n) = _transfer_table(state, n_hat, h_hat)
+        sf = nl.spectral_function_rho(state, phi, spec, tables=tables)
+        assert np.array_equal(sf.dk_index, dk)
+        assert np.array_equal(sf.de, np.round(de, nl.spectral.DE_DECIMALS) + 0.0)
+        assert np.max(np.abs(sf.weights - w)) < 1e-15
 
 
 class TestSpectralFunction:
@@ -486,14 +536,15 @@ class TestSpectralFunction:
             assert abs(sf.rho_position(z, t) - direct) < 1e-9
 
     def test_infinite_temperature_energy_symmetry(self, xx_model):
-        # maximally mixed state, n^ = h^: weights symmetric under de -> -de
+        # maximally mixed state of the XX basis; the energy density of an on-site
+        # interaction equal to the charge makes n^ = h^: weights symmetric under de -> -de
         phi, spec = xx_model
         chain = nl.ChainConfig(8, 2)
         H = nl.hamiltonian(phi, chain, sparse=True)
         basis = nl.joint_spectrum(H, chain)
         flat = StationaryState(basis=basis, probs=np.full(chain.dim, 1.0 / chain.dim))
-        n_op = nl.LocalOperator((0,), spec.n0)
-        sf = nl.spectral_function_rho(flat, n_op, n_op)
+        onsite = nl.Interaction(site_dim=2, r=1, terms=(((0,), spec.n0),))
+        sf = nl.spectral_function_rho(flat, onsite, spec)
         table = {(int(k), round(float(d), 9)): w
                  for k, d, w in zip(sf.dk_index, sf.de, sf.weights)}
         for (k, d), w in table.items():
@@ -512,9 +563,7 @@ class TestMomentumDerivative:
     def test_zero_current_state(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
-        n_op = nl.LocalOperator((0,), spec.n0)
-        h_op = nl.energy_density(phi, chain10)
-        sf = nl.spectral_function_rho(state, n_op, h_op)
+        sf = nl.spectral_function_rho(state, phi, spec)
         res = nl.momentum_derivative_check(state, sf, WindowFunction("hann", 1.5),
                                            nl.CurrentGeometry(4, 2, 1), chain10,
                                            current_value=0.0)
@@ -567,9 +616,7 @@ class TestSingularity:
     def test_no_current_flagged(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
-        n_op = nl.LocalOperator((0,), spec.n0)
-        h_op = nl.energy_density(phi, chain10)
-        sf = nl.spectral_function_rho(state, n_op, h_op)
+        sf = nl.spectral_function_rho(state, phi, spec)
         diag = nl.singularity_diagnostic(sf, [0.2], z_halfwidth=2)
         assert diag["no_current"]
         assert diag["fractions"][0.2] is None
