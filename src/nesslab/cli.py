@@ -367,7 +367,7 @@ def _cmd_spectral(ws: _Workspace, out: str) -> int:
         )
     sf = spectral_function_rho(ws.state, ws.phi, ws.spec, tables=ws.tables)
     _atomic_write(os.path.join(out, "spectral.csv"), sf.to_csv())
-    res = momentum_derivative_check(ws.state, sf, ws.window, ws.geom, ws.chain,
+    res = momentum_derivative_check(sf, ws.window, ws.geom, ws.chain,
                                     current_value=report.current_value)
     _write_json(os.path.join(out, "derivative.json"), res)
     diag = singularity_diagnostic(sf, list(ws.cfg.epsilon_windows),

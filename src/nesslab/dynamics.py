@@ -5,9 +5,13 @@ Evolution is conjugation in the Hamiltonian eigenbasis, exact to rounding at
 these dimensions.  Empirical light-cone scans compare commutator norms of
 separated, evolved local operators against the closed-form bound; on a
 periodic chain only pre-wrap points are admitted.  When every term of the
-interaction, A and B equal their local reversal c[::-1, ::-1] (XX or XXZ with
-sigma_x; not sigma_z, nor fermions with v != 0), the spin inversion F = u^(x)n,
-u: i -> d-1-i, is exact and each F-invariant half block splits into two F blocks.
+interaction equals its local reversal c[::-1, ::-1] and A and B each equal
++-their reversal (XX or XXZ with sigma_x or sigma_z; not fermions with v != 0),
+the spin inversion F = u^(x)n, u: i -> d-1-i, maps the half block's groups of
+sectors onto groups with the same singular values, and only one group of each
+such pair is computed.  When A and B are F-even too, each group that F maps
+onto itself splits into two F blocks, and pairs of sectors that are images of
+each other share one block of A.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import PreconditionError
-from .operators import (ChainConfig, LocalOperator, _global_indices, comm_norm,
-                        connected_components, embed, embed_sparse, embedded_entries,
-                        operator_norm, translate)
+from .operators import (ChainConfig, LocalOperator, _global_indices, _reversal_parity,
+                        comm_norm, connected_components, embed, embed_sparse,
+                        embedded_entries, operator_norm, translate)
 from . import models
 from .spectral import JointBasis, empirical_velocity
 
@@ -133,12 +137,15 @@ def _sector_isometries(sectors, labels, pos, op: LocalOperator, chain: ChainConf
     return G, cols, sp.csr_matrix((np.ones(len(lab)), (lab, j)), shape=(len(sectors), chain.dim))
 
 
-def _half_block_groups(sectors, labels, pos, ck, ops, chain: ChainConfig, fold: bool) -> tuple:
+def _half_block_groups(sectors, labels, pos, ck, ops, chain: ChainConfig, image,
+                       fold: bool) -> tuple:
     """(G1, G2, groups) for the half block Q1^H A(t) Q2, Q_i = embed(ops[i]).  A group
     joins the sectors A couples (pairs ``ck``) or whose rows share a column of Q1
     or Q2; (shape, [(c, k, rows, cols)], plan) puts G1[c] A(t)[c, k] G2[k]^H at
-    (rows, cols).  With ``fold`` a group that F maps onto itself keeps one row per
-    F orbit and gets a _fold_plan.  Groups without columns of Q1 or Q2 are zero."""
+    (rows, cols).  With the sector images ``image`` of F, a group that F maps onto
+    an earlier group is left out; with ``fold`` too a group that F maps onto itself
+    keeps one row per F orbit and gets a _fold_plan.  Groups without columns of Q1
+    or Q2 are zero."""
     (G1, cols1, T1), (G2, cols2, T2) = (_sector_isometries(sectors, labels, pos, op, chain)
                                         for op in ops)
     S_A = sp.csr_matrix((np.ones(len(ck)), (ck[:, 0], ck[:, 1])), shape=(len(sectors),) * 2)
@@ -146,13 +153,15 @@ def _half_block_groups(sectors, labels, pos, ck, ops, chain: ChainConfig, fold: 
     maps = [_reversal_map(op, chain) for op in ops] if fold else None
     groups = []
     for g in range(n_grp):
-        C1, C2 = ([c for c in np.flatnonzero(glabels == g) if len(ci[c])] for ci in (cols1, cols2))
-        if not (C1 and C2):
+        S = np.flatnonzero(glabels == g)
+        partner = g if image is None else glabels[image[S[0]]]  # the group F maps g onto
+        C1, C2 = ([c for c in S if len(ci[c])] for ci in (cols1, cols2))
+        if not (C1 and C2) or partner < g:
             continue
         J1, J2 = (np.unique(np.concatenate([ci[c] for c in C]))
                   for ci, C in ((cols1, C1), (cols2, C2)))
         plan = None
-        if fold and np.array_equal(np.sort(maps[0][0][J1]), J1):  # F maps the group onto itself
+        if fold and partner == g:
             for c in C1:  # keep one row per F orbit
                 keep = cols1[c] <= maps[0][0][cols1[c]]
                 G1[c], cols1[c] = G1[c][keep], cols1[c][keep]
@@ -215,6 +224,23 @@ def _group_sigma_max(acc: dict, key, plan) -> float:
     return math.sqrt(max(max(tops), 0.0))
 
 
+def _sector_images(ctx: JointBasis):
+    """F's image of every sector (F: s -> D-1-s), or None if F does not map
+    the sectors of ``ctx`` onto sectors."""
+    image = ctx.labels[::-1][[s.index[0] for s in ctx.sectors]]
+    return image if np.array_equal(image[ctx.labels], ctx.labels[::-1]) else None
+
+
+def _mates(ctx: JointBasis, image) -> dict:
+    """{c: image[c]} for the sectors whose F image is another sector with the same
+    eigenvectors, rows in mirrored order (as :meth:`JointBasis.for_interaction`
+    builds them).  For an F-even A, a pair of two such sectors has the same
+    block as the pair it mirrors."""
+    D, S = ctx.chain.dim, ctx.sectors
+    return {c: int(f) for c, (s, f) in enumerate(zip(S, image))
+            if f != c and S[f].vectors is s.vectors and np.array_equal(S[f].index, D - 1 - s.index)}
+
+
 def _local_comm_norm(A: LocalOperator, B: LocalOperator, site_dim: int) -> float:
     """||[A, B]|| on the union of the two supports; exactly 0 when disjoint."""
     sites = sorted(set(A.support) | set(B.support))
@@ -234,9 +260,10 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     ||[A(t), B]|| = |b2 - b1| sigma_max(P1 A(t) P2).  The scan runs per sector
     of ``ctx`` (built from ``phi`` if omitted) and one cluster of sectors at a
     time (see :func:`_clusters`): A enters the eigenbasis once per pair of
-    sectors it couples, and each norm is a maximum over the groups of sectors
-    of the half block P1 A(t) P2, or over their two F blocks when spin
-    inversion is exact (see the module docstring).  t = 0 takes the local
+    sectors it couples (once per F pair of them when spin inversion is exact),
+    and each norm is a maximum over the groups of sectors of the half block
+    P1 A(t) P2 (one group of each F pair), or over their two F blocks (see the
+    module docstring).  t = 0 takes the local
     commutator, exactly 0 for disjoint supports.  Points whose light cones
     could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are excluded from the
     comparison and flagged in the output.  A bad grid is refused before any
@@ -255,11 +282,14 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
             for t in ts}
     if params and ts and not any(live.values()):
         raise PreconditionError("every requested scan point lies beyond the wrap horizon")
-    fold = all(np.array_equal(c, c[::-1, ::-1])  # F is a symmetry of H, A and B
-               for c in [m for _, m in phi.terms] + [A.coeffs, B.coeffs])
-    gap, U1, U2 = _eigenspaces(B, fold)
+    parity = [_reversal_parity(op.coeffs) for op in (A, B)]
+    symmetric = all(parity) and all(_reversal_parity(m) == 1 for _, m in phi.terms)
+    gap, U1, U2 = _eigenspaces(B, symmetric and parity == [1, 1])
     if ctx is None:
         ctx = JointBasis.for_interaction(phi, chain)
+    image = _sector_images(ctx) if symmetric else None
+    fold = image is not None and parity == [1, 1]
+    mates = _mates(ctx, image) if image is not None and parity[0] == 1 else {}
     # periodic: ||[tau_x alpha_t(A), B]|| = ||[alpha_t(A), tau_{-x}(B)]||;
     # open chains have no translation automorphism, so B is placed at +x there
     step = -1 if chain.periodic else 1
@@ -271,12 +301,17 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     for s in sectors:
         pos[s.index] = np.arange(len(s.index))
     halves = {x: _half_block_groups(sectors, ctx.labels, pos, ck, [
-        translate(LocalOperator(B.support, U), step * x, chain) for U in (U1, U2)], chain, fold)
-        for x in x_values}
+        translate(LocalOperator(B.support, U), step * x, chain) for U in (U1, U2)], chain,
+        image, fold) for x in x_values}
 
     sigmas = {(x, t): [] for t in ts if t != 0.0 for x in live[t]}
     for uses in _clusters(halves, len(sectors)):
-        A_eig = list(ctx.blocks(A_sp, list(uses)))
+        # each pair of two mates takes the block of its mirror pair, if that comes first
+        twin = {(c, k): (mates[c], mates[k]) for c, k in uses if c in mates and k in mates}
+        twin = {ck: m for ck, m in twin.items() if m < ck and m in uses}
+        blocks = {(c, k): M for c, k, M in ctx.blocks(A_sp, [ck for ck in uses if ck not in twin])}
+        A_eig = [(c, k, blocks[twin.get((c, k), (c, k))]) for c, k in uses]
+        blocks = None
         for t in sorted({t for _, t in sigmas}):
             acc = {}  # half blocks of the groups between their first and last pair
             for c, k, M in A_eig:

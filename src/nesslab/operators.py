@@ -117,6 +117,13 @@ def product_operator(support, mats, hermitian: bool = False) -> LocalOperator:
     return LocalOperator(tuple(support), kron_le(list(mats)), hermitian=hermitian)
 
 
+def _reversal_parity(c: np.ndarray) -> int:
+    """1 or -1 when the local reversal c[::-1, ::-1] (every site's basis reversed,
+    i -> d-1-i) equals c or -c exactly, else 0."""
+    r = c[::-1, ::-1]
+    return 1 if np.array_equal(r, c) else -1 if np.array_equal(r, -c) else 0
+
+
 def _global_indices(support, chain: ChainConfig):
     """Index array g[a, b]: global basis index for support digits a, rest digits b."""
     d, L = chain.site_dim, chain.n_sites
@@ -278,11 +285,14 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def operator_norm(A) -> float:
     """Operator 2-norm (largest singular value), by a dense decomposition:
-    ``eigvalsh`` for a Hermitian or anti-Hermitian matrix, else an SVD."""
+    ``eigvalsh`` for a Hermitian or anti-Hermitian matrix, else an SVD; none
+    for a zero matrix."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"operator_norm expects a square matrix, got {A.shape}")
     fro = float(np.linalg.norm(A))
+    if fro == 0.0:
+        return 0.0
     if np.linalg.norm(A - A.conj().T) <= 1e-13 * fro:
         return float(np.max(np.abs(np.linalg.eigvalsh(A))))
     if np.linalg.norm(A + A.conj().T) <= 1e-13 * fro:

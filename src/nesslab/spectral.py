@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalCheckError, PreconditionError
-from .operators import (ChainConfig, LocalOperator, connected_components, embed_sparse,
-                        shift_index_map, shift_unitary, sparse_fro_norm)
+from .operators import (ChainConfig, LocalOperator, _reversal_parity, connected_components,
+                        embed_sparse, shift_index_map, shift_unitary, sparse_fro_norm)
 from . import models
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -135,14 +135,25 @@ class JointBasis:
 
         The sectors are the connected components of H's sparsity graph: the
         charge sectors of the XX, XXZ and fermion models, a single sector for
-        an interaction that conserves nothing.  Each gets one certified eigh.
+        an interaction that conserves nothing.  When every term equals its local
+        reversal c[::-1, ::-1], the spin inversion F: s -> D-1-s commutes with H;
+        a component that F maps onto an earlier one gets index D-1-index of that
+        one, row for row, so the same block of H and the same energies and
+        vectors (shared arrays).  The others get one eigh each; all are certified.
         """
         H = models.hamiltonian(phi, chain, sparse=True)
         n_comp, comp = connected_components(abs(H))
+        mirror = all(_reversal_parity(m) == 1 for _, m in phi.terms)
         parts = []
-        for idx in (np.flatnonzero(comp == c) for c in range(n_comp)):
+        for c in range(n_comp):
+            idx = np.flatnonzero(comp == c)
+            partner = comp[chain.dim - 1 - idx[0]] if mirror else c
+            if partner < c:
+                idx, evals, evecs = parts[partner]
+                idx = chain.dim - 1 - idx
             H_c = H[idx][:, idx]
-            evals, evecs = np.linalg.eigh(H_c.toarray())
+            if partner >= c:
+                evals, evecs = np.linalg.eigh(H_c.toarray())
             _certify(H_c, evals, evecs)
             parts.append((idx, evals, evecs))
         return _ordered_basis(chain, parts)
@@ -316,9 +327,11 @@ def _ordered_basis(chain: ChainConfig, parts, mode=None, bias_values=None) -> Jo
     for idx, evals, vectors in parts:
         cols = rank[start:start + len(idx)]
         start += len(idx)
-        o = np.argsort(cols)
-        sectors.append(Sector(idx, evals[o], np.ascontiguousarray(vectors[:, o])))
-        columns.append(cols[o])
+        if np.any(np.diff(cols) < 0):  # sectors already in order keep their (maybe shared) arrays
+            o = np.argsort(cols)
+            evals, vectors, cols = evals[o], np.ascontiguousarray(vectors[:, o]), cols[o]
+        sectors.append(Sector(idx, evals, vectors))
+        columns.append(cols)
     return JointBasis(chain=chain, sectors=tuple(sectors), columns=tuple(columns),
                       energies=E[order], mode=None if mode is None else mode[order],
                       bias_values=None if bias_values is None else bias_values[order])
@@ -650,7 +663,7 @@ def _transfer_kernels(dk_idx: np.ndarray, n_sites: int, y_halfwidth: int):
             _phase_sum(dk_idx, n_sites, zs[zs < -y_halfwidth]))
 
 
-def momentum_derivative_check(state, spectral: SpectralFunction, window: WindowFunction,
+def momentum_derivative_check(spectral: SpectralFunction, window: WindowFunction,
                               geom: models.CurrentGeometry, chain: ChainConfig,
                               current_value: float,
                               y_halfwidth: int | None = None) -> dict:

@@ -224,13 +224,13 @@ def test_criterion_8_momentum_derivative(xx12_state, xx12_spectral, xx_model, ch
     assert rep.symmetry_residual <= 1e-10  # symmetric-branch precondition
     win = WindowFunction("hann", 2.0)
     geom = nl.CurrentGeometry(7, 3, 1)
-    res = nl.momentum_derivative_check(xx12_state, xx12_spectral, win, geom,
+    res = nl.momentum_derivative_check(xx12_spectral, win, geom,
                                        chain12, current_value=rep.current_value)
     assert res["rel_err"] <= 0.10
 
     tails, counts = [], []
     for M in (2, 3, 4):
-        r = nl.momentum_derivative_check(xx12_state, xx12_spectral, win,
+        r = nl.momentum_derivative_check(xx12_spectral, win,
                                          nl.CurrentGeometry(M + 2, M, 1), chain12,
                                          current_value=rep.current_value)
         tails.append(abs(r["tail_term"]))

@@ -48,7 +48,7 @@ def _spectral_functionals(sf, n):
     chain, win = nl.ChainConfig(n, 2), nl.WindowFunction("hann", 2.0)
     out = {"total": sf.total()}
     for Y in range(1, (n - 1) // 2 + 1):
-        res = nl.momentum_derivative_check(None, sf, win, nl.CurrentGeometry(4, 2, 1), chain,
+        res = nl.momentum_derivative_check(sf, win, nl.CurrentGeometry(4, 2, 1), chain,
                                            current_value=0.1, y_halfwidth=Y)
         out.update({(key, Y): res[key] for key in ("lhs", "tail_term", "count_term")})
     diag = nl.singularity_diagnostic(sf, [0.2, 0.5, 1.0], z_halfwidth=(n - 4) // 2 - 1)

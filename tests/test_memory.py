@@ -56,6 +56,15 @@ def test_lr_scan_streams_one_cluster_pair_by_pair(xx8):
     assert peak < 8.0 * unit
 
 
+def test_scan_basis_holds_one_sector_per_f_pair(xx8):
+    # F maps the charge sector q onto 8 - q; the sectors q > 4 share their
+    # partner's vectors, so sum_{q<=4} C(8, q)^2 = 8885 of the 12870 entries are held
+    phi, _, chain, _, unit = xx8
+    ctx = nl.JointBasis.for_interaction(phi, chain)
+    distinct = {id(s.vectors): s.vectors.nbytes for s in ctx.sectors}
+    assert sum(distinct.values()) * 12870 == unit * 8885
+
+
 def test_sum_rule_holds_one_pair(xx8):
     phi, spec, chain, state, unit = xx8
     geom = nl.CurrentGeometry(L=4, M=2, r=1)

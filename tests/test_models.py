@@ -213,6 +213,17 @@ class TestConservation:
         phi, spec = nl.build_fermion_model(1.0, [0.5])
         assert nl.check_conservation(phi, spec, chain10, max_window=8) <= 1e-12
 
+    def test_xx_exact_zero_needs_no_decomposition(self, monkeypatch, chain10):
+        # every window commutator of XX is exactly zero: operator_norm returns 0.0
+        # before any eigvalsh or svd
+        def refuse(*args, **kwargs):
+            raise AssertionError("a zero commutator was decomposed")
+
+        for name in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        phi, spec = nl.build_xx_model()
+        assert nl.check_conservation(phi, spec, chain10, max_window=8) == 0.0
+
     def test_nonconserving_detected(self):
         # [sigma3, sigma1] = 2 i sigma2: residual grows with the window
         phi = nl.Interaction(2, 1, (((0,), PAULI_X),))

@@ -238,6 +238,57 @@ def _scan_with_eigvalsh_sizes(monkeypatch, phi, A, B, chain, x_values, t_values)
 
 
 SX = nl.LocalOperator((0,), nl.models.PAULI_X, hermitian=True)
+SZ = nl.LocalOperator((0,), nl.models.PAULI_Z, hermitian=True)
+
+
+def _xx_with_field() -> nl.Interaction:
+    """XX plus an on-site field h sigma_z: conserves S3, but sigma_z is F-odd."""
+    bond = nl.build_xx_model()[0].terms[0][1]
+    return nl.Interaction(2, 1, (((0,), 0.3 * nl.models.PAULI_Z), ((0, 1), bond)))
+
+
+class TestSpinInversionImages:
+    """for_interaction diagonalizes one sector of each F pair; the other shares its arrays."""
+
+    @staticmethod
+    def images(basis) -> list:
+        """The sectors c whose F image (s -> D-1-s) is an earlier sector, with that sector."""
+        D, S = basis.chain.dim, basis.sectors
+        pairs = [(c, basis.labels[D - 1 - s.index[0]]) for c, s in enumerate(S)]
+        return [(c, p) for c, p in pairs if p < c]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("phi", [nl.build_xx_model()[0], nl.build_xxz_model(0.5)[0]],
+                             ids=["xx", "xxz"])
+    def test_image_sectors_share_arrays(self, phi, boundary):
+        chain = nl.ChainConfig(8, 2, boundary)
+        basis = nl.JointBasis.for_interaction(phi, chain)
+        S = basis.sectors
+        assert len(S) == 9 and len(self.images(basis)) == 4  # q = 5..8 mirror q = 3..0
+        for c, p in self.images(basis):
+            assert S[c].vectors is S[p].vectors and S[c].energies is S[p].energies
+            assert np.array_equal(S[c].index, chain.dim - 1 - S[p].index)
+        H = nl.hamiltonian(phi, chain)
+        V = basis.vectors
+        assert np.linalg.norm(H @ V - V * basis.energies) <= 1e-10
+        assert np.linalg.norm(V.conj().T @ V - np.eye(chain.dim)) <= 1e-10
+
+    def test_spin_one_ring(self):
+        chain = nl.ChainConfig(4, 3)
+        basis = nl.JointBasis.for_interaction(_spin_one_xx(), chain)
+        assert len(basis.sectors) == 9 and len(self.images(basis)) == 4  # S3 = -4..4
+        for c, p in self.images(basis):
+            assert basis.sectors[c].vectors is basis.sectors[p].vectors
+        H = nl.hamiltonian(_spin_one_xx(), chain)
+        V = basis.vectors
+        assert np.linalg.norm(H @ V - V * basis.energies) <= 1e-10
+
+    @pytest.mark.parametrize("phi", [nl.build_fermion_model(1.0, [0.5])[0], _xx_with_field()],
+                             ids=["fermion", "xx_field"])
+    def test_no_images_without_symmetry(self, phi):
+        basis = nl.JointBasis.for_interaction(phi, nl.ChainConfig(8, 2))
+        assert len(basis.sectors) == 9
+        assert len({id(s.vectors) for s in basis.sectors}) == 9
 
 
 class TestReversalFold:
@@ -280,13 +331,54 @@ class TestReversalFold:
     def test_groups_that_f_swaps_stay_whole(self):
         # a diagonal Ising H has one sector per basis state; with A = sx sx and
         # B = sx every group of the half block has a distinct F image, so
-        # nothing folds even though F is exact
+        # nothing folds even though F is exact: each group is computed whole,
+        # and its F image, which has the same singular values, is skipped
         phi = nl.Interaction(2, 1, (((0, 1), np.diag([1.0, -1.0, -1.0, 1.0])),))
         chain = nl.ChainConfig(6, 2)
         A = nl.LocalOperator((0, 1), nl.kron_le([nl.models.PAULI_X] * 2), hermitian=True)
         rows = nl.lr_scan(phi, A, SX, [4], [0.5, 1.0], chain, v_emp=1e-6)
         assert all(r.empirical > 0.1 for r in rows)
         self.assert_matches_expm(phi, A, SX, chain, rows)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("A, B", [(SZ, SZ), (SX, SZ), (SZ, SX)], ids=["zz", "xz", "zx"])
+    def test_f_odd_operators(self, A, B, boundary):
+        # sigma_z is F-odd: F maps each group onto a group with the same
+        # singular values, and no group folds; an F-even A still shares the
+        # blocks of image sector pairs
+        phi = nl.build_xxz_model(0.5)[0]
+        chain = nl.ChainConfig(8, 2, boundary)
+        rows = nl.lr_scan(phi, A, B, [3, 4], [0.5, 1.0], chain, v_emp=1e-6)
+        self.assert_matches_expm(phi, A, B, chain, rows)
+
+    def test_image_pairs_take_their_mirror_block(self, monkeypatch):
+        # sigma_x couples q to q +- 1: 16 pairs of sectors at n = 8; the 12 pairs
+        # of two image sectors (q, q' != 4) form 6 F pairs, so A's blocks are
+        # formed for 6 + 4 pairs
+        phi = nl.build_xxz_model(0.5)[0]
+        chain = nl.ChainConfig(8, 2)
+        formed, blocks = [], nl.JointBasis.blocks
+
+        def recording(self, A, pairs):
+            formed.extend(pairs)
+            return blocks(self, A, pairs)
+
+        monkeypatch.setattr(nl.JointBasis, "blocks", recording)
+        rows = nl.lr_scan(phi, SX, SX, [3, 4], [0.5], chain, v_emp=1e-6)
+        monkeypatch.undo()
+        assert len(formed) == len(set(formed)) == 10
+        self.assert_matches_expm(phi, SX, SX, chain, rows)
+
+    def test_sigma_z_scans_one_group_per_f_pair(self, monkeypatch):
+        # on XX each charge sector is a group; F maps the group with m flipped
+        # spins onto the one with 8 - m, so only m = 1, ..., 4 get a Gram
+        # eigvalsh, of size min(C(7, m - 1), C(7, m)), and m = 5, 6, 7 none
+        # (the norms of A, B and the bond term take the sizes 2, 2 and 4)
+        phi = nl.build_xx_model()[0]
+        chain = nl.ChainConfig(8, 2)
+        rows, sizes = _scan_with_eigvalsh_sizes(monkeypatch, phi, SZ, SZ, chain, [3], [0.5])
+        self.assert_matches_expm(phi, SZ, SZ, chain, rows)
+        assert sorted(sizes) == [1, 2, 2, 4, 7, 21, 35]
 
     def test_fermions_with_interaction_do_not_fold(self, monkeypatch):
         # the density interaction is not reversal-symmetric, so F is no symmetry

@@ -564,7 +564,7 @@ class TestMomentumDerivative:
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
         sf = nl.spectral_function_rho(state, phi, spec)
-        res = nl.momentum_derivative_check(state, sf, WindowFunction("hann", 1.5),
+        res = nl.momentum_derivative_check(sf, WindowFunction("hann", 1.5),
                                            nl.CurrentGeometry(4, 2, 1), chain10,
                                            current_value=0.0)
         assert abs(res["lhs"]) < 1e-9 and abs(res["rhs"]) < 1e-9
@@ -573,7 +573,7 @@ class TestMomentumDerivative:
         chain, state, sf = xx10_spectral
         phi, spec = xx_model
         cur = state.expect(nl.current_local(phi, spec, chain)).real
-        res = nl.momentum_derivative_check(state, sf, WindowFunction("hann", 1.5),
+        res = nl.momentum_derivative_check(sf, WindowFunction("hann", 1.5),
                                            nl.CurrentGeometry(4, 2, 1), chain,
                                            current_value=cur)
         assert res["rel_err"] <= 0.10
@@ -588,7 +588,7 @@ class TestMomentumDerivative:
         scale = abs(SQRT_2PI * cur * win.fourier0())
         geom = nl.CurrentGeometry(4, 2, 1)
         sr = nl.sum_rule_check(state, phi, spec, geom, win, chain)
-        md = nl.momentum_derivative_check(state, sf, win, geom, chain, current_value=cur)
+        md = nl.momentum_derivative_check(sf, win, geom, chain, current_value=cur)
         bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, chain)
         resid = abs(md["derivative_term"] - (sr["lhs"] - md["tail_term"] - md["count_term"] - bc))
         assert resid <= 0.05 * scale
@@ -599,7 +599,7 @@ class TestMomentumDerivative:
         geom = nl.CurrentGeometry(4, 2, 1)
         tails, counts = [], []
         for Y in (1, 2, 3):
-            res = nl.momentum_derivative_check(state, sf, win, geom, chain,
+            res = nl.momentum_derivative_check(sf, win, geom, chain,
                                                current_value=0.1, y_halfwidth=Y)
             tails.append(abs(res["tail_term"]))
             counts.append(abs(res["count_term"]))
