@@ -9,6 +9,10 @@ config are byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 geometry/precondition error,
 4 numerical-check failure.
+
+Each finished step logs one ``info`` line with its wall and CPU time and the
+process's peak resident set size so far (``ru_maxrss``); the log goes to
+stderr, never into the artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -401,8 +407,12 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str) -> int:
     ws = _Workspace(cfg)
     _atomic_write(os.path.join(out_dir, "config.resolved.ini"), cfg.canonical_text())
     for step in _SUBCOMMANDS[subcommand]:
-        log.info("running %s", step.__name__.lstrip("_"))
+        wall, cpu = time.perf_counter(), time.process_time()
         code = step(ws, out_dir)
+        log.info("step %s: wall %.3f s, cpu %.3f s, peak rss %.1f MB",
+                 step.__name__.removeprefix("_cmd_").replace("_", "-"),
+                 time.perf_counter() - wall, time.process_time() - cpu,
+                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
         if code != _EXIT_OK:
             return code
     log.info("artifacts written to %s", out_dir)

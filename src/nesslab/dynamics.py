@@ -285,8 +285,8 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     parity = [_reversal_parity(op.coeffs) for op in (A, B)]
     symmetric = all(parity) and all(_reversal_parity(m) == 1 for _, m in phi.terms)
     gap, U1, U2 = _eigenspaces(B, symmetric and parity == [1, 1])
-    if ctx is None:
-        ctx = JointBasis.for_interaction(phi, chain)
+    # the scan evolves whole sector blocks: a basis kept in momentum frames is assembled
+    ctx = JointBasis.for_interaction(phi, chain) if ctx is None else ctx.unframed()
     image = _sector_images(ctx) if symmetric else None
     fold = image is not None and parity == [1, 1]
     mates = _mates(ctx, image) if image is not None and parity[0] == 1 else {}
@@ -309,7 +309,8 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
         # each pair of two mates takes the block of its mirror pair, if that comes first
         twin = {(c, k): (mates[c], mates[k]) for c, k in uses if c in mates and k in mates}
         twin = {ck: m for ck, m in twin.items() if m < ck and m in uses}
-        blocks = {(c, k): M for c, k, M in ctx.blocks(A_sp, [ck for ck in uses if ck not in twin])}
+        own = [ck for ck in uses if ck not in twin]
+        blocks = {(c, k): M for c, k, _, M in ctx.blocks(A_sp, own)}
         A_eig = [(c, k, blocks[twin.get((c, k), (c, k))]) for c, k in uses]
         blocks = None
         for t in sorted({t for _, t in sigmas}):

@@ -15,6 +15,7 @@ scan evolves in (:meth:`JointBasis.for_interaction`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,6 +34,7 @@ DEGENERACY_TOL = 1e-8   # energies closer than this (in sorted order) share a de
 DE_DECIMALS = 10        # energy transfers are keyed rounded to this many decimals
 NO_CURRENT_TOL = 1e-9   # |<j_0>| or |derivative-identity mass| below which a state carries no current
 _CURVE_CHUNK = 4096     # energy transfers per exp(i de t) batch of CommutatorKernel.curve
+_SLAB_COLUMNS = 32      # small momentum blocks of a sector are joined into slabs this wide
 
 
 def centered_mode(m, n_sites: int):
@@ -48,11 +50,55 @@ def centered_mode(m, n_sites: int):
 @dataclass(frozen=True)
 class Sector:
     """Basis states ``index`` spanning an H-invariant subspace, with the
-    eigenpairs of H restricted to it (``vectors`` in the sector's own basis)."""
+    eigenpairs of H restricted to it.
+
+    Without a ``frame``, ``vectors`` is the eigenvector matrix W in the
+    sector's own basis.  With one, W = frame @ block_diag(*vectors): ``frame``
+    is a sparse isometry onto the sector's orbit-momentum states, momentum
+    block by momentum block (:func:`momentum_sector_basis`), and ``vectors``
+    holds each block's eigenvectors, so no dense W is stored.  Consumers
+    read W slab by slab (:meth:`column_slabs`), a slab being one momentum
+    block or consecutive small ones up to _SLAB_COLUMNS columns.
+    """
 
     index: np.ndarray = field(repr=False)
     energies: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
+    vectors: np.ndarray | tuple = field(repr=False)
+    frame: sp.csc_matrix | None = field(repr=False, default=None)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The columns of each momentum block (all columns, without a frame)."""
+        ends = np.cumsum([0] + [len(E) for E in self.vectors]).tolist()
+        return tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:]))
+
+    @cached_property
+    def _slabs(self) -> tuple:
+        """(cols, blocks, Q) per slab: consecutive momentum blocks joined up to
+        _SLAB_COLUMNS columns (a larger block stands alone), their columns and
+        the frame's columns as a CSR isometry."""
+        groups, width = [[]], 0
+        for i, E in enumerate(self.vectors):
+            if groups[-1] and width + len(E) > _SLAB_COLUMNS:
+                groups.append([])
+                width = 0
+            groups[-1].append(i)
+            width += len(E)
+        cols = [slice(self.blocks[g[0]].start, self.blocks[g[-1]].stop) for g in groups]
+        return tuple((c, g, self.frame[:, c].tocsr()) for c, g in zip(cols, groups))
+
+    def slab_vectors(self, group: list) -> np.ndarray:
+        """The eigenvectors of the momentum blocks ``group`` on one diagonal."""
+        return _block_diagonal([self.vectors[i] for i in group])
+
+    def column_slabs(self):
+        """Yield (cols, W[:, cols]) in the sector's own basis, dense, one slab
+        at a time (W whole, without a frame)."""
+        if self.frame is None:
+            yield slice(0, len(self.energies)), self.vectors
+            return
+        for cols, group, Q in self._slabs:
+            yield cols, Q @ self.slab_vectors(group)
 
     def propagator(self, t: float) -> np.ndarray:
         """W exp(iEt): the sector block of exp(iHt) is propagator(t) @ W^H."""
@@ -73,12 +119,48 @@ def _block_residual(A: sp.csr_matrix, vectors: np.ndarray, values=None) -> float
     AW = A @ vectors
     if values is None:
         values = np.einsum("in,in->n", vectors.conj(), AW)
-    return float(np.linalg.norm(AW - vectors * values))
+    AW -= vectors * values
+    return float(np.linalg.norm(AW))
 
 
-def _certify(H: sp.csr_matrix, energies: np.ndarray, vectors: np.ndarray) -> None:
-    """Refuse the eigenpairs of one block unless ||H W - W E||_F <= 1e-10 max(1, ||H||_F)."""
-    res = _block_residual(H, vectors, energies)
+def _block_diagonal(blocks: list) -> np.ndarray:
+    """The square blocks on the diagonal of one dense array (a single block as is)."""
+    if len(blocks) == 1:
+        return blocks[0]
+    sizes = np.cumsum([0] + [len(b) for b in blocks])
+    out = np.zeros((sizes[-1], sizes[-1]), dtype=np.complex128)
+    for b, start, stop in zip(blocks, sizes[:-1], sizes[1:]):
+        out[start:stop, start:stop] = b
+    return out
+
+
+def _dense_block(A: sp.csr_matrix, rows: slice, cols: slice) -> np.ndarray:
+    """A[rows, cols] as a dense array, for a CSR A without duplicate entries."""
+    ptr = A.indptr[rows.start:rows.stop + 1]
+    i = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    j = A.indices[ptr[0]:ptr[-1]] - cols.start
+    keep = (j >= 0) & (j < cols.stop - cols.start)
+    X = np.zeros((len(ptr) - 1, cols.stop - cols.start), dtype=np.complex128)
+    X[i[keep], j[keep]] = A.data[ptr[0]:ptr[-1]][keep]
+    return X
+
+
+def _row_slab(QAQ: sp.csr_matrix, rows: slice, E: np.ndarray, sector: Sector) -> np.ndarray:
+    """E^H QAQ[rows] block_diag(sector.vectors), one momentum block of ``sector``
+    at a time: a row slab of a block in the eigenbases, from the block in the
+    orbit-momentum frames."""
+    X = _dense_block(QAQ, rows, slice(0, QAQ.shape[1]))
+    EH = E.conj().T
+    for cols, F in zip(sector.blocks, sector.vectors):
+        X[:, cols] = EH @ (X[:, cols] @ F)
+    return X
+
+
+def _certify(H: sp.csr_matrix, sector: Sector) -> None:
+    """Refuse the eigenpairs of one sector unless ||H W - W E||_F <= 1e-10 max(1, ||H||_F),
+    measured in the sector's own basis one momentum block of W at a time."""
+    res = math.hypot(*(_block_residual(H, W, sector.energies[cols])
+                       for cols, W in sector.column_slabs()))
     if res > 1e-10 * max(1.0, sparse_fro_norm(H)):
         raise NumericalCheckError(f"eigendecomposition residual {res:.3e} too large")
 
@@ -117,8 +199,9 @@ class JointBasis:
     in ``bias_values``, by the eigenvalue of an optional third commuting
     operator diagonalized inside degenerate blocks; one from
     :meth:`for_interaction` leaves both None.  Sector c holds the columns
-    ``columns[c]`` (ascending), supported on the basis states
-    ``sectors[c].index``.
+    ``columns[c]``, supported on the basis states ``sectors[c].index``:
+    ascending for a sector without a frame, momentum block by momentum block
+    (each block ascending) for one with a frame (:class:`Sector`).
     """
 
     chain: ChainConfig
@@ -149,13 +232,12 @@ class JointBasis:
             idx = np.flatnonzero(comp == c)
             partner = comp[chain.dim - 1 - idx[0]] if mirror else c
             if partner < c:
-                idx, evals, evecs = parts[partner]
-                idx = chain.dim - 1 - idx
-            H_c = H[idx][:, idx]
-            if partner >= c:
-                evals, evecs = np.linalg.eigh(H_c.toarray())
-            _certify(H_c, evals, evecs)
-            parts.append((idx, evals, evecs))
+                s = parts[partner]
+                s = Sector(chain.dim - 1 - s.index, s.energies, s.vectors)
+            else:
+                s = Sector(idx, *np.linalg.eigh(H[idx][:, idx].toarray()))
+            _certify(H[s.index][:, s.index], s)
+            parts.append(s)
         return _ordered_basis(chain, parts)
 
     @property
@@ -165,13 +247,23 @@ class JointBasis:
     @property
     def vectors(self) -> np.ndarray:
         """The D x D eigenvector matrix, assembled from the sectors on every call."""
-        if len(self.sectors) == 1:  # one sector over all states, columns in order
-            return self.sectors[0].vectors
+        S = self.sectors
+        if len(S) == 1 and S[0].frame is None:  # one sector over all states, columns in order
+            return S[0].vectors
         D = self.chain.dim
         V = np.zeros((D, D), dtype=np.complex128)
-        for s, cols in zip(self.sectors, self.columns):
-            V[np.ix_(s.index, cols)] = s.vectors
+        for s, cols in zip(S, self.columns):
+            for sl, W in s.column_slabs():
+                V[np.ix_(s.index, cols[sl])] = W
         return V
+
+    def unframed(self) -> "JointBasis":
+        """This basis with every sector's eigenvectors held whole (W dense)."""
+        if all(s.frame is None for s in self.sectors):
+            return self
+        sectors = tuple(Sector(s.index, s.energies, np.hstack([W for _, W in s.column_slabs()]))
+                        for s in self.sectors)
+        return dataclasses.replace(self, sectors=sectors)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -193,20 +285,34 @@ class JointBasis:
         return list(zip(C.row.tolist(), C.col.tolist()))
 
     def blocks(self, A, pairs):
-        """Yield (c, k, W_c^H A[c, k] W_k), the <m|A|n> with m in sector c and n
-        in sector k, one pair at a time for ``pairs`` in their order (those of
+        """Yield (c, k, rows, (W_c^H A[c, k] W_k)[rows]), the <m|A|n> with m in
+        sector c and n in sector k, for ``pairs`` in their order (those of
         :meth:`coupled_pairs`, or a subset).  A may be dense, sparse or a
-        LocalOperator; a consumer holds only the blocks it keeps."""
+        LocalOperator; a consumer holds only the blocks it keeps.
+
+        Without frames each pair comes whole (``rows`` all of sector c).  With
+        them, each pair comes in row slabs (one momentum block m of sector c,
+        or a few small ones; :class:`Sector`) at a time, formed per
+        momentum block m' of sector k as E_m^H (Q_m^H A[c, k] Q_m') E_m'."""
         A, S = _as_sparse(A, self.chain), self.sectors
         for c, k in pairs:
-            yield c, k, (S[c].vectors.conj().T @ A[S[c].index][:, S[k].index]) @ S[k].vectors
+            A_ck = A[S[c].index][:, S[k].index]
+            if S[c].frame is None:
+                yield (c, k, slice(0, len(S[c].energies)),
+                       (S[c].vectors.conj().T @ A_ck) @ S[k].vectors)
+                continue
+            QAQ = (S[c].frame.conj().T @ A_ck @ S[k].frame).tocsr()  # A_ck in the frames
+            for rows, group, _ in S[c]._slabs:  # the slab is the consumer's alone
+                yield c, k, rows, _row_slab(QAQ, rows, S[c].slab_vectors(group), S[k])
 
     def diagonal(self, A) -> np.ndarray:
         """<n|A|n> for every column n, from the diagonal sector blocks of A."""
         A = _as_sparse(A, self.chain)
         out = np.empty(self.chain.dim, dtype=np.complex128)
         for s, cols in zip(self.sectors, self.columns):
-            out[cols] = np.einsum("in,in->n", s.vectors.conj(), A[s.index][:, s.index] @ s.vectors)
+            A_cc = A[s.index][:, s.index]
+            for sl, W in s.column_slabs():
+                out[cols[sl]] = np.einsum("in,in->n", W.conj(), A_cc @ W)
         return out
 
     def residual(self, A) -> float:
@@ -215,14 +321,16 @@ class JointBasis:
 
         ``V^H [rho, A] V`` has entries (p_m - p_n) (V^H A V)_mn and no diagonal, so
         this certifies ||[rho, A]||_F <= residual(A) for every state
-        rho = V diag(p) V^H with 0 <= p <= 1.  Each sector costs one sparse product.
+        rho = V diag(p) V^H with 0 <= p <= 1.  Each sector costs one sparse
+        product, measured in its own basis one momentum block of W at a time.
         """
         A = _as_sparse(A, self.chain)
         coo = A.tocoo()
         off = np.abs(coo.data[self.labels[coo.row] != self.labels[coo.col]])
         sq = float(np.dot(off, off))
         for s in self.sectors:
-            sq += _block_residual(A[s.index][:, s.index], s.vectors) ** 2
+            A_cc = A[s.index][:, s.index]
+            sq += sum(_block_residual(A_cc, W) ** 2 for _, W in s.column_slabs())
         return math.sqrt(sq)
 
     def energy_block_ids(self) -> np.ndarray:
@@ -234,35 +342,41 @@ class JointBasis:
 
 
 def _component_eigenbasis(H: sp.csr_matrix, bias, orbits, n_sites: int) -> tuple:
-    """(energies, vectors, mode, bias) of H on one shift-invariant component,
-    momentum sector by momentum sector, degenerate blocks refined by ``bias``."""
+    """(energies, vectors, frame, mode, bias) of H on one shift-invariant
+    component: the orbit-momentum frame of a :class:`Sector` with the
+    eigenvectors of each momentum block, degenerate energy levels refined by
+    ``bias``, and the column labels."""
     dim = H.shape[0]
-    parts = []
-    for m in range(n_sites):
-        Q = momentum_sector_basis(dim, n_sites, m, orbits)
-        dm = Q.shape[1]
-        if dm == 0:
-            continue
-        Hm = (Q.conj().T @ (H @ Q)).toarray()
+    frames = [momentum_sector_basis(dim, n_sites, m, orbits) for m in range(n_sites)]
+    sizes = [Q.shape[1] for Q in frames]
+    frame = sp.hstack([Q for Q in frames if Q.shape[1]], format="csc")
+    FH = frame.conj().T.tocsr()
+    HF = (FH @ (H @ frame)).tocsr()  # momentum block diagonal, as is BF
+    BF = None if bias is None else (FH @ (bias @ frame)).tocsr()
+    vectors, evals, bias_vals, start = [], [], np.zeros(frame.shape[1]), 0
+    for dm in filter(None, sizes):
+        rows = slice(start, start + dm)
+        start += dm
+        Hm = _dense_block(HF, rows, rows)
         Hm = (Hm + Hm.conj().T) / 2
-        evals, evecs = np.linalg.eigh(Hm)
-        vectors = Q @ evecs  # dense (dim, dm)
-        bias_vals = np.zeros(dm)
-        if bias is not None:
+        e, evecs = np.linalg.eigh(Hm)
+        if BF is not None:
             # refine each degenerate energy block with the bias operator (1 x 1: no eigh)
-            BV = bias @ vectors
-            cuts = np.flatnonzero(np.diff(evals) > DEGENERACY_TOL) + 1
-            for start, stop in zip(np.r_[0, cuts], np.r_[cuts, dm]):
-                W = vectors[:, start:stop]
-                Jblk = W.conj().T @ BV[:, start:stop]
-                if stop - start == 1:
-                    bias_vals[start] = Jblk[0, 0].real
+            BE = _dense_block(BF, rows, rows) @ evecs
+            cuts = np.flatnonzero(np.diff(e) > DEGENERACY_TOL) + 1
+            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, dm]):
+                W = evecs[:, lo:hi]
+                Jblk = W.conj().T @ BE[:, lo:hi]
+                if hi - lo == 1:
+                    bias_vals[rows.start + lo] = Jblk[0, 0].real
                     continue
                 jv, ju = np.linalg.eigh((Jblk + Jblk.conj().T) / 2)
-                vectors[:, start:stop] = W @ ju
-                bias_vals[start:stop] = jv
-        parts.append((evals, vectors, np.full(dm, m, dtype=np.int64), bias_vals))
-    return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+                evecs[:, lo:hi] = W @ ju
+                bias_vals[rows.start + lo:rows.start + hi] = jv
+        vectors.append(evecs)
+        evals.append(e)
+    mode = np.repeat(np.arange(n_sites, dtype=np.int64), sizes)
+    return np.concatenate(evals), tuple(vectors), frame, mode, bias_vals
 
 
 def joint_spectrum(H, chain: ChainConfig, bias=None) -> JointBasis:
@@ -271,7 +385,8 @@ def joint_spectrum(H, chain: ChainConfig, bias=None) -> JointBasis:
     The blocks are the connected components of the sparsity graph of
     |H| + |bias| + |T| (the charge sectors of a charge-conserving model, one
     block for a model that conserves nothing); each splits into momentum
-    sectors before ``eigh``.  ``H`` (and ``bias``, if given) may be dense or
+    sectors before ``eigh`` and keeps its eigenvectors in that orbit-momentum
+    frame (:class:`Sector`).  ``H`` (and ``bias``, if given) may be dense or
     sparse; bias must commute with both H and the shift and is diagonalized
     inside every degenerate (energy, momentum) block to pin the basis
     deterministically.  Columns are ordered by energy, then momentum mode,
@@ -304,61 +419,66 @@ def joint_spectrum(H, chain: ChainConfig, bias=None) -> JointBasis:
         local[idx] = np.arange(len(idx))
         H_c = H_sp[idx][:, idx]
         sub = None if bias_sp is None else bias_sp[idx][:, idx]
-        evals, vectors, *col_labels = _component_eigenbasis(
+        evals, vectors, frame, *col_labels = _component_eigenbasis(
             H_c, sub, [local[o] for o in orbits[c]], chain.n_sites)
-        _certify(H_c, evals, vectors)
-        parts.append((idx, evals, vectors))
+        sector = Sector(idx, evals, vectors, frame)
+        _certify(H_c, sector)
+        parts.append(sector)
         labels.append(col_labels)
     mode, bias_all = (np.concatenate(x) for x in zip(*labels))
     return _ordered_basis(chain, parts, mode, None if bias_sp is None else bias_all)
 
 
-def _ordered_basis(chain: ChainConfig, parts, mode=None, bias_values=None) -> JointBasis:
-    """JointBasis of the per-component eigenpairs ``parts`` [(index, energies,
-    vectors)], its columns ordered by energy, then ``mode``, then
-    ``bias_values`` (per-column labels in the order of ``parts``, or None)."""
-    E = np.concatenate([evals for _, evals, _ in parts])
+def _ordered_basis(chain: ChainConfig, sectors, mode=None, bias_values=None) -> JointBasis:
+    """JointBasis of the per-component ``sectors``, its columns ordered by
+    energy, then ``mode``, then ``bias_values`` (per-column labels in the order
+    of ``sectors``, or None).  A sector without a frame is reordered to
+    ascending columns; one with a frame keeps its momentum blocks."""
+    E = np.concatenate([s.energies for s in sectors])
     if len(E) != chain.dim:
         raise NumericalCheckError("the sectors do not span the full space")
     order = np.lexsort(tuple(k for k in (bias_values, mode, E) if k is not None))
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    sectors, columns, start = [], [], 0
-    for idx, evals, vectors in parts:
-        cols = rank[start:start + len(idx)]
-        start += len(idx)
-        if np.any(np.diff(cols) < 0):  # sectors already in order keep their (maybe shared) arrays
+    ordered, columns, start = [], [], 0
+    for s in sectors:
+        cols = rank[start:start + len(s.index)]
+        start += len(s.index)
+        # sectors already in order keep their (maybe shared) arrays
+        if s.frame is None and np.any(np.diff(cols) < 0):
             o = np.argsort(cols)
-            evals, vectors, cols = evals[o], np.ascontiguousarray(vectors[:, o]), cols[o]
-        sectors.append(Sector(idx, evals, vectors))
+            s, cols = Sector(s.index, s.energies[o], np.ascontiguousarray(s.vectors[:, o])), cols[o]
+        ordered.append(s)
         columns.append(cols)
-    return JointBasis(chain=chain, sectors=tuple(sectors), columns=tuple(columns),
+    return JointBasis(chain=chain, sectors=tuple(ordered), columns=tuple(columns),
                       energies=E[order], mode=None if mode is None else mode[order],
                       bias_values=None if bias_values is None else bias_values[order])
 
 
 def _matched_blocks(basis: JointBasis, A, B):
-    """Yield (c, k, A[c, k], B[k, c]) in the eigenbasis for every pair that A
-    couples and B couples back, one pair at a time; nothing here holds a block
-    once it is yielded."""
-    A, B = (_as_sparse(op, basis.chain) for op in (A, B))
-    B_pairs = set(basis.coupled_pairs(B))
-    pairs = [(c, k) for c, k in basis.coupled_pairs(A) if (k, c) in B_pairs]
-    A_blocks, B_blocks = basis.blocks(A, pairs), basis.blocks(B, [ck[::-1] for ck in pairs])
-    for _ in pairs:
-        yield next(A_blocks) + (next(B_blocks)[2],)
+    """Yield (c, k, rows, X), X_mn = A_mn B_nm in the eigenbasis for m in the
+    rows ``rows`` of sector c and n in sector k, for every pair that A couples
+    and B couples back, slab by slab as :meth:`JointBasis.blocks` forms them.
+    B[k, c]^T is the conjugate of (B^H)[c, k], so X is A's slab times the
+    conjugate of the same slab of B^H; nothing here holds a slab once it is
+    yielded."""
+    A = _as_sparse(A, basis.chain)
+    BH = _as_sparse(B, basis.chain).conj().T.tocsr()
+    BH_pairs = set(basis.coupled_pairs(BH))
+    pairs = [ck for ck in basis.coupled_pairs(A) if ck in BH_pairs]
+    BH_slabs = basis.blocks(BH, pairs)
+    for c, k, rows, X in basis.blocks(A, pairs):
+        Y = next(BH_slabs)[3]
+        X *= np.conjugate(Y, out=Y)
+        Y = None
+        yield c, k, rows, X
+        X = None
 
 
-def _class_groups(classes: list) -> list:
-    """Per sector (``classes[c]``: class of each column): the order that sorts
-    its columns by class, the start of each class run in that order, and the
-    class of each run."""
-    groups = []
-    for ids in classes:
-        order = np.argsort(ids, kind="stable")
-        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
-        groups.append((order, starts, ids[order][starts]))
-    return groups
+def _class_runs(ids: np.ndarray) -> tuple:
+    """The start of each run of equal classes in ``ids``, and the class of each run."""
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    return starts, ids[starts]
 
 
 def _by_transfer(dk: np.ndarray, de: np.ndarray, sums: np.ndarray) -> tuple:
@@ -379,9 +499,11 @@ def _transfer_table(state, A, B) -> tuple:
 
     dk = k_n - k_m is the centered mode transfer and de = E_n - E_m the energy
     transfer, both read off one representative of each (energy block,
-    momentum) class.  Each pair of sectors is reduced over the class runs of
-    its rows and columns and added onto the keys before the next pair is
-    formed, so no block outlives its pair.
+    momentum) class.  Each slab of a pair of sectors (:func:`_matched_blocks`)
+    is summed over the runs of equal class of its rows and of its columns, in
+    place (a class split over two runs meets itself again in the merge by
+    transfer), and added onto the keys before the next slab is formed, so no
+    slab outlives its reduction.
     """
     basis = state.basis
     n = basis.chain.n_sites
@@ -389,23 +511,21 @@ def _transfer_table(state, A, B) -> tuple:
     cls = basis.energy_block_ids() * n + basis.mode
     _, first, cls_idx = np.unique(cls, return_index=True, return_inverse=True)
     E, mode = basis.energies[first], basis.mode[first]
-    groups = _class_groups(basis.per_sector(cls_idx))
+    cls_idx = basis.per_sector(cls_idx)
+    runs = [_class_runs(ids) for ids in cls_idx]
     dk, de, s = np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((2, 0), dtype=np.complex128)
-    for c, k, X, Bkc in _matched_blocks(basis, A, B):
-        X *= Bkc.T  # X_mn = A_mn B_nm
-        del Bkc
-        (oc, sc, uc), (ok, sk, uk) = groups[c], groups[k]
-        X = X[np.ix_(oc, ok)]  # rows and columns in class order
+    for c, k, rows, X in _matched_blocks(basis, A, B):
+        (sc, uc), (sk, uk) = _class_runs(cls_idx[c][rows]), runs[k]
         s_m = np.add.reduceat(X, sk, axis=1)
-        s_m *= p[c][oc, None]
+        s_m *= p[c][rows, None]
         s_n = np.add.reduceat(X, sc, axis=0)
         del X
-        s_n *= p[k][ok]
-        pair = np.stack([np.add.reduceat(s_m, sc, axis=0).ravel(),
+        s_n *= p[k]
+        slab = np.stack([np.add.reduceat(s_m, sc, axis=0).ravel(),
                          np.add.reduceat(s_n, sk, axis=1).ravel()])
-        pair_dk = centered_mode((mode[uk][None, :] - mode[uc][:, None]) % n, n).ravel()
-        pair_de = (E[uk][None, :] - E[uc][:, None]).ravel()
-        dk, de, s = _by_transfer(np.r_[dk, pair_dk], np.r_[de, pair_de], np.hstack([s, pair]))
+        slab_dk = centered_mode((mode[uk][None, :] - mode[uc][:, None]) % n, n).ravel()
+        slab_de = (E[uk][None, :] - E[uc][:, None]).ravel()
+        dk, de, s = _by_transfer(np.r_[dk, slab_dk], np.r_[de, slab_de], np.hstack([s, slab]))
     return dk, de, 1j * s
 
 

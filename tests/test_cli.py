@@ -1,6 +1,7 @@
 """Config parsing, subcommand artifacts, exit codes, determinism."""
 
 import json
+import logging
 import math
 import os
 import re
@@ -445,6 +446,24 @@ class TestDeterminism:
         assert cli.main(["all", "--config", small_cfg_path, "--out", out1]) == 0
         assert cli.main(["all", "--config", small_cfg_path, "--out", out2]) == 0
         assert_same_artifacts(out1, out2)
+
+    def test_all_logs_one_line_per_step(self, tmp_path, caplog):
+        # each step logs its wall time, CPU time and peak RSS at info level;
+        # the artifacts are the same bytes with and without the log
+        cfg = cli.parse_config(SMALL_CONFIG, env={})
+        quiet, logged = str(tmp_path / "quiet"), str(tmp_path / "logged")
+        with caplog.at_level(logging.WARNING, logger="nesslab"):
+            assert cli.run("all", cfg, quiet) == 0
+        assert not [r for r in caplog.records if r.getMessage().startswith("step ")]
+        with caplog.at_level(logging.INFO, logger="nesslab"):
+            assert cli.run("all", cfg, logged) == 0
+        steps = [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")]
+        assert [m.split(":")[0] for m in steps] == [
+            "step build", "step verify-lr", "step ness", "step sumrule", "step spectral"]
+        for message in steps:
+            assert re.fullmatch(r"step [a-z-]+: wall \d+\.\d{3} s, cpu \d+\.\d{3} s, "
+                                r"peak rss \d+\.\d MB", message), message
+        assert_same_artifacts(quiet, logged)
 
     def test_blas_thread_count_byte_identical(self, small_cfg_path, tmp_path):
         # one BLAS thread or two: every artifact of `all` must be the same bytes

@@ -122,7 +122,7 @@ def test_sectored_basis_is_complete(case):
     assert np.array_equal(np.sort(np.concatenate([s.index for s in basis.sectors])), np.arange(D))
     assert np.array_equal(np.sort(np.concatenate(basis.columns)), np.arange(D))
     for s, cols in zip(basis.sectors, basis.columns):
-        assert s.vectors.shape == (len(s.index), len(cols))
+        assert np.hstack([W for _, W in s.column_slabs()]).shape == (len(s.index), len(cols))
         assert np.array_equal(s.energies, basis.energies[cols])
     V = basis.vectors
     assert np.linalg.norm(H @ V - V * basis.energies) <= 1e-10

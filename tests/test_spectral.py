@@ -223,7 +223,8 @@ class TestSectoredBasis:
         columns = np.concatenate(basis.columns)
         assert np.array_equal(np.sort(columns), np.arange(chain.dim))
         for s, cols in zip(basis.sectors, basis.columns):
-            assert s.vectors.shape == (len(s.index), len(cols))
+            W = np.hstack([W for _, W in s.column_slabs()])
+            assert W.shape == (len(s.index), len(cols))
             assert np.array_equal(s.energies, basis.energies[cols])
         if name in ("xx", "xxz"):
             assert len(basis.sectors) == chain.n_sites + 1  # the charge sectors
@@ -248,16 +249,18 @@ class TestSectoredBasis:
         for label, A in _probe_operators(chain).items():
             Ad = nl.embed(A, chain) if isinstance(A, nl.LocalOperator) else A.toarray()
             dense = V.conj().T @ Ad @ V
-            blocks = {(c, k): X for c, k, X in basis.blocks(A, basis.coupled_pairs(A))}
             covered = np.zeros(dense.shape, dtype=bool)
-            for (c, k), X in blocks.items():
-                cell = np.ix_(basis.columns[c], basis.columns[k])
+            pairs = set()
+            for c, k, rows, X in basis.blocks(A, basis.coupled_pairs(A)):
+                cell = np.ix_(basis.columns[c][rows], basis.columns[k])
                 assert np.max(np.abs(X - dense[cell])) < 1e-12, label
+                assert not covered[cell].any(), label  # each row slab comes once
                 covered[cell] = True
+                pairs.add((c, k))
             # every pair of sectors left out carries no matrix element
             assert np.max(np.abs(dense[~covered]), initial=0.0) < 1e-12, label
             if label == "sigma_x" and name != "random":
-                assert all(c != k for c, k in blocks)  # sigma_x changes the charge
+                assert all(c != k for c, k in pairs)  # sigma_x changes the charge
             diag = basis.diagonal(A)
             assert np.max(np.abs(diag - np.diag(dense))) < 1e-12, label
 
@@ -277,6 +280,81 @@ class TestSectoredBasis:
                 rho = (V * rng.random(chain.dim)) @ V.conj().T
                 dense = np.linalg.norm(rho @ Ad - Ad @ rho)
                 assert dense <= cert * (1.0 + 1e-12) + 1e-14, label
+
+
+def _frame_case(model, n):
+    """(phi, spec, chain, state): biased XX, XXZ(0.5) at lambda = 0, or fermions
+    with a density interaction at lambda = 0, on n sites."""
+    chain = nl.ChainConfig(n, 2)
+    if model == "xx":
+        (phi, spec), lam = nl.build_xx_model(), 0.5
+    elif model == "xxz":
+        (phi, spec), lam = nl.build_xxz_model(0.5), 0.0
+    else:
+        (phi, spec), lam = nl.build_fermion_model(1.0, [0.5]), 0.0
+    return phi, spec, chain, nl.build_biased_gibbs(phi, spec, nl.BiasSpec(1.0, lam), chain)
+
+
+@pytest.fixture(scope="module", params=[(m, n) for m in ("xx", "xxz", "fermion") for n in (6, 8)],
+                ids=lambda case: f"{case[0]}-{case[1]}")
+def frame_case(request):
+    return _frame_case(*request.param)
+
+
+class TestOrbitFrame:
+    """The state basis kept per sector as a sparse orbit-momentum frame times the
+    eigenvectors of each momentum block, against the dense V = basis.vectors."""
+
+    def test_dense_vectors_diagonalize_h_and_the_bias(self, frame_case):
+        phi, spec, chain, state = frame_case
+        basis = state.basis
+        V = basis.vectors
+        assert np.linalg.norm(V.conj().T @ V - np.eye(chain.dim)) < 1e-12
+        H = nl.hamiltonian(phi, chain)
+        assert np.linalg.norm(H @ V - V * basis.energies) < 1e-12
+        T = nl.shift_unitary(chain)
+        assert np.linalg.norm(T @ V - V * np.exp(-1j * basis.momenta)) < 1e-12
+        if state.meta["lambda"] != 0:
+            J = nl.total_current(phi, spec, chain)
+            assert np.linalg.norm(V.conj().T @ J @ V - np.diag(basis.bias_values)) < 1e-12
+
+    def test_blocks_diagonal_residual_match_dense(self, frame_case):
+        phi, spec, chain, state = frame_case
+        basis = state.basis
+        V = basis.vectors
+        probes = [nl.LocalOperator((0,), spec.n0), nl.LocalOperator((0,), nl.models.PAULI_X),
+                  nl.current_local(phi, spec, chain), nl.hamiltonian(phi, chain, sparse=True),
+                  nl.shift_unitary(chain)]
+        probes += [nl.LocalOperator(offsets, mat) for offsets, mat in phi.terms]
+        for i, A in enumerate(probes):
+            Ad = nl.embed(A, chain) if isinstance(A, nl.LocalOperator) else A.toarray()
+            dense = V.conj().T @ Ad @ V
+            covered = np.zeros(dense.shape, dtype=bool)
+            for c, k, rows, X in basis.blocks(A, basis.coupled_pairs(A)):
+                cell = np.ix_(basis.columns[c][rows], basis.columns[k])
+                assert np.max(np.abs(X - dense[cell])) < 1e-12, i
+                covered[cell] = True
+            assert np.max(np.abs(dense[~covered]), initial=0.0) < 1e-12, i
+            assert np.max(np.abs(basis.diagonal(A) - np.diag(dense))) < 1e-12, i
+            off_diagonal = np.linalg.norm(dense - np.diag(np.diag(dense)))
+            assert abs(basis.residual(A) - off_diagonal) < 1e-12 * max(1.0, off_diagonal), i
+
+    def test_no_sector_holds_dense_vectors(self, frame_case):
+        # each sector stores sum_m d_m^2 eigenvector entries, d_m the number of its
+        # orbits that carry momentum 2 pi m / n, and a frame with one entry per
+        # basis state of each such orbit and momentum
+        _, _, chain, state = frame_case
+        n = chain.n_sites
+        orbits = translation_orbits(chain)
+        for s in state.basis.sectors:
+            mine = [o for o in orbits if o[0] in set(s.index.tolist())]
+            d_m = [sum((m * len(o)) % n == 0 for o in mine) for m in range(n)]
+            assert isinstance(s.vectors, tuple)
+            assert [E.shape for E in s.vectors] == [(d, d) for d in d_m if d]
+            assert sum(E.size for E in s.vectors) == sum(d * d for d in d_m)
+            assert s.frame.nnz == sum(len(o) for o in mine for m in range(n)
+                                      if (m * len(o)) % n == 0)
+            assert s.frame.shape == (len(s.index), len(s.index))
 
 
 class TestWindowFunction:
