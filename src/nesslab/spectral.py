@@ -67,14 +67,9 @@ class Sector:
     frame: sp.csc_matrix | None = field(repr=False, default=None)
 
     @cached_property
-    def blocks(self) -> tuple:
-        """The columns of each momentum block (all columns, without a frame)."""
-        ends = np.cumsum([0] + [len(E) for E in self.vectors]).tolist()
-        return tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:]))
-
-    @cached_property
-    def _slabs(self) -> tuple:
-        """(cols, blocks, Q) per slab: consecutive momentum blocks joined up to
+    def slabs(self) -> tuple:
+        """(cols, group, Q) per slab of a sector with a frame: consecutive
+        momentum blocks (``group``, indices into ``vectors``) joined up to
         _SLAB_COLUMNS columns (a larger block stands alone), their columns and
         the frame's columns as a CSR isometry."""
         groups, width = [[]], 0
@@ -84,12 +79,21 @@ class Sector:
                 width = 0
             groups[-1].append(i)
             width += len(E)
-        cols = [slice(self.blocks[g[0]].start, self.blocks[g[-1]].stop) for g in groups]
+        ends = np.cumsum([0] + [len(E) for E in self.vectors]).tolist()
+        cols = [slice(ends[g[0]], ends[g[-1] + 1]) for g in groups]
         return tuple((c, g, self.frame[:, c].tocsr()) for c, g in zip(cols, groups))
 
     def slab_vectors(self, group: list) -> np.ndarray:
-        """The eigenvectors of the momentum blocks ``group`` on one diagonal."""
-        return _block_diagonal([self.vectors[i] for i in group])
+        """The eigenvectors of the momentum blocks ``group`` on one dense
+        diagonal (a single block as it is stored)."""
+        if len(group) == 1:
+            return self.vectors[group[0]]
+        blocks = [self.vectors[i] for i in group]
+        ends = np.cumsum([0] + [len(E) for E in blocks])
+        out = np.zeros((ends[-1], ends[-1]), dtype=np.complex128)
+        for E, a, b in zip(blocks, ends[:-1], ends[1:]):
+            out[a:b, a:b] = E
+        return out
 
     def column_slabs(self):
         """Yield (cols, W[:, cols]) in the sector's own basis, dense, one slab
@@ -97,7 +101,7 @@ class Sector:
         if self.frame is None:
             yield slice(0, len(self.energies)), self.vectors
             return
-        for cols, group, Q in self._slabs:
+        for cols, group, Q in self.slabs:
             yield cols, Q @ self.slab_vectors(group)
 
     def propagator(self, t: float) -> np.ndarray:
@@ -123,17 +127,6 @@ def _block_residual(A: sp.csr_matrix, vectors: np.ndarray, values=None) -> float
     return float(np.linalg.norm(AW))
 
 
-def _block_diagonal(blocks: list) -> np.ndarray:
-    """The square blocks on the diagonal of one dense array (a single block as is)."""
-    if len(blocks) == 1:
-        return blocks[0]
-    sizes = np.cumsum([0] + [len(b) for b in blocks])
-    out = np.zeros((sizes[-1], sizes[-1]), dtype=np.complex128)
-    for b, start, stop in zip(blocks, sizes[:-1], sizes[1:]):
-        out[start:stop, start:stop] = b
-    return out
-
-
 def _dense_block(A: sp.csr_matrix, rows: slice, cols: slice) -> np.ndarray:
     """A[rows, cols] as a dense array, for a CSR A without duplicate entries."""
     ptr = A.indptr[rows.start:rows.stop + 1]
@@ -145,20 +138,20 @@ def _dense_block(A: sp.csr_matrix, rows: slice, cols: slice) -> np.ndarray:
     return X
 
 
-def _row_slab(QAQ: sp.csr_matrix, rows: slice, E: np.ndarray, sector: Sector) -> np.ndarray:
-    """E^H QAQ[rows] block_diag(sector.vectors), one momentum block of ``sector``
-    at a time: a row slab of a block in the eigenbases, from the block in the
-    orbit-momentum frames."""
+def _row_slab(QAQ: sp.csr_matrix, rows: slice, E: np.ndarray, right: list) -> np.ndarray:
+    """E^H QAQ[rows] block_diag(F), one slab (cols, F) of ``right`` at a time: a
+    row slab of a block in the eigenbases, from the block in the orbit-momentum
+    frames."""
     X = _dense_block(QAQ, rows, slice(0, QAQ.shape[1]))
     EH = E.conj().T
-    for cols, F in zip(sector.blocks, sector.vectors):
+    for cols, F in right:
         X[:, cols] = EH @ (X[:, cols] @ F)
     return X
 
 
 def _certify(H: sp.csr_matrix, sector: Sector) -> None:
     """Refuse the eigenpairs of one sector unless ||H W - W E||_F <= 1e-10 max(1, ||H||_F),
-    measured in the sector's own basis one momentum block of W at a time."""
+    measured in the sector's own basis one slab of W at a time."""
     res = math.hypot(*(_block_residual(H, W, sector.energies[cols])
                        for cols, W in sector.column_slabs()))
     if res > 1e-10 * max(1.0, sparse_fro_norm(H)):
@@ -232,12 +225,13 @@ class JointBasis:
             idx = np.flatnonzero(comp == c)
             partner = comp[chain.dim - 1 - idx[0]] if mirror else c
             if partner < c:
-                s = parts[partner]
-                s = Sector(chain.dim - 1 - s.index, s.energies, s.vectors)
-            else:
-                s = Sector(idx, *np.linalg.eigh(H[idx][:, idx].toarray()))
-            _certify(H[s.index][:, s.index], s)
-            parts.append(s)
+                p = parts[partner]
+                idx, evals, evecs = chain.dim - 1 - p.index, p.energies, p.vectors
+            H_c = H[idx][:, idx]
+            if partner >= c:
+                evals, evecs = np.linalg.eigh(H_c.toarray())
+            parts.append(Sector(idx, evals, evecs))
+            _certify(H_c, parts[-1])
         return _ordered_basis(chain, parts)
 
     @property
@@ -292,8 +286,8 @@ class JointBasis:
 
         Without frames each pair comes whole (``rows`` all of sector c).  With
         them, each pair comes in row slabs (one momentum block m of sector c,
-        or a few small ones; :class:`Sector`) at a time, formed per
-        momentum block m' of sector k as E_m^H (Q_m^H A[c, k] Q_m') E_m'."""
+        or a few small ones; :class:`Sector`) at a time, formed per slab m'
+        of sector k as E_m^H (Q_m^H A[c, k] Q_m') E_m'."""
         A, S = _as_sparse(A, self.chain), self.sectors
         for c, k in pairs:
             A_ck = A[S[c].index][:, S[k].index]
@@ -302,8 +296,9 @@ class JointBasis:
                        (S[c].vectors.conj().T @ A_ck) @ S[k].vectors)
                 continue
             QAQ = (S[c].frame.conj().T @ A_ck @ S[k].frame).tocsr()  # A_ck in the frames
-            for rows, group, _ in S[c]._slabs:  # the slab is the consumer's alone
-                yield c, k, rows, _row_slab(QAQ, rows, S[c].slab_vectors(group), S[k])
+            right = [(cols, S[k].slab_vectors(group)) for cols, group, _ in S[k].slabs]
+            for rows, group, _ in S[c].slabs:  # the slab is the consumer's alone
+                yield c, k, rows, _row_slab(QAQ, rows, S[c].slab_vectors(group), right)
 
     def diagonal(self, A) -> np.ndarray:
         """<n|A|n> for every column n, from the diagonal sector blocks of A."""
@@ -321,8 +316,8 @@ class JointBasis:
 
         ``V^H [rho, A] V`` has entries (p_m - p_n) (V^H A V)_mn and no diagonal, so
         this certifies ||[rho, A]||_F <= residual(A) for every state
-        rho = V diag(p) V^H with 0 <= p <= 1.  Each sector costs one sparse
-        product, measured in its own basis one momentum block of W at a time.
+        rho = V diag(p) V^H with 0 <= p <= 1.  It is measured against A in the
+        computational basis, one slab of each sector's W at a time.
         """
         A = _as_sparse(A, self.chain)
         coo = A.tocoo()
