@@ -1,10 +1,12 @@
 """Traced numpy peaks of the analyses that stream sector-pair blocks.
 
 Each analysis holds only the blocks of one pair of sectors (or of one cluster
-of sectors, for the Lieb-Robinson scan) next to what it keeps.  The bounds are
-in units of the state's sector-vector bytes (sum_q C(n, q)^2 complex entries),
-the size of one full set of sector blocks; building every block of an
-operator at once, next to its temporaries, reads 5 to 9 units here.
+of sectors, for the Lieb-Robinson scan, or one row slab of a pair, for the
+state's table pass) next to what it keeps.  The bounds are in units of whole
+sector blocks, 16 sum_q C(n, q)^2 bytes, the size of one full set of sector
+blocks (the state itself keeps about 1/n of that in its orbit-momentum
+frames); building every block of an operator at once, next to its
+temporaries, reads 5 to 9 units here.
 """
 
 import math
