@@ -455,8 +455,8 @@ def _matched_blocks(basis: JointBasis, A, B):
     rows ``rows`` of sector c and n in sector k, for every pair that A couples
     and B couples back, slab by slab as :meth:`JointBasis.blocks` forms them.
     B[k, c]^T is the conjugate of (B^H)[c, k], so X is A's slab times the
-    conjugate of the same slab of B^H; nothing here holds a slab once it is
-    yielded."""
+    conjugate of the same slab of B^H; B^H's slab goes at once, and X before
+    the next slab is formed."""
     A = _as_sparse(A, basis.chain)
     BH = _as_sparse(B, basis.chain).conj().T.tocsr()
     BH_pairs = set(basis.coupled_pairs(BH))
