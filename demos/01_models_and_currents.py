@@ -22,7 +22,7 @@ MODELS = {
 for name, (phi, spec) in MODELS.items():
     print(f"\n=== {name} ===")
     print(f"range r = {phi.r}, site dimension = {phi.site_dim}")
-    residual = nl.check_conservation(phi, spec, CHAIN, max_window=6)
+    residual = nl.check_conservation(phi, spec, CHAIN)
     print(f"conservation residual max ||[N, H]||  = {residual:.2e}")
     j0 = nl.current_operator(phi, spec, GEOM, CHAIN)
     print(f"current j_0 supported on sites {j0.support}, ||j_0|| = {j0.norm():.4f}")

@@ -405,6 +405,10 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str) -> int:
     log.info("validating config %r (model %s on %d sites)", cfg.label,
              cfg.model_kind, cfg.n_sites)
     ws = _Workspace(cfg)
+    if subcommand == "all":  # refuse a state the later steps cannot build before the first step
+        from .steady_state import biased_generator
+
+        biased_generator(ws.phi, ws.spec, cfg.lam, ws.chain)
     _atomic_write(os.path.join(out_dir, "config.resolved.ini"), cfg.canonical_text())
     for step in _SUBCOMMANDS[subcommand]:
         wall, cpu = time.perf_counter(), time.process_time()

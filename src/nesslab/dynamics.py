@@ -4,14 +4,15 @@ deviation bound Z_{M,L}(t).
 Evolution is conjugation in the Hamiltonian eigenbasis, exact to rounding at
 these dimensions.  Empirical light-cone scans compare commutator norms of
 separated, evolved local operators against the closed-form bound; on a
-periodic chain only pre-wrap points are admitted.  When every term of the
-interaction equals its local reversal c[::-1, ::-1] and A and B each equal
-+-their reversal (XX or XXZ with sigma_x or sigma_z; not fermions with v != 0),
-the spin inversion F = u^(x)n, u: i -> d-1-i, maps the half block's groups of
-sectors onto groups with the same singular values, and only one group of each
-such pair is computed.  When A and B are F-even too, each group that F maps
-onto itself splits into two F blocks, and pairs of sectors that are images of
-each other share one block of A.
+periodic chain only pre-wrap points are admitted.  A basis from
+:meth:`JointBasis.for_interaction` of an interaction whose terms equal their
+local reversal c[::-1, ::-1] (XX or XXZ; not fermions with v != 0) records as
+``images`` how the spin inversion F = u^(x)n, u: i -> d-1-i, pairs its
+sectors.  When A and B each equal +-their reversal (sigma_x or sigma_z), F
+maps the half block's groups of sectors onto groups with the same singular
+values, and only one group of each such pair is computed.  For an F-even A,
+pairs of image sectors share one block of A; when B is F-even too, each group
+that F maps onto itself splits into two F blocks.
 """
 
 from __future__ import annotations
@@ -224,23 +225,6 @@ def _group_sigma_max(acc: dict, key, plan) -> float:
     return math.sqrt(max(max(tops), 0.0))
 
 
-def _sector_images(ctx: JointBasis):
-    """F's image of every sector (F: s -> D-1-s), or None if F does not map
-    the sectors of ``ctx`` onto sectors."""
-    image = ctx.labels[::-1][[s.index[0] for s in ctx.sectors]]
-    return image if np.array_equal(image[ctx.labels], ctx.labels[::-1]) else None
-
-
-def _mates(ctx: JointBasis, image) -> dict:
-    """{c: image[c]} for the sectors whose F image is another sector with the same
-    eigenvectors, rows in mirrored order (as :meth:`JointBasis.for_interaction`
-    builds them).  For an F-even A, a pair of two such sectors has the same
-    block as the pair it mirrors."""
-    D, S = ctx.chain.dim, ctx.sectors
-    return {c: int(f) for c, (s, f) in enumerate(zip(S, image))
-            if f != c and S[f].vectors is s.vectors and np.array_equal(S[f].index, D - 1 - s.index)}
-
-
 def _local_comm_norm(A: LocalOperator, B: LocalOperator, site_dim: int) -> float:
     """||[A, B]|| on the union of the two supports; exactly 0 when disjoint."""
     sites = sorted(set(A.support) | set(B.support))
@@ -260,7 +244,7 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     ||[A(t), B]|| = |b2 - b1| sigma_max(P1 A(t) P2).  The scan runs per sector
     of ``ctx`` (built from ``phi`` if omitted) and one cluster of sectors at a
     time (see :func:`_clusters`): A enters the eigenbasis once per pair of
-    sectors it couples (once per F pair of them when spin inversion is exact),
+    sectors it couples (once per F pair of them if ``ctx`` records ``images``),
     and each norm is a maximum over the groups of sectors of the half block
     P1 A(t) P2 (one group of each F pair), or over their two F blocks (see the
     module docstring).  t = 0 takes the local
@@ -283,13 +267,12 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     if params and ts and not any(live.values()):
         raise PreconditionError("every requested scan point lies beyond the wrap horizon")
     parity = [_reversal_parity(op.coeffs) for op in (A, B)]
-    symmetric = all(parity) and all(_reversal_parity(m) == 1 for _, m in phi.terms)
-    gap, U1, U2 = _eigenspaces(B, symmetric and parity == [1, 1])
+    gap, U1, U2 = _eigenspaces(B, parity == [1, 1])
     # the scan evolves whole sector blocks: a basis kept in momentum frames is assembled
     ctx = JointBasis.for_interaction(phi, chain) if ctx is None else ctx.unframed()
-    image = _sector_images(ctx) if symmetric else None
+    image = ctx.images if all(parity) else None
     fold = image is not None and parity == [1, 1]
-    mates = _mates(ctx, image) if image is not None and parity[0] == 1 else {}
+    mates = {c: f for c, f in enumerate(image or ()) if f != c} if parity[0] == 1 else {}
     # periodic: ||[tau_x alpha_t(A), B]|| = ||[alpha_t(A), tau_{-x}(B)]||;
     # open chains have no translation automorphism, so B is placed at +x there
     step = -1 if chain.periodic else 1

@@ -44,6 +44,8 @@ FERMION_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 FERMION_RAISE = FERMION_LOWER.conj().T
 FERMION_NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
+MAX_CONSERVATION_WINDOW = 8  # check_conservation checks windows of up to this many sites
+
 
 @dataclass(frozen=True)
 class Interaction:
@@ -244,8 +246,6 @@ def build_random_interaction(r: int, site_dim: int, rng) -> Interaction:
 
 
 def _window_chain(length: int, site_dim: int) -> ChainConfig:
-    if length < 2:
-        raise ValueError("window chains need at least two sites")
     return ChainConfig(length, site_dim, "open", dim_cap=site_dim**length)
 
 
@@ -307,15 +307,14 @@ def charge_sparse(spec: ChargeSpec, window, chain: ChainConfig):
     return _assemble([LocalOperator((x,), spec.n0) for x in arc_sites(lo, hi, chain)], chain)
 
 
-def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
-                       max_window: int = 8) -> float:
-    """Max over window sizes of ||[N_w, H_w]||.
+def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig) -> float:
+    """Max over window sizes up to MAX_CONSERVATION_WINDOW of ||[N_w, H_w]||.
 
     Both operators translate covariantly, so only the window size matters and
     each commutator is evaluated on the window factor alone.
     """
     worst = operator_norm(commutator(spec.n0, _onsite(phi)))
-    top = min(max_window, chain.n_sites - 1 if chain.periodic else chain.n_sites)
+    top = min(MAX_CONSERVATION_WINDOW, chain.n_sites - 1 if chain.periodic else chain.n_sites)
     for w in range(2, top + 1):
         wchain = _window_chain(w, phi.site_dim)
         H = hamiltonian(phi, wchain)
@@ -324,48 +323,25 @@ def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
     return worst
 
 
-def _current_block(phi: Interaction, spec: ChargeSpec, M: int) -> np.ndarray:
-    """Coefficients of j_0 on its support [1-r, r] (positions 0 .. 2r-1).
+def _current(phi: Interaction, spec: ChargeSpec, M: int, chain: ChainConfig) -> LocalOperator:
+    """j_0 on [1-r, r], computed as i [N_[-M,0], H_[-M,r]] on the open window [-M, r].
 
-    i [N_{z<=0 part}, H_[-M,M]] is accumulated on the window [-M, r].  Only
-    interaction translates that meet the charge window contribute; for a
-    conserving interaction everything inside cancels and the sum is supported
-    on [1-r, r].
+    The translates of H_[-M,M] that meet the charge window lie in [-M, r].  A
+    translate that misses [-M, 0] commutes with N; those inside it cancel for
+    a conserving interaction, which leaves the sum supported on [1-r, r].
     """
-    d = phi.site_dim
     r = phi.r
-    lo, hi = -M, r
-    width = hi - lo + 1
-    wchain = _window_chain(width, d)
-    lifted = []
-    for offsets, mat in phi.terms:
-        span = offsets[-1]
-        for u in range(-M, M - span + 1):
-            sites = tuple(o + u for o in offsets)
-            charge_sites = [z for z in sites if z <= 0]
-            if not charge_sites or sites[0] > hi:
-                continue
-            # local commutator on the term's own factor
-            if len(sites) == 1:
-                c = 1j * (spec.n0 @ mat - mat @ spec.n0)
-            else:
-                rel = tuple(s - sites[0] for s in sites)
-                relchain = _window_chain(rel[-1] + 1, d)
-                term = embed(LocalOperator(rel, mat), relchain)
-                n_part = _assemble([LocalOperator((z - sites[0],), spec.n0)
-                                    for z in charge_sites], relchain).toarray()
-                c = 1j * commutator(n_part, term)
-            # lift onto the accumulation window
-            lifted.append(LocalOperator(tuple(range(sites[0] - lo, sites[-1] - lo + 1)), c))
-    acc = _assemble(lifted, wchain).toarray()
+    wchain = _window_chain(M + r + 1, phi.site_dim)  # window site 0 is -M
+    N = charge_sparse(spec, (0, M), wchain).toarray()
+    j = 1j * commutator(N, hamiltonian(phi, wchain))
     try:
-        block = extract_local(acc, tuple(range((1 - r) - lo, r - lo + 1)), wchain)
+        block = extract_local(j, tuple(range(M + 1 - r, M + r + 1)), wchain)
     except PreconditionError as exc:
         raise PreconditionError(
             "current is not supported on [1-r, r]; the interaction does not "
             f"conserve the given charge ({exc})"
         ) from exc
-    return block.coeffs
+    return translate(LocalOperator(tuple(range(2 * r)), block.coeffs), 1 - r, chain)
 
 
 def current_operator(phi: Interaction, spec: ChargeSpec, geom: CurrentGeometry,
@@ -377,12 +353,8 @@ def current_operator(phi: Interaction, spec: ChargeSpec, geom: CurrentGeometry,
     """
     if geom.r != phi.r:
         raise GeometryError(f"geometry range {geom.r} != interaction range {phi.r}")
-    if phi.site_dim != chain.site_dim:
-        raise ValueError("interaction and chain site dimensions differ")
     geom.validate_for_chain(chain)
-    r = phi.r
-    base = LocalOperator(tuple(range(2 * r)), _current_block(phi, spec, geom.M))
-    return translate(base, 1 - r, chain)
+    return _current(phi, spec, geom.M, chain)
 
 
 def current_local(phi: Interaction, spec: ChargeSpec, chain: ChainConfig) -> LocalOperator:
@@ -391,11 +363,9 @@ def current_local(phi: Interaction, spec: ChargeSpec, chain: ChainConfig) -> Loc
     Usable on chains too short to host any admissible (L, M) pair directly;
     the current is a fixed local operator on [1-r, r] regardless.
     """
-    r = phi.r
-    coeffs = _current_block(phi, spec, 2 * r)
-    if 2 * r > chain.n_sites:
+    if 2 * phi.r > chain.n_sites:
         raise GeometryError("chain shorter than the current's support")
-    return translate(LocalOperator(tuple(range(2 * r)), coeffs), 1 - r, chain)
+    return _current(phi, spec, 2 * phi.r, chain)
 
 
 def total_current(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
@@ -411,9 +381,10 @@ def total_current(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
 def energy_current_operators(phi: Interaction, M: int, chain: ChainConfig):
     """Boundary energy currents: i [H_[-M,M], H_[-M-r,M+r]] = J_plus - J_minus.
 
-    J_plus collects the commutators with translates sticking out of the right
-    end of the window (support [M-2r+1, M+r]), J_minus those at the left end
-    (support [-M-r, -M+2r-1]); the two families exhaust all nonzero terms.
+    Each translate sticking out of the right end of [-M, M] lies in
+    W = [M-2r+1, M+r], and the translates of [-M, M] it touches lie in the
+    first 2r sites of W: J_plus = i [H_[M-2r+1,M], H_W].  J_minus mirrors it
+    on [-M-r, -M+2r-1].  With M >= 2r no translate sticks out of both ends.
     """
     r = phi.r
     if M < 2 * r:
@@ -422,47 +393,13 @@ def energy_current_operators(phi: Interaction, M: int, chain: ChainConfig):
         raise GeometryError(
             f"window [-M-r, M+r] needs {2 * (M + r) + 1} sites, chain has {chain.n_sites}"
         )
-    d = phi.site_dim
-
-    def straddle_sum(side: str):
-        if side == "right":
-            lo, hi = M - 2 * r + 1, M + r
-        else:
-            lo, hi = -M - r, -M + 2 * r - 1
-        width = hi - lo + 1
-        terms = []
-        for offsets, mat in phi.terms:
-            span = offsets[-1]
-            for u in range(-M - r, M + r - span + 1):
-                X = tuple(o + u for o in offsets)
-                inside = X[0] >= -M and X[-1] <= M
-                right = X[-1] > M
-                left = X[0] < -M
-                if right and left:
-                    raise GeometryError("boundary zones overlap; M too small")
-                if inside or (side == "right" and not right) or (side == "left" and not left):
-                    continue
-                # commute with every window term it touches
-                for offsets_y, mat_y in phi.terms:
-                    span_y = offsets_y[-1]
-                    for uy in range(-M, M - span_y + 1):
-                        Y = tuple(o + uy for o in offsets_y)
-                        if not set(Y) & set(X):
-                            continue
-                        joint = tuple(sorted(set(X) | set(Y)))
-                        rel0 = joint[0]
-                        relchain = _window_chain(joint[-1] - rel0 + 1, d)
-                        GX = embed(LocalOperator(tuple(s - rel0 for s in X), mat), relchain)
-                        GY = embed(LocalOperator(tuple(s - rel0 for s in Y), mat_y), relchain)
-                        terms.append(LocalOperator(tuple(range(rel0 - lo, joint[-1] - lo + 1)),
-                                                   1j * commutator(GY, GX)))
-        acc = _assemble(terms, _window_chain(width, d)).toarray()
-        return translate(LocalOperator(tuple(range(width)), acc), lo, chain)
-
-    j_plus = straddle_sum("right")
-    j_minus_raw = straddle_sum("left")
-    j_minus = LocalOperator(j_minus_raw.support, -j_minus_raw.coeffs)
-    return j_plus, j_minus
+    wchain = _window_chain(3 * r, phi.site_dim)
+    H = hamiltonian(phi, wchain)
+    right, left = (window_hamiltonian_sparse(phi, (lo, lo + 2 * r - 1), wchain).toarray()
+                   for lo in (0, r))
+    support = tuple(range(3 * r))
+    return (translate(LocalOperator(support, 1j * commutator(right, H)), M - 2 * r + 1, chain),
+            translate(LocalOperator(support, 1j * commutator(H, left)), -M - r, chain))
 
 
 def energy_density(phi: Interaction, chain: ChainConfig) -> LocalOperator:

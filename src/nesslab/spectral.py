@@ -195,6 +195,8 @@ class JointBasis:
     ``columns[c]``, supported on the basis states ``sectors[c].index``:
     ascending for a sector without a frame, momentum block by momentum block
     (each block ascending) for one with a frame (:class:`Sector`).
+    ``images[c]`` is the sector that spin inversion maps sector c onto, or
+    ``images`` is None (see :meth:`for_interaction`).
     """
 
     chain: ChainConfig
@@ -203,6 +205,7 @@ class JointBasis:
     energies: np.ndarray = field(repr=False)
     mode: np.ndarray | None = field(repr=False, default=None)
     bias_values: np.ndarray | None = field(repr=False, default=None)
+    images: tuple | None = field(repr=False, default=None)
 
     @classmethod
     def for_interaction(cls, phi: models.Interaction, chain: ChainConfig) -> "JointBasis":
@@ -215,15 +218,17 @@ class JointBasis:
         reversal c[::-1, ::-1], the spin inversion F: s -> D-1-s commutes with H;
         a component that F maps onto an earlier one gets index D-1-index of that
         one, row for row, so the same block of H and the same energies and
-        vectors (shared arrays).  The others get one eigh each; all are certified.
+        vectors (shared arrays); ``images`` records the pairing.  The others get
+        one eigh each; all are certified.
         """
         H = models.hamiltonian(phi, chain, sparse=True)
         n_comp, comp = connected_components(abs(H))
         mirror = all(_reversal_parity(m) == 1 for _, m in phi.terms)
-        parts = []
+        parts, images = [], []
         for c in range(n_comp):
             idx = np.flatnonzero(comp == c)
-            partner = comp[chain.dim - 1 - idx[0]] if mirror else c
+            partner = int(comp[chain.dim - 1 - idx[0]]) if mirror else c
+            images.append(partner)
             if partner < c:
                 p = parts[partner]
                 idx, evals, evecs = chain.dim - 1 - p.index, p.energies, p.vectors
@@ -232,7 +237,7 @@ class JointBasis:
                 evals, evecs = np.linalg.eigh(H_c.toarray())
             parts.append(Sector(idx, evals, evecs))
             _certify(H_c, parts[-1])
-        return _ordered_basis(chain, parts)
+        return _ordered_basis(chain, parts, images=tuple(images) if mirror else None)
 
     @property
     def momenta(self) -> np.ndarray:
@@ -424,30 +429,22 @@ def joint_spectrum(H, chain: ChainConfig, bias=None) -> JointBasis:
     return _ordered_basis(chain, parts, mode, None if bias_sp is None else bias_all)
 
 
-def _ordered_basis(chain: ChainConfig, sectors, mode=None, bias_values=None) -> JointBasis:
+def _ordered_basis(chain: ChainConfig, sectors, mode=None, bias_values=None,
+                   images=None) -> JointBasis:
     """JointBasis of the per-component ``sectors``, its columns ordered by
     energy, then ``mode``, then ``bias_values`` (per-column labels in the order
-    of ``sectors``, or None).  A sector without a frame is reordered to
-    ascending columns; one with a frame keeps its momentum blocks."""
+    of ``sectors``, or None)."""
     E = np.concatenate([s.energies for s in sectors])
     if len(E) != chain.dim:
         raise NumericalCheckError("the sectors do not span the full space")
     order = np.lexsort(tuple(k for k in (bias_values, mode, E) if k is not None))
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    ordered, columns, start = [], [], 0
-    for s in sectors:
-        cols = rank[start:start + len(s.index)]
-        start += len(s.index)
-        # sectors already in order keep their (maybe shared) arrays
-        if s.frame is None and np.any(np.diff(cols) < 0):
-            o = np.argsort(cols)
-            s, cols = Sector(s.index, s.energies[o], np.ascontiguousarray(s.vectors[:, o])), cols[o]
-        ordered.append(s)
-        columns.append(cols)
-    return JointBasis(chain=chain, sectors=tuple(ordered), columns=tuple(columns),
+    columns = np.split(rank, np.cumsum([len(s.index) for s in sectors])[:-1])
+    return JointBasis(chain=chain, sectors=tuple(sectors), columns=tuple(columns),
                       energies=E[order], mode=None if mode is None else mode[order],
-                      bias_values=None if bias_values is None else bias_values[order])
+                      bias_values=None if bias_values is None else bias_values[order],
+                      images=images)
 
 
 def _matched_blocks(basis: JointBasis, A, B):
@@ -641,10 +638,9 @@ class CommutatorKernel:
         return SQRT_2PI * float(np.dot(self._w.real, window.fourier(self._de)))
 
 
-def wrap_horizon(phi: models.Interaction, chain: ChainConfig, v_emp: float | None = None) -> float:
+def wrap_horizon(phi: models.Interaction, chain: ChainConfig) -> float:
     """Time for the fastest empirical signal to cross half the ring."""
-    v = empirical_velocity(phi) if v_emp is None else v_emp
-    return chain.n_sites / (2.0 * v)
+    return chain.n_sites / (2.0 * empirical_velocity(phi))
 
 
 def empirical_velocity(phi: models.Interaction) -> float:

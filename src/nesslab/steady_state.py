@@ -71,29 +71,38 @@ class StationaryState:
         return list(zip(b.energies[o].tolist(), b.momenta[o].tolist(), self.probs[o].tolist()))
 
 
-def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
-                       bias: BiasSpec, chain: ChainConfig) -> StationaryState:
-    """rho proportional to exp(-beta (H - lambda J_tot)) on the periodic chain.
+def biased_generator(phi: models.Interaction, spec: models.ChargeSpec, lam: float,
+                     chain: ChainConfig) -> tuple:
+    """(H, J_tot) of exp(-beta (H - lambda J_tot)), sparse; J_tot is None at lambda = 0.
 
-    For lambda != 0, refuses interactions whose total current fails to commute
-    with H (the state would not be stationary); at lambda = 0 the state is the
-    Gibbs state of any translation-invariant H.  The basis of the returned
-    state is certified by :meth:`JointBasis.residual` of H and of the shift.
+    Refuses an open chain, and for lambda != 0 a total current that fails to
+    commute with H (the state would not be stationary).
     """
     if not chain.periodic:
         raise PreconditionError("biased Gibbs construction requires a periodic chain")
     H = models.hamiltonian(phi, chain, sparse=True)
-    if bias.lam == 0:
-        basis = joint_spectrum(H, chain)
-    else:
-        J = models.total_current(phi, spec, chain, sparse=True)
-        comm_res = sparse_fro_norm(H @ J - J @ H)
-        if not comm_res <= COMMUTE_TOL * max(1.0, sparse_fro_norm(H)):
-            raise PreconditionError(
-                f"bias operator does not commute with H (residual {comm_res:.3e}); "
-                "the biased ensemble would not be stationary"
-            )
-        basis = joint_spectrum(H, chain, bias=J)
+    if lam == 0:
+        return H, None
+    J = models.total_current(phi, spec, chain, sparse=True)
+    comm_res = sparse_fro_norm(H @ J - J @ H)
+    if not comm_res <= COMMUTE_TOL * max(1.0, sparse_fro_norm(H)):
+        raise PreconditionError(
+            f"bias operator does not commute with H (residual {comm_res:.3e}); "
+            "the biased ensemble would not be stationary"
+        )
+    return H, J
+
+
+def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
+                       bias: BiasSpec, chain: ChainConfig) -> StationaryState:
+    """rho proportional to exp(-beta (H - lambda J_tot)) on the periodic chain.
+
+    Refuses what :func:`biased_generator` refuses; at lambda = 0 the state is
+    the Gibbs state of any translation-invariant H.  The basis of the returned
+    state is certified by :meth:`JointBasis.residual` of H and of the shift.
+    """
+    H, J = biased_generator(phi, spec, bias.lam, chain)
+    basis = joint_spectrum(H, chain, bias=J)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         tilt = 0.0 if basis.bias_values is None else bias.lam * basis.bias_values
         logw = -bias.beta * (basis.energies - tilt)

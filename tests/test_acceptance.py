@@ -42,7 +42,7 @@ def test_criterion_1_conservation(chain10):
     }
     worst = 0.0
     for name, (phi, spec) in models_under_test.items():
-        res = nl.check_conservation(phi, spec, chain10, max_window=8)
+        res = nl.check_conservation(phi, spec, chain10)
         worst = max(worst, res)
         assert res <= 1e-12, f"{name}: residual {res:.3e}"
     elapsed = time.monotonic() - t0

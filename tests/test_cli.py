@@ -378,9 +378,24 @@ class TestSubcommands:
             ness = json.loads(open(os.path.join(out, "ness.json")).read())
             assert ness["is_stationary"] and not ness["is_ness"]
             assert json.loads(open(os.path.join(out, "sumrule.json")).read())["no_current"]
-        else:
+        else:  # refused before the first step
             err = json.loads(open(os.path.join(out, "error.json")).read())
             assert err["error"] == "precondition" and "commute" in err["message"]
+            assert not os.path.exists(os.path.join(out, "build.json"))
+
+    def test_all_on_open_chain_refused_before_diagonalization(self, small_cfg_path, tmp_path,
+                                                              monkeypatch):
+        # the biased state needs a periodic chain; build and verify-lr do not
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("all diagonalized H before refusing the open chain")
+
+        monkeypatch.setattr(nl.JointBasis, "for_interaction", no_eigh)
+        monkeypatch.setenv("NESSLAB_CHAIN__BOUNDARY", "open")
+        out = str(tmp_path / "open")
+        assert cli.main(["all", "--config", small_cfg_path, "--out", out]) == 3
+        err = json.loads(open(os.path.join(out, "error.json")).read())
+        assert err["error"] == "precondition" and "periodic" in err["message"]
+        assert not os.path.exists(os.path.join(out, "build.json"))
 
     @pytest.mark.parametrize("key,value", [("X_VALUES", "1"), ("T_VALUES", "50.0")])
     def test_bad_scan_grid_refused_before_diagonalization(self, small_cfg_path, tmp_path,

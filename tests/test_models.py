@@ -18,6 +18,7 @@ from nesslab.models import (
     charge_sparse,
     window_hamiltonian_sparse,
 )
+from nesslab.operators import sparse_fro_norm
 
 S1, S2, S3 = SPIN_HALF
 
@@ -63,7 +64,7 @@ class TestBuilders:
         phi, spec = nl.build_fermion_model(1.0, [0.5, 0.25])
         assert phi.r == 2
         assert phi.terms[1][0] == (0, 2)
-        res = nl.check_conservation(phi, spec, nl.ChainConfig(8, 2), max_window=6)
+        res = nl.check_conservation(phi, spec, nl.ChainConfig(8, 2))
         assert res <= 1e-12
 
     def test_interaction_validation(self):
@@ -207,11 +208,11 @@ class TestConservation:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_xxz(self, lam, chain10):
         phi, spec = nl.build_xxz_model(lam)
-        assert nl.check_conservation(phi, spec, chain10, max_window=8) <= 1e-12
+        assert nl.check_conservation(phi, spec, chain10) <= 1e-12
 
     def test_fermion(self, chain10):
         phi, spec = nl.build_fermion_model(1.0, [0.5])
-        assert nl.check_conservation(phi, spec, chain10, max_window=8) <= 1e-12
+        assert nl.check_conservation(phi, spec, chain10) <= 1e-12
 
     def test_xx_exact_zero_needs_no_decomposition(self, monkeypatch, chain10):
         # every window commutator of XX is exactly zero: operator_norm returns 0.0
@@ -222,13 +223,13 @@ class TestConservation:
         for name in ("eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, refuse)
         phi, spec = nl.build_xx_model()
-        assert nl.check_conservation(phi, spec, chain10, max_window=8) == 0.0
+        assert nl.check_conservation(phi, spec, chain10) == 0.0
 
     def test_nonconserving_detected(self):
         # [sigma3, sigma1] = 2 i sigma2: residual grows with the window
         phi = nl.Interaction(2, 1, (((0,), PAULI_X),))
         spec = nl.ChargeSpec(PAULI_Z)
-        res = nl.check_conservation(phi, spec, nl.ChainConfig(6, 2), max_window=5)
+        res = nl.check_conservation(phi, spec, nl.ChainConfig(6, 2))
         assert res > 1.0
 
 
@@ -252,6 +253,14 @@ class TestCurrentOperator:
         jA = nl.current_operator(phi, spec, nl.CurrentGeometry(7, 3, 1), chain20)
         jB = nl.current_operator(phi, spec, nl.CurrentGeometry(9, 4, 1), chain20)
         assert jA.support == jB.support
+        assert np.linalg.norm(jA.coeffs - jB.coeffs) < 1e-12
+
+    def test_geometry_invariance_range_two(self):
+        phi, spec = nl.build_fermion_model(1.0, [0.5, 0.25])
+        chain20 = nl.ChainConfig(20, 2, dim_cap=2**20)
+        jA = nl.current_operator(phi, spec, nl.CurrentGeometry(8, 4, 2), chain20)
+        jB = nl.current_operator(phi, spec, nl.CurrentGeometry(9, 5, 2), chain20)
+        assert jA.support == jB.support == (0, 1, 2, 19)
         assert np.linalg.norm(jA.coeffs - jB.coeffs) < 1e-12
 
     def test_defining_commutator(self, xx_model):
@@ -305,6 +314,16 @@ class TestEnergyCurrents:
         H_big = window_hamiltonian_sparse(phi, (-M - 1, M + 1), chain).toarray()
         lhs = nl.embed(Jp, chain) - nl.embed(Jm, chain)
         assert np.linalg.norm(lhs - 1j * nl.commutator(H_M, H_big)) < 1e-12
+
+    def test_defining_identity_range_two(self):
+        phi, _ = nl.build_fermion_model(1.0, [0.5, 0.25])
+        chain = nl.ChainConfig(13, 2)
+        M, r = 4, 2
+        Jp, Jm = nl.energy_current_operators(phi, M, chain)
+        H_M = window_hamiltonian_sparse(phi, (-M, M), chain)
+        H_big = window_hamiltonian_sparse(phi, (-M - r, M + r), chain)
+        lhs = nl.embed_sparse(Jp, chain) - nl.embed_sparse(Jm, chain)
+        assert sparse_fro_norm(lhs - 1j * (H_M @ H_big - H_big @ H_M)) < 1e-12
 
     def test_heisenberg_derivative(self, xx_model):
         # i [H_big, H_M] equals the exact generator of H_M(t) on the full ring

@@ -268,6 +268,10 @@ class TestSpinInversionImages:
         for c, p in self.images(basis):
             assert S[c].vectors is S[p].vectors and S[c].energies is S[p].energies
             assert np.array_equal(S[c].index, chain.dim - 1 - S[p].index)
+        # the recorded pairing: an involution that pairs exactly the sectors sharing arrays
+        assert [(c, p) for c, p in enumerate(basis.images) if p < c] == self.images(basis)
+        assert all(basis.images[p] == c for c, p in enumerate(basis.images))
+        assert basis.images[4] == 4  # q = 4 maps onto itself
         H = nl.hamiltonian(phi, chain)
         V = basis.vectors
         assert np.linalg.norm(H @ V - V * basis.energies) <= 1e-10
@@ -287,7 +291,7 @@ class TestSpinInversionImages:
                              ids=["fermion", "xx_field"])
     def test_no_images_without_symmetry(self, phi):
         basis = nl.JointBasis.for_interaction(phi, nl.ChainConfig(8, 2))
-        assert len(basis.sectors) == 9
+        assert len(basis.sectors) == 9 and basis.images is None
         assert len({id(s.vectors) for s in basis.sectors}) == 9
 
 
