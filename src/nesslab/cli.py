@@ -32,7 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import dynamics, models, spectral, steady_state
 from .errors import ConfigError, NumericalCheckError, PreconditionError
+from .operators import ChainConfig, LocalOperator
 
 log = logging.getLogger("nesslab")
 
@@ -239,9 +241,6 @@ class _Workspace:
     """Lazily built model objects shared across subcommands of one run."""
 
     def __init__(self, cfg: ExperimentConfig):
-        from . import models
-        from .operators import ChainConfig
-
         self.cfg = cfg
         if cfg.model_kind == "xx":
             self.phi, self.spec = models.build_xx_model()
@@ -255,38 +254,29 @@ class _Workspace:
         self.geom = models.CurrentGeometry(L=cfg.L, M=cfg.M, r=self.phi.r)
         # fail fast: validate the full geometry before any diagonalization
         self.geom.validate_for_chain(self.chain, wrap_clearance=True)
-        from .spectral import WindowFunction, wrap_horizon
-
-        self.window = WindowFunction(cfg.window_kind, cfg.window_T)
-        if self.window.T > wrap_horizon(self.phi, self.chain):
+        self.window = spectral.WindowFunction(cfg.window_kind, cfg.window_T)
+        if self.window.T > spectral.wrap_horizon(self.phi, self.chain):
             raise PreconditionError(
                 f"window T = {self.window.T} exceeds the wrap horizon of this chain"
             )
 
     @cached_property
     def state(self):
-        from .steady_state import BiasSpec, build_biased_gibbs
-
-        return build_biased_gibbs(self.phi, self.spec,
-                                  BiasSpec(beta=self.cfg.beta, lam=self.cfg.lam), self.chain)
+        return steady_state.build_biased_gibbs(
+            self.phi, self.spec, steady_state.BiasSpec(beta=self.cfg.beta, lam=self.cfg.lam),
+            self.chain)
 
     @cached_property
     def report(self):
-        from .steady_state import verify_ness
-
-        return verify_ness(self.state, self.phi, self.spec, self.chain)
+        return steady_state.verify_ness(self.state, self.phi, self.spec, self.chain)
 
     @cached_property
     def tables(self):
         """The state's transfer tables, one per term class, shared by every windowed sum."""
-        from .spectral import term_tables
-
-        return term_tables(self.state, self.phi, self.spec)
+        return spectral.term_tables(self.state, self.phi, self.spec)
 
 
 def _cmd_build(ws: _Workspace, out: str) -> int:
-    from . import models
-
     cfg = ws.cfg
     j0 = models.current_local(ws.phi, ws.spec, ws.chain)
     h = models.energy_density(ws.phi, ws.chain)
@@ -313,13 +303,10 @@ def _cmd_build(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_verify_lr(ws: _Workspace, out: str) -> int:
-    from . import models
-    from .dynamics import lr_scan, lr_scan_csv
-    from .operators import LocalOperator
-
     sz = LocalOperator((0,), models.PAULI_Z, hermitian=True)
-    rows = lr_scan(ws.phi, sz, sz, list(ws.cfg.x_values), list(ws.cfg.t_values), ws.chain)
-    _atomic_write(os.path.join(out, "lr_scan.csv"), lr_scan_csv(rows))
+    rows = dynamics.lr_scan(ws.phi, sz, sz, list(ws.cfg.x_values), list(ws.cfg.t_values),
+                            ws.chain)
+    _atomic_write(os.path.join(out, "lr_scan.csv"), dynamics.lr_scan_csv(rows))
     live = [r for r in rows if not r.excluded]
     violations = [r for r in live if not r.empirical <= r.bound]
     _write_json(os.path.join(out, "lr_summary.json"), {
@@ -333,27 +320,25 @@ def _cmd_verify_lr(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_ness(ws: _Workspace, out: str) -> int:
-    from .steady_state import state_summary
-
-    _write_json(os.path.join(out, "ness.json"), state_summary(ws.state, ws.report))
+    _write_json(os.path.join(out, "ness.json"), steady_state.state_summary(ws.state, ws.report))
     return _EXIT_OK
 
 
 def _cmd_sumrule(ws: _Workspace, out: str) -> int:
-    from .spectral import NO_CURRENT_TOL, correlation_kernel, sum_rule_check
-
-    kernel = correlation_kernel(ws.state, ws.phi, ws.spec, ws.geom, ws.chain, tables=ws.tables)
+    kernel = spectral.correlation_kernel(ws.state, ws.phi, ws.spec, ws.geom, ws.chain,
+                                         tables=ws.tables)
     ts = np.linspace(-ws.window.T, ws.window.T, 129)
     curve = kernel.curve(ts)
     lines = ["t,C"] + [f"{t!r},{c!r}" for t, c in zip(ts.tolist(), curve.tolist())]
     _atomic_write(os.path.join(out, "c_curve.csv"), "\n".join(lines) + "\n")
-    res = sum_rule_check(ws.state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain, kernel=kernel)
+    res = spectral.sum_rule_check(ws.state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain,
+                                  kernel=kernel)
     _write_json(os.path.join(out, "sumrule.json"), res)
     if res["no_current"]:  # both sides are rounding noise: their ratio means nothing
-        if not res["abs_err"] <= NO_CURRENT_TOL:
+        if not res["abs_err"] <= spectral.NO_CURRENT_TOL:
             raise NumericalCheckError(
                 f"sum-rule abs_err {res['abs_err']:.3e} of a state without current "
-                f"exceeds {NO_CURRENT_TOL}"
+                f"exceeds {spectral.NO_CURRENT_TOL}"
             )
     elif not res["rel_err"] <= ws.cfg.sum_rule_rel_err:
         raise NumericalCheckError(
@@ -363,21 +348,19 @@ def _cmd_sumrule(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_spectral(ws: _Workspace, out: str) -> int:
-    from .spectral import momentum_derivative_check, singularity_diagnostic, spectral_function_rho
-
     report = ws.report
     if not report.symmetry_residual <= 1e-10:
         raise PreconditionError(
             "state breaks the charge symmetry; the symmetric-branch identity "
             "does not apply (symmetry-breaking branch is out of scope)"
         )
-    sf = spectral_function_rho(ws.state, ws.phi, ws.spec, tables=ws.tables)
+    sf = spectral.spectral_function_rho(ws.state, ws.phi, ws.spec, tables=ws.tables)
     _atomic_write(os.path.join(out, "spectral.csv"), sf.to_csv())
-    res = momentum_derivative_check(sf, ws.window, ws.geom, ws.chain,
-                                    current_value=report.current_value)
+    res = spectral.momentum_derivative_check(sf, ws.window, ws.geom, ws.chain,
+                                             current_value=report.current_value)
     _write_json(os.path.join(out, "derivative.json"), res)
-    diag = singularity_diagnostic(sf, list(ws.cfg.epsilon_windows),
-                                  z_halfwidth=max(1, ws.geom.M - ws.phi.r))
+    diag = spectral.singularity_diagnostic(sf, list(ws.cfg.epsilon_windows),
+                                           z_halfwidth=max(1, ws.geom.M - ws.phi.r))
     _write_json(os.path.join(out, "singularity.json"), diag)
     if not (diag["no_current"] or res["rel_err"] <= ws.cfg.derivative_rel_err):
         raise NumericalCheckError(
@@ -406,9 +389,7 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str) -> int:
              cfg.model_kind, cfg.n_sites)
     ws = _Workspace(cfg)
     if subcommand == "all":  # refuse a state the later steps cannot build before the first step
-        from .steady_state import biased_generator
-
-        biased_generator(ws.phi, ws.spec, cfg.lam, ws.chain)
+        steady_state.biased_generator(ws.phi, ws.spec, cfg.lam, ws.chain)
     _atomic_write(os.path.join(out_dir, "config.resolved.ini"), cfg.canonical_text())
     for step in _SUBCOMMANDS[subcommand]:
         wall, cpu = time.perf_counter(), time.process_time()

@@ -249,15 +249,6 @@ def _window_chain(length: int, site_dim: int) -> ChainConfig:
     return ChainConfig(length, site_dim, "open", dim_cap=site_dim**length)
 
 
-def _onsite(phi: Interaction) -> np.ndarray:
-    """Sum of the single-site terms (the whole Hamiltonian of a one-site window)."""
-    h = np.zeros((phi.site_dim, phi.site_dim), dtype=np.complex128)
-    for offsets, mat in phi.terms:
-        if offsets == (0,):
-            h = h + mat
-    return h
-
-
 def _assemble(ops, chain: ChainConfig) -> sp.csr_matrix:
     """Sum of embedded local operators, built as one COO matrix."""
     D = chain.dim
@@ -270,23 +261,20 @@ def _assemble(ops, chain: ChainConfig) -> sp.csr_matrix:
     return out
 
 
-def _translates(phi: Interaction, lo: int, width: int, chain: ChainConfig) -> list:
-    """Interaction translates inside the arc of ``width`` sites starting at lo.
-
-    An arc covering a whole periodic ring also takes the wrapped translates,
-    so it yields the translation-invariant Hamiltonian.
-    """
-    wrap = chain.periodic and width == chain.n_sites
-    return [translate(LocalOperator(offsets, mat), lo + u, chain)
-            for offsets, mat in phi.terms
-            for u in range(width if wrap else width - offsets[-1])]
+def _zone_sum(terms, lo: int, width: int, phi: Interaction, chain: ChainConfig) -> LocalOperator:
+    """Sum of the translates tau_u(term) of the (offsets, mat, u) in ``terms``, built
+    on the open zone of ``width`` sites starting at lo and placed there on the chain."""
+    zone = [LocalOperator(tuple(o + u - lo for o in offsets), mat) for offsets, mat, u in terms]
+    acc = _assemble(zone, _window_chain(width, phi.site_dim)).toarray()
+    return translate(LocalOperator(tuple(range(width)), acc), lo, chain)
 
 
 def hamiltonian(phi: Interaction, chain: ChainConfig, sparse: bool = False):
-    """Full-chain Hamiltonian; on a periodic chain every translate wraps in."""
+    """Full-chain Hamiltonian, the window of the whole chain (on a ring every
+    translate wraps in)."""
     if phi.site_dim != chain.site_dim:
         raise ValueError("interaction and chain site dimensions differ")
-    H = _assemble(_translates(phi, 0, chain.n_sites, chain), chain)
+    H = window_hamiltonian_sparse(phi, (0, chain.n_sites - 1), chain)
     return H if sparse else H.toarray()
 
 
@@ -298,7 +286,11 @@ def window_hamiltonian_sparse(phi: Interaction, window, chain: ChainConfig):
     translates, so the result is the translation-invariant Hamiltonian.
     """
     lo, hi = int(window[0]), int(window[1])
-    return _assemble(_translates(phi, lo, len(arc_sites(lo, hi, chain)), chain), chain)
+    width = len(arc_sites(lo, hi, chain))
+    wrap = chain.periodic and width == chain.n_sites
+    return _assemble([translate(LocalOperator(offsets, mat), lo + u, chain)
+                      for offsets, mat in phi.terms
+                      for u in range(width if wrap else width - offsets[-1])], chain)
 
 
 def charge_sparse(spec: ChargeSpec, window, chain: ChainConfig):
@@ -313,9 +305,9 @@ def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig) -
     Both operators translate covariantly, so only the window size matters and
     each commutator is evaluated on the window factor alone.
     """
-    worst = operator_norm(commutator(spec.n0, _onsite(phi)))
+    worst = 0.0
     top = min(MAX_CONSERVATION_WINDOW, chain.n_sites - 1 if chain.periodic else chain.n_sites)
-    for w in range(2, top + 1):
+    for w in range(1, top + 1):
         wchain = _window_chain(w, phi.site_dim)
         H = hamiltonian(phi, wchain)
         N = charge_sparse(spec, (0, w - 1), wchain).toarray()
@@ -403,66 +395,42 @@ def energy_current_operators(phi: Interaction, M: int, chain: ChainConfig):
 
 
 def energy_density(phi: Interaction, chain: ChainConfig) -> LocalOperator:
-    """Telescoped local energy density h.
+    """Telescoped local energy density h on [-(r_eff // 2), r_eff - r_eff // 2].
 
-    Every canonical term class enters once, recentred so its window sits
-    symmetrically about the origin; the window Hamiltonian then splits into
-    translates of h plus boundary complements (see boundary_complements).
+    Every nonzero term class enters once, anchored at -(span // 2) so its
+    window sits symmetrically about the origin; the window Hamiltonian then
+    splits into translates of h plus boundary complements (see
+    boundary_complements).
     """
-    d = phi.site_dim
     r_eff = phi.max_diameter()
-    lo = -(r_eff // 2)
-    hi = r_eff - (r_eff // 2)
-    width = max(hi - lo + 1, 1)
-    if width == 1:
-        return translate(LocalOperator((0,), _onsite(phi)), 0, chain)
-    # each class is anchored at -(span // 2), shifted here into window coordinates
-    classes = [LocalOperator(tuple(o - offsets[-1] // 2 - lo for o in offsets), mat)
-               for offsets, mat in phi.terms]
-    acc = _assemble(classes, _window_chain(width, d)).toarray()
-    return translate(LocalOperator(tuple(range(width)), acc), lo, chain)
+    return _zone_sum([(offsets, mat, -(offsets[-1] // 2)) for offsets, mat in phi.terms
+                      if np.any(mat)], -(r_eff // 2), r_eff + 1, phi, chain)
+
+
+def complement_anchors(span: int, M: int, r_eff: int) -> np.ndarray:
+    """The anchors u in [-M, M - span] of the translates of a class of ``span`` in
+    H_[-M,M] whose position in the h sum, y = u + span // 2, lies outside
+    [-M + r_eff, M - r_eff]: C_-M holds those with y < 0, C_M those with y > 0."""
+    u = np.arange(-M, M - span + 1)
+    return u[np.abs(u + span // 2) > M - r_eff]
 
 
 def boundary_complements(phi: Interaction, M: int, chain: ChainConfig):
     """Complements C_{-M}, C_M with H_[-M,M] = sum_y tau_y(h) + C_{-M} + C_M.
 
     The translate sum runs over y in [-M + r_eff, M - r_eff] with r_eff the
-    largest nonzero term diameter; the complements live on [-M, -M+2r] and
-    [M-2r, M].
+    largest nonzero term diameter; the complements are the translates of
+    :func:`complement_anchors` and live on [-M, -M + 2 r_eff] and
+    [M - 2 r_eff, M].
     """
-    d = phi.site_dim
     r_eff = phi.max_diameter()
     if M < r_eff:
         raise GeometryError(f"need M >= interaction diameter, got M={M}")
-
-    def gather(side: str):
-        if side == "left":
-            lo, hi = -M, -M + 2 * r_eff
-        else:
-            lo, hi = M - 2 * r_eff, M
-        lo, hi = min(lo, hi), max(lo, hi)
-        width = hi - lo + 1
-        terms = []
-        for offsets, mat in phi.terms:
-            span = offsets[-1]
-            covered_lo = -M + r_eff - (span // 2)
-            covered_hi = M - r_eff - (span // 2)
-            if side == "left":
-                anchors = range(-M, min(covered_lo, M - span + 1))
-            else:
-                anchors = range(max(covered_hi + 1, -M), M - span + 1)
-            for u in anchors:
-                X = tuple(o + u for o in offsets)
-                if not (lo <= X[0] and X[-1] <= hi):
-                    raise NumericalCheckError(f"complement term at {X} leaves [{lo}, {hi}]")
-                terms.append(LocalOperator(tuple(s - lo for s in X), mat))
-        if width == 1:
-            acc = sum((op.coeffs for op in terms), np.zeros((d, d), dtype=np.complex128))
-        else:
-            acc = _assemble(terms, _window_chain(width, d)).toarray()
-        return translate(LocalOperator(tuple(range(width)), acc), lo, chain)
-
-    return gather("left"), gather("right")
+    terms = [(offsets, mat, u) for offsets, mat in phi.terms if np.any(mat)
+             for u in complement_anchors(offsets[-1], M, r_eff)]
+    return tuple(_zone_sum([(o, m, u) for o, m, u in terms if side * (u + o[-1] // 2) > 0],
+                           lo, 2 * r_eff + 1, phi, chain)
+                 for side, lo in ((-1, -M), (1, M - 2 * r_eff)))
 
 
 def lr_velocity(phi: Interaction) -> float:

@@ -25,7 +25,10 @@ DEFAULT_DIM_CAP = 2**14
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Finite chain of qudits; fixes the Hilbert space everything acts on."""
+    """Finite chain of qudits; fixes the Hilbert space everything acts on.
+
+    A ring needs two sites; an open chain may have one (a one-site window).
+    """
 
     n_sites: int
     site_dim: int
@@ -33,8 +36,8 @@ class ChainConfig:
     dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
+        if self.n_sites < (2 if self.boundary == "periodic" else 1):
+            raise ValueError(f"n_sites must be >= 2 on a ring, >= 1 open, got {self.n_sites}")
         if self.site_dim < 2:
             raise ValueError(f"site_dim must be >= 2, got {self.site_dim}")
         if self.boundary not in ("periodic", "open"):

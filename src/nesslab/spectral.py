@@ -808,16 +808,12 @@ def boundary_commutator_integral(state, phi, spec, geom, window: WindowFunction,
                                  chain: ChainConfig, tables: list | None = None) -> float:
     """Windowed <i [N_[-L,0], (C_-M + C_M)(t)]>, the boundary-complement piece of
     C(t), reduced from the :func:`term_tables` (built here when not given): the
-    complements (:func:`models.boundary_complements`) hold the translates u in
-    [-M, M] of each class that miss [-M + r_eff, M - r_eff] - span // 2."""
+    complements (:func:`models.boundary_complements`) hold the translates of
+    each class at :func:`models.complement_anchors`."""
     tables = term_tables(state, phi, spec) if tables is None else tables
-    M, r_eff = geom.M, phi.max_diameter()
-
-    def anchors(span):
-        u = np.arange(-M, M - span + 1)
-        return np.arange(-geom.L, 1), u[np.abs(u + span // 2) > M - r_eff]
-
-    _, de, s = _reduce(tables, chain.n_sites, anchors)
+    r_eff = phi.max_diameter()
+    _, de, s = _reduce(tables, chain.n_sites, lambda span: (
+        np.arange(-geom.L, 1), models.complement_anchors(span, geom.M, r_eff)))
     return CommutatorKernel(de, s[0] - s[1]).windowed_integral(window)
 
 

@@ -437,6 +437,27 @@ class TestSubcommands:
         assert cli.run("all", cli.parse_config(SMALL_CONFIG, env={}), str(tmp_path)) == 0
         assert len(passes) == len(nl.build_xx_model()[0].terms) == 1
 
+    def test_all_looks_up_each_layer_at_call_time(self, tmp_path, monkeypatch):
+        # a profiler that rebinds these module attributes must see every call
+        names = [("dynamics", "lr_scan"), ("spectral", "correlation_kernel"),
+                 ("spectral", "sum_rule_check"), ("spectral", "spectral_function_rho"),
+                 ("spectral", "momentum_derivative_check"),
+                 ("spectral", "singularity_diagnostic"),
+                 ("steady_state", "build_biased_gibbs"), ("steady_state", "verify_ness")]
+        calls = dict.fromkeys(names, 0)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, attr in names:
+            owner = getattr(nl, module)
+            monkeypatch.setattr(owner, attr, counted((module, attr), getattr(owner, attr)))
+        assert cli.run("all", cli.parse_config(SMALL_CONFIG, env={}), str(tmp_path)) == 0
+        assert all(calls.values()), calls
+
     def test_spectral_artifacts(self, small_cfg_path, tmp_path):
         out = str(tmp_path / "sp")
         assert cli.main(["spectral", "--config", small_cfg_path, "--out", out]) == 0

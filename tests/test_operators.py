@@ -29,6 +29,12 @@ class TestChainConfig:
         with pytest.raises(ValueError):
             nl.ChainConfig(4, 2, "moebius")
 
+    def test_one_site_open_chain(self):
+        # the one-site window; a ring still needs two sites
+        assert nl.ChainConfig(1, 3, "open").dim == 3
+        with pytest.raises(ValueError):
+            nl.ChainConfig(0, 2, "open")
+
     def test_dimension_cap(self):
         with pytest.raises(PreconditionError):
             nl.ChainConfig(20, 2)

@@ -545,6 +545,31 @@ def xx_with_field():
     return nl.Interaction(site_dim=2, r=1, terms=phi.terms + (((0,), 0.3 * S3),)), spec
 
 
+def complement_table_gap(state, phi, spec, L, M, chain, tables, win):
+    """|boundary_commutator_integral - the same integral from the generic table
+    of (N_[-L,0], C_-M + C_M)|."""
+    geom = nl.CurrentGeometry(L, M, phi.r)
+    N = nl.models.charge_sparse(spec, (-L, 0), chain)
+    cm, cp = nl.boundary_complements(phi, M, chain)
+    C = nl.embed_sparse(cm, chain) + nl.embed_sparse(cp, chain)
+    bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, chain, tables=tables)
+    return abs(bc - table_kernel(state, N, C).windowed_integral(win))
+
+
+def assert_spectral_matches_table(state, phi, spec, chain, tables):
+    """spectral_function_rho has the keys of the generic table of (n^, h^) and
+    its weights to 1e-15."""
+    n_op = nl.LocalOperator((0,), spec.n0)
+    h_op = nl.energy_density(phi, chain)
+    n_hat, h_hat = (nl.embed_sparse(op, chain) - state.expect(op) * sp.identity(chain.dim)
+                    for op in (n_op, h_op))
+    dk, de, (w, w_n) = _transfer_table(state, n_hat, h_hat)
+    sf = nl.spectral_function_rho(state, phi, spec, tables=tables)
+    assert np.array_equal(sf.dk_index, dk)
+    assert np.array_equal(sf.de, np.round(de, nl.spectral.DE_DECIMALS) + 0.0)
+    assert np.max(np.abs(sf.weights - w)) < 1e-15
+
+
 class TestTermTables:
     """Every windowed sum reduced from the per-term tables against the generic
     table of its assembled operator pair."""
@@ -569,20 +594,38 @@ class TestTermTables:
             kernel = nl.correlation_kernel(state, phi, spec, geom, chain, tables=tables)
             assert abs(kernel.windowed_integral(win) - ref.windowed_integral(win)) < 1e-15
             assert np.max(np.abs(kernel.curve(ts) - ref.curve(ts))) < 1e-15
-            cm, cp = nl.boundary_complements(phi, M, chain)
-            C = nl.embed_sparse(cm, chain) + nl.embed_sparse(cp, chain)
-            bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, chain, tables=tables)
-            assert abs(bc - table_kernel(state, N, C).windowed_integral(win)) < 1e-15
+            assert complement_table_gap(state, phi, spec, L, M, chain, tables, win) < 1e-15
+        assert_spectral_matches_table(state, phi, spec, chain, tables)
 
-        n_op = nl.LocalOperator((0,), spec.n0)
-        h_op = nl.energy_density(phi, chain)
-        n_hat, h_hat = (nl.embed_sparse(op, chain) - state.expect(op) * sp.identity(chain.dim)
-                        for op in (n_op, h_op))
-        dk, de, (w, w_n) = _transfer_table(state, n_hat, h_hat)
-        sf = nl.spectral_function_rho(state, phi, spec, tables=tables)
-        assert np.array_equal(sf.dk_index, dk)
-        assert np.array_equal(sf.de, np.round(de, nl.spectral.DE_DECIMALS) + 0.0)
-        assert np.max(np.abs(sf.weights - w)) < 1e-15
+    def test_reductions_beyond_range_one(self, rng):
+        # classes of span 0, 1 and 2, anchored in h at 0, 0 and -1; (L, M) = (8, 4)
+        # is the smallest r = 2 geometry, and N_[-8,0] needs a ring of 9 sites
+        phi = nl.build_random_interaction(2, 2, rng)
+        spec = nl.models.ChargeSpec(S3)
+        chain = nl.ChainConfig(9, 2)
+        state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain)
+        tables = nl.spectral.term_tables(state, phi, spec)
+        win = WindowFunction("hann", 1.5)
+        assert complement_table_gap(state, phi, spec, 8, 4, chain, tables, win) < 1e-14
+        assert_spectral_matches_table(state, phi, spec, chain, tables)
+
+    def test_zero_term_class_changes_nothing(self):
+        # v = [0.5, 0.0] carries a zero (0, 2) class: h, C_-M, C_M and the
+        # spectral weights are those of v = [0.5], bit for bit
+        (phi, spec), (ref, _) = (nl.build_fermion_model(1.0, v) for v in ([0.5, 0.0], [0.5]))
+        chain = nl.ChainConfig(8, 2)
+        pairs = [(nl.energy_density(phi, chain), nl.energy_density(ref, chain))]
+        for M in (1, 2, 3):
+            pairs += zip(nl.boundary_complements(phi, M, chain),
+                         nl.boundary_complements(ref, M, chain))
+        for a, b in pairs:
+            assert a.support == b.support and np.array_equal(a.coeffs, b.coeffs)
+        got, want = (nl.spectral_function_rho(
+            nl.build_biased_gibbs(p, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain), p, spec)
+            for p in (phi, ref))
+        assert np.array_equal(got.dk_index, want.dk_index)
+        assert np.array_equal(got.de, want.de)
+        assert np.array_equal(got.weights, want.weights)
 
 
 class TestSpectralFunction:
