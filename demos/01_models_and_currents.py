@@ -34,7 +34,7 @@ for name, (phi, spec) in MODELS.items():
 
 print("\nThe current does not depend on the admissible window choice:")
 phi, spec = nl.build_xx_model()
-big = nl.ChainConfig(20, 2, dim_cap=2**20)  # windows never materialize globally
+big = nl.ChainConfig(20, 2)  # windows never materialize globally
 jA = nl.current_operator(phi, spec, nl.CurrentGeometry(7, 3, 1), big)
 jB = nl.current_operator(phi, spec, nl.CurrentGeometry(9, 4, 1), big)
 print(f"  |j(L=7,M=3) - j(L=9,M=4)| = {np.linalg.norm(jA.coeffs - jB.coeffs):.2e}")

@@ -22,8 +22,7 @@ chain = nl.ChainConfig(10, 2)
 state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=BETA, lam=LAM), chain)
 sf = nl.spectral_function_rho(state, phi, spec)
 cur = state.expect(nl.current_local(phi, spec, chain)).real
-res = nl.momentum_derivative_check(sf, WINDOW, nl.CurrentGeometry(4, 2, 1),
-                                   chain, current_value=cur)
+res = nl.momentum_derivative_check(sf, WINDOW, 1, current_value=cur)  # Y = M - r, M = 2
 print(f"  spectral entries: {len(sf.weights)}")
 print(f"  lhs = {res['lhs']:.6f}  vs  omega(j_0) f~(0) = {res['rhs']:.6f} "
       f"(rel_err {res['rel_err']:.4f})")

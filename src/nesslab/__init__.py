@@ -39,7 +39,6 @@ from .models import (
     energy_current_operators,
     energy_density,
     hamiltonian,
-    interaction_to_json,
     lr_velocity,
     total_current,
 )

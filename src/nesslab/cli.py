@@ -40,6 +40,7 @@ log = logging.getLogger("nesslab")
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "NESSLAB_"
+MAX_DIM = 2**14  # largest Hilbert-space dimension a run may build
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -237,6 +238,12 @@ def _write_json(path: str, doc: dict) -> None:
     _atomic_write(path, json.dumps(_json_ready(doc), indent=1) + "\n")
 
 
+def _check_dim(site_dim: int, n_sites: int) -> None:
+    if site_dim**n_sites > MAX_DIM:
+        raise PreconditionError(
+            f"Hilbert-space dimension {site_dim}**{n_sites} exceeds cap {MAX_DIM}")
+
+
 class _Workspace:
     """Lazily built model objects shared across subcommands of one run."""
 
@@ -247,10 +254,12 @@ class _Workspace:
         elif cfg.model_kind == "xxz":
             self.phi, self.spec = models.build_xxz_model(cfg.lambda_aniso)
         else:
+            _check_dim(2, len(cfg.v) + 2)  # the builder checks its terms on r + 2 sites
             self.phi, self.spec = models.build_fermion_model(cfg.t_hop, list(cfg.v))
         if not self.phi.max_term_norm() > 0:
             raise PreconditionError("every term of the interaction is zero; there are no dynamics")
         self.chain = ChainConfig(cfg.n_sites, self.phi.site_dim, cfg.boundary)
+        _check_dim(self.phi.site_dim, cfg.n_sites)
         self.geom = models.CurrentGeometry(L=cfg.L, M=cfg.M, r=self.phi.r)
         # fail fast: validate the full geometry before any diagonalization
         self.geom.validate_for_chain(self.chain, wrap_clearance=True)
@@ -276,6 +285,11 @@ class _Workspace:
         return spectral.term_tables(self.state, self.phi, self.spec)
 
 
+def _pairs(mat: np.ndarray) -> list:
+    """A complex matrix as [re, im] pairs in row-major order; JSON reads them back bit for bit."""
+    return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+
+
 def _cmd_build(ws: _Workspace, out: str) -> int:
     cfg = ws.cfg
     j0 = models.current_local(ws.phi, ws.spec, ws.chain)
@@ -288,11 +302,13 @@ def _cmd_build(ws: _Workspace, out: str) -> int:
         "range": ws.phi.r,
         "n_sites": cfg.n_sites,
         "current_support": list(j0.support),
-        "current_matrix": [[z.real, z.imag] for z in j0.coeffs.reshape(-1)],
+        "current_matrix": _pairs(j0.coeffs),
         "energy_density_support": list(h.support),
         "lr_velocity": models.lr_velocity(ws.phi),
         "conservation_residual": residual,
-        "interaction": json.loads(models.interaction_to_json(ws.phi)),
+        "interaction": {"schema": "nesslab.interaction/1", "site_dim": ws.phi.site_dim,
+                        "range": ws.phi.r, "terms": [{"offsets": list(o), "matrix": _pairs(m)}
+                                                     for o, m in ws.phi.terms]},
     }
     _write_json(os.path.join(out, "build.json"), doc)
     if not residual <= cfg.conservation_tol:
@@ -356,11 +372,11 @@ def _cmd_spectral(ws: _Workspace, out: str) -> int:
         )
     sf = spectral.spectral_function_rho(ws.state, ws.phi, ws.spec, tables=ws.tables)
     _atomic_write(os.path.join(out, "spectral.csv"), sf.to_csv())
-    res = spectral.momentum_derivative_check(sf, ws.window, ws.geom, ws.chain,
-                                             current_value=report.current_value)
+    Y = ws.geom.M - ws.phi.r  # the position window |z| <= Y of both diagnostics
+    res = spectral.momentum_derivative_check(sf, ws.window, Y, report.current_value)
     _write_json(os.path.join(out, "derivative.json"), res)
     diag = spectral.singularity_diagnostic(sf, list(ws.cfg.epsilon_windows),
-                                           z_halfwidth=max(1, ws.geom.M - ws.phi.r))
+                                           z_halfwidth=max(1, Y))
     _write_json(os.path.join(out, "singularity.json"), diag)
     if not (diag["no_current"] or res["rel_err"] <= ws.cfg.derivative_rel_err):
         raise NumericalCheckError(

@@ -12,21 +12,20 @@ and [-M, M] centred at site 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GeometryError, NumericalCheckError, PreconditionError
 from .operators import (
     ChainConfig,
     LocalOperator,
     arc_sites,
+    assemble_sparse,
+    check_hermitian,
     commutator,
     embed,
-    embedded_entries,
     extract_local,
     kron_le,
     operator_norm,
@@ -86,9 +85,7 @@ class Interaction:
                 raise ValueError(
                     f"term on {offsets} must be {want}x{want}, got {mat.shape}"
                 )
-            dev = np.linalg.norm(mat - mat.conj().T)
-            if dev > 1e-12 * max(1.0, np.linalg.norm(mat)):
-                raise ValueError(f"term on {offsets} is not Hermitian (dev {dev:.2e})")
+            check_hermitian(mat, f"term on {offsets}")
             mat.flags.writeable = False
             canon.append((offsets, mat))
         object.__setattr__(self, "terms", tuple(canon))
@@ -116,9 +113,7 @@ class ChargeSpec:
         n0 = np.ascontiguousarray(np.asarray(self.n0, dtype=np.complex128))
         if n0.ndim != 2 or n0.shape[0] != n0.shape[1]:
             raise ValueError("n0 must be a square matrix")
-        dev = np.linalg.norm(n0 - n0.conj().T)
-        if dev > 1e-12 * max(1.0, np.linalg.norm(n0)):
-            raise ValueError(f"charge n0 is not Hermitian (dev {dev:.2e})")
+        check_hermitian(n0, "charge n0")
         n0.flags.writeable = False
         object.__setattr__(self, "n0", n0)
 
@@ -245,27 +240,11 @@ def build_random_interaction(r: int, site_dim: int, rng) -> Interaction:
     return Interaction(site_dim=site_dim, r=r, terms=tuple(terms))
 
 
-def _window_chain(length: int, site_dim: int) -> ChainConfig:
-    return ChainConfig(length, site_dim, "open", dim_cap=site_dim**length)
-
-
-def _assemble(ops, chain: ChainConfig) -> sp.csr_matrix:
-    """Sum of embedded local operators, built as one COO matrix."""
-    D = chain.dim
-    entries = [embedded_entries(op, chain) for op in ops]
-    if not entries:
-        return sp.csr_matrix((D, D), dtype=np.complex128)
-    rows, cols, data = (np.concatenate(part) for part in zip(*entries))
-    out = sp.coo_matrix((data, (rows, cols)), shape=(D, D)).tocsr()
-    out.eliminate_zeros()
-    return out
-
-
 def _zone_sum(terms, lo: int, width: int, phi: Interaction, chain: ChainConfig) -> LocalOperator:
     """Sum of the translates tau_u(term) of the (offsets, mat, u) in ``terms``, built
     on the open zone of ``width`` sites starting at lo and placed there on the chain."""
     zone = [LocalOperator(tuple(o + u - lo for o in offsets), mat) for offsets, mat, u in terms]
-    acc = _assemble(zone, _window_chain(width, phi.site_dim)).toarray()
+    acc = assemble_sparse(zone, ChainConfig(width, phi.site_dim, "open")).toarray()
     return translate(LocalOperator(tuple(range(width)), acc), lo, chain)
 
 
@@ -288,15 +267,15 @@ def window_hamiltonian_sparse(phi: Interaction, window, chain: ChainConfig):
     lo, hi = int(window[0]), int(window[1])
     width = len(arc_sites(lo, hi, chain))
     wrap = chain.periodic and width == chain.n_sites
-    return _assemble([translate(LocalOperator(offsets, mat), lo + u, chain)
-                      for offsets, mat in phi.terms
-                      for u in range(width if wrap else width - offsets[-1])], chain)
+    return assemble_sparse([translate(LocalOperator(offsets, mat), lo + u, chain)
+                            for offsets, mat in phi.terms
+                            for u in range(width if wrap else width - offsets[-1])], chain)
 
 
 def charge_sparse(spec: ChargeSpec, window, chain: ChainConfig):
     """Sparse N_window = sum of the single-site charge over the window arc."""
-    lo, hi = int(window[0]), int(window[1])
-    return _assemble([LocalOperator((x,), spec.n0) for x in arc_sites(lo, hi, chain)], chain)
+    sites = arc_sites(int(window[0]), int(window[1]), chain)
+    return assemble_sparse([LocalOperator((x,), spec.n0) for x in sites], chain)
 
 
 def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig) -> float:
@@ -308,7 +287,7 @@ def check_conservation(phi: Interaction, spec: ChargeSpec, chain: ChainConfig) -
     worst = 0.0
     top = min(MAX_CONSERVATION_WINDOW, chain.n_sites - 1 if chain.periodic else chain.n_sites)
     for w in range(1, top + 1):
-        wchain = _window_chain(w, phi.site_dim)
+        wchain = ChainConfig(w, phi.site_dim, "open")
         H = hamiltonian(phi, wchain)
         N = charge_sparse(spec, (0, w - 1), wchain).toarray()
         worst = max(worst, operator_norm(commutator(N, H)))
@@ -323,7 +302,7 @@ def _current(phi: Interaction, spec: ChargeSpec, M: int, chain: ChainConfig) -> 
     a conserving interaction, which leaves the sum supported on [1-r, r].
     """
     r = phi.r
-    wchain = _window_chain(M + r + 1, phi.site_dim)  # window site 0 is -M
+    wchain = ChainConfig(M + r + 1, phi.site_dim, "open")  # window site 0 is -M
     N = charge_sparse(spec, (0, M), wchain).toarray()
     j = 1j * commutator(N, hamiltonian(phi, wchain))
     try:
@@ -366,7 +345,7 @@ def total_current(phi: Interaction, spec: ChargeSpec, chain: ChainConfig,
     if not chain.periodic:
         raise PreconditionError("total current is defined on the periodic chain")
     j0 = current_local(phi, spec, chain)
-    J = _assemble([translate(j0, x, chain) for x in range(chain.n_sites)], chain)
+    J = assemble_sparse([translate(j0, x, chain) for x in range(chain.n_sites)], chain)
     return J if sparse else J.toarray()
 
 
@@ -385,7 +364,7 @@ def energy_current_operators(phi: Interaction, M: int, chain: ChainConfig):
         raise GeometryError(
             f"window [-M-r, M+r] needs {2 * (M + r) + 1} sites, chain has {chain.n_sites}"
         )
-    wchain = _window_chain(3 * r, phi.site_dim)
+    wchain = ChainConfig(3 * r, phi.site_dim, "open")
     H = hamiltonian(phi, wchain)
     right, left = (window_hamiltonian_sparse(phi, (lo, lo + 2 * r - 1), wchain).toarray()
                    for lo in (0, r))
@@ -446,23 +425,3 @@ def lr_velocity(phi: Interaction) -> float:
         total += k * k * float(d) ** (2 * k) * math.exp(phi.r) * operator_norm(mat)
     return total
 
-
-# ---------------------------------------------------------------------------
-# serialization: JSON text whose binary64 values read back bit for bit
-# ---------------------------------------------------------------------------
-
-def _matrix_to_pairs(mat: np.ndarray):
-    return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
-
-
-def interaction_to_json(phi: Interaction) -> str:
-    doc = {
-        "schema": "nesslab.interaction/1",
-        "site_dim": phi.site_dim,
-        "range": phi.r,
-        "terms": [
-            {"offsets": list(offsets), "matrix": _matrix_to_pairs(mat)}
-            for offsets, mat in phi.terms
-        ],
-    }
-    return json.dumps(doc, indent=1)

@@ -20,7 +20,13 @@ import scipy.sparse as sp
 from .errors import PreconditionError
 
 HERMITICITY_TOL = 1e-12
-DEFAULT_DIM_CAP = 2**14
+
+
+def check_hermitian(mat: np.ndarray, what: str) -> None:
+    """Raise ValueError naming ``what`` if ||mat - mat^H||_F > HERMITICITY_TOL max(1, ||mat||_F)."""
+    dev = np.linalg.norm(mat - mat.conj().T)
+    if dev > HERMITICITY_TOL * max(1.0, np.linalg.norm(mat)):
+        raise ValueError(f"{what} is not Hermitian (dev {dev:.2e})")
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,6 @@ class ChainConfig:
     n_sites: int
     site_dim: int
     boundary: str = "periodic"
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if self.n_sites < (2 if self.boundary == "periodic" else 1):
@@ -42,10 +47,6 @@ class ChainConfig:
             raise ValueError(f"site_dim must be >= 2, got {self.site_dim}")
         if self.boundary not in ("periodic", "open"):
             raise ValueError(f"boundary must be 'periodic' or 'open', got {self.boundary!r}")
-        if self.site_dim**self.n_sites > self.dim_cap:
-            raise PreconditionError(
-                f"Hilbert-space dimension {self.site_dim}**{self.n_sites} exceeds cap {self.dim_cap}"
-            )
 
     @property
     def dim(self) -> int:
@@ -82,9 +83,7 @@ class LocalOperator:
         c.flags.writeable = False  # values are shared freely across threads
         object.__setattr__(self, "coeffs", c)
         if self.hermitian:
-            dev = np.linalg.norm(c - c.conj().T)
-            if dev > HERMITICITY_TOL * max(1.0, np.linalg.norm(c)):
-                raise ValueError(f"operator flagged hermitian deviates by {dev:.3e}")
+            check_hermitian(c, f"operator on {supp} flagged hermitian")
 
     def width(self) -> int:
         """Number of sites in the support hull (diameter + 1)."""
@@ -167,11 +166,21 @@ def embedded_entries(op: LocalOperator, chain: ChainConfig) -> tuple:
     return rows[keep], cols[keep], data[keep]
 
 
+def assemble_sparse(ops, chain: ChainConfig) -> sp.csr_matrix:
+    """Sum of embedded local operators, built as one COO matrix; zeros are dropped."""
+    D = chain.dim
+    entries = [embedded_entries(op, chain) for op in ops]
+    if not entries:
+        return sp.csr_matrix((D, D), dtype=np.complex128)
+    rows, cols, data = (np.concatenate(part) for part in zip(*entries))
+    out = sp.coo_matrix((data, (rows, cols)), shape=(D, D)).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
 def embed_sparse(op: LocalOperator, chain: ChainConfig) -> sp.csr_matrix:
     """Sparse CSR variant of :func:`embed`; zero entries of coeffs are dropped."""
-    rows, cols, data = embedded_entries(op, chain)
-    D = chain.dim
-    return sp.coo_matrix((data, (rows, cols)), shape=(D, D)).tocsr()
+    return assemble_sparse([op], chain)
 
 
 def sparse_fro_norm(A) -> np.float64:

@@ -246,12 +246,9 @@ class JointBasis:
     @property
     def vectors(self) -> np.ndarray:
         """The D x D eigenvector matrix, assembled from the sectors on every call."""
-        S = self.sectors
-        if len(S) == 1 and S[0].frame is None:  # one sector over all states, columns in order
-            return S[0].vectors
         D = self.chain.dim
         V = np.zeros((D, D), dtype=np.complex128)
-        for s, cols in zip(S, self.columns):
+        for s, cols in zip(self.sectors, self.columns):
             for sl, W in s.column_slabs():
                 V[np.ix_(s.index, cols[sl])] = W
         return V
@@ -775,20 +772,17 @@ def _transfer_kernels(dk_idx: np.ndarray, n_sites: int, y_halfwidth: int):
 
 
 def momentum_derivative_check(spectral: SpectralFunction, window: WindowFunction,
-                              geom: models.CurrentGeometry, chain: ChainConfig,
-                              current_value: float,
-                              y_halfwidth: int | None = None) -> dict:
+                              y_halfwidth: int, current_value: float) -> dict:
     """Integrated momentum-derivative identity at k = 0.
 
     The derivative is taken in position form, -sum_z z rho(z, -t) over the
-    window reconstruction range |z| <= Y, then integrated against the test
+    window reconstruction range |z| <= Y = y_halfwidth, then integrated against the test
     function and compared against current * ft(0).  The two boundary sums
     split off along the way (the constant-weighted tail over z < -Y and the
     (Y+1)-weighted window count) are returned alongside so their decay with
     growing windows can be tracked.
     """
-    n = chain.n_sites
-    Y = geom.M - geom.r if y_halfwidth is None else y_halfwidth
+    n, Y = spectral.n_sites, y_halfwidth
     if Y < 0 or 2 * Y + 1 > n:
         raise PreconditionError(f"invalid position window halfwidth Y = {Y}")
     S, Dk, tail = _transfer_kernels(spectral.dk_index, n, Y)

@@ -231,9 +231,7 @@ def spectral_table(ns=range(8, 41), beta=1.0, lam=0.5):
     for n in ns:
         oracle = FreeFermionXX(n, beta, lam, n // 2)
         sf = oracle.spectral()
-        res = nl.momentum_derivative_check(sf, window, nl.CurrentGeometry(7, 3, 1),
-                                           nl.ChainConfig(n, 2, dim_cap=2**n),
-                                           current_value=oracle.current())
+        res = nl.momentum_derivative_check(sf, window, 2, current_value=oracle.current())
         fraction = nl.singularity_diagnostic(sf, [0.2], z_halfwidth=(n - 4) // 2 - 1)
         table[n] = (res["rel_err"], res["tail_term"], res["count_term"],
                     fraction["fractions"][0.2])

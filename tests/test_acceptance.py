@@ -70,7 +70,7 @@ def test_criterion_2_current_identity(xx_model):
     dev_f = np.linalg.norm(j_f.coeffs - expect_f)
     assert dev_f <= 1e-12
 
-    chain20 = nl.ChainConfig(20, 2, dim_cap=2**20)
+    chain20 = nl.ChainConfig(20, 2)
     jA = nl.current_operator(phi, spec, nl.CurrentGeometry(7, 3, 1), chain20)
     jB = nl.current_operator(phi, spec, nl.CurrentGeometry(9, 4, 1), chain20)
     dev_inv = np.linalg.norm(jA.coeffs - jB.coeffs)
@@ -224,14 +224,13 @@ def test_criterion_8_momentum_derivative(xx12_state, xx12_spectral, xx_model, ch
     assert rep.symmetry_residual <= 1e-10  # symmetric-branch precondition
     win = WindowFunction("hann", 2.0)
     geom = nl.CurrentGeometry(7, 3, 1)
-    res = nl.momentum_derivative_check(xx12_spectral, win, geom,
-                                       chain12, current_value=rep.current_value)
+    res = nl.momentum_derivative_check(xx12_spectral, win, geom.M - geom.r,
+                                       current_value=rep.current_value)
     assert res["rel_err"] <= 0.10
 
     tails, counts = [], []
     for M in (2, 3, 4):
-        r = nl.momentum_derivative_check(xx12_spectral, win,
-                                         nl.CurrentGeometry(M + 2, M, 1), chain12,
+        r = nl.momentum_derivative_check(xx12_spectral, win, M - 1,
                                          current_value=rep.current_value)
         tails.append(abs(r["tail_term"]))
         counts.append(abs(r["count_term"]))

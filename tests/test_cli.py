@@ -7,9 +7,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nesslab as nl
 import nesslab.cli as cli
@@ -176,6 +178,23 @@ class TestSubcommands:
         assert np.linalg.norm(mat - expect) < 1e-12
         assert doc["current_support"] == [0, 1]
 
+    def test_build_interaction_reads_back(self, tmp_path):
+        # T = 1.5 exceeds this model's wrap horizon on 8 sites
+        cfg = cli.parse_config(SMALL_CONFIG, env={
+            "NESSLAB_MODEL__KIND": "fermion", "NESSLAB_MODEL__T_HOP": "0.7",
+            "NESSLAB_MODEL__V": "0.3", "NESSLAB_WINDOW__T": "0.5"})
+        out = str(tmp_path / "build")
+        assert cli.run("build", cfg, out) == 0
+        doc = json.loads(open(os.path.join(out, "build.json")).read())["interaction"]
+        phi, _ = nl.build_fermion_model(0.7, [0.3])
+        assert doc["schema"] == "nesslab.interaction/1"
+        assert doc["range"] == phi.r and doc["site_dim"] == phi.site_dim
+        assert len(doc["terms"]) == len(phi.terms)
+        for (offsets, mat), entry in zip(phi.terms, doc["terms"]):
+            assert tuple(entry["offsets"]) == offsets
+            back = np.array([complex(re, im) for re, im in entry["matrix"]]).reshape(mat.shape)
+            assert back.tobytes() == mat.tobytes()
+
     def test_ness_thermal_not_ness(self, small_cfg_path, tmp_path):
         out = str(tmp_path / "ness0")
         code = cli.main(["ness", "--config", small_cfg_path, "--out", out])
@@ -334,6 +353,22 @@ class TestSubcommands:
         assert code == 3
         assert not os.path.exists(os.path.join(out, "build.json"))
         assert not os.path.exists(os.path.join(out, "ness.json"))
+
+    @pytest.mark.parametrize("env", [
+        {"NESSLAB_CHAIN__N_SITES": "15"},
+        # build_fermion_model checks its terms on r + 2 = 15 sites
+        {"NESSLAB_MODEL__KIND": "fermion", "NESSLAB_MODEL__V": " ".join(["0.1"] * 13)},
+    ], ids=["chain", "fermion_range"])
+    def test_dimension_cap(self, small_cfg_path, tmp_path, monkeypatch, env):
+        # 2**15 states exceed cli.MAX_DIM: refused before any artifact is written
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = str(tmp_path / "cap")
+        assert cli.main(["all", "--config", small_cfg_path, "--out", out]) == 3
+        err = json.loads(open(os.path.join(out, "error.json")).read())
+        assert err["error"] == "precondition"
+        assert not os.path.exists(os.path.join(out, "config.resolved.ini"))
+        assert not os.path.exists(os.path.join(out, "build.json"))
 
     def test_all_computes_three_residuals(self, small_cfg_path, tmp_path):
         # ness.json reports the certificates of [rho, H], [rho, T] and [rho, N_tot]
@@ -517,3 +552,41 @@ class TestDeterminism:
             outs.append(out)
         assert len(os.listdir(outs[0])) == 10
         assert_same_artifacts(*outs)
+
+
+FUZZ_MODELS = {
+    "xx": {"kind": "xx"},
+    "xxz": {"kind": "xxz", "lambda_aniso": "0.5"},
+    "fermion": {"kind": "fermion", "t_hop": "1", "v": "0.5"},
+}
+FUZZ_KEYS = [(section, key) for section, key, _, _ in cli._SETTINGS] + [
+    ("chain", "n_site"), ("extra", "key")]
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "1e308", "abc", "", "15", "40"]
+ERROR_KINDS = {2: "config", 3: "precondition", 4: "numerical-check"}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(model=st.sampled_from(sorted(FUZZ_MODELS)),
+       edits=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+                             max_size=2),
+       subcommand=st.sampled_from(sorted(cli._SUBCOMMANDS)))
+def test_exit_code_contract_fuzz(model, edits, subcommand):
+    # every input, good or bad, exits 0, 2, 3 or 4, with error.json naming the kind
+    sections = {"model": dict(FUZZ_MODELS[model]), "chain": {"n_sites": "8"},
+                "geometry": {"M": "2", "L": "4"}, "window": {"T": "0.5"},
+                "scan": {"x_values": "3", "t_values": "0, 0.1"}}
+    for (section, key), value in edits.items():
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for section, keys in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "fuzz.ini"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = cli.main([subcommand, "--config", path, "--out", out])
+        error = os.path.join(out, "error.json")
+        assert code in (0, 2, 3, 4), text
+        if code == 0:
+            assert not os.path.exists(error), text
+        else:
+            assert json.loads(open(error).read())["error"] == ERROR_KINDS[code], text

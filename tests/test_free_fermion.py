@@ -45,11 +45,10 @@ def test_acceptance_ring(xx12_state, chain12, M, L):
 
 def _spectral_functionals(sf, n):
     """Total weight, derivative-identity terms and singularity fractions of weights sf."""
-    chain, win = nl.ChainConfig(n, 2), nl.WindowFunction("hann", 2.0)
+    win = nl.WindowFunction("hann", 2.0)
     out = {"total": sf.total()}
     for Y in range(1, (n - 1) // 2 + 1):
-        res = nl.momentum_derivative_check(sf, win, nl.CurrentGeometry(4, 2, 1), chain,
-                                           current_value=0.1, y_halfwidth=Y)
+        res = nl.momentum_derivative_check(sf, win, Y, current_value=0.1)
         out.update({(key, Y): res[key] for key in ("lhs", "tail_term", "count_term")})
     diag = nl.singularity_diagnostic(sf, [0.2, 0.5, 1.0], z_halfwidth=(n - 4) // 2 - 1)
     out["mass"] = diag["total_mass"]

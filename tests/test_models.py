@@ -1,6 +1,5 @@
 """Model builders, window operators, currents, energy density, V(Phi)."""
 
-import json
 import math
 
 import numpy as np
@@ -249,7 +248,7 @@ class TestCurrentOperator:
 
     def test_geometry_invariance_chain20(self, xx_model):
         phi, spec = xx_model
-        chain20 = nl.ChainConfig(20, 2, dim_cap=2**20)
+        chain20 = nl.ChainConfig(20, 2)
         jA = nl.current_operator(phi, spec, nl.CurrentGeometry(7, 3, 1), chain20)
         jB = nl.current_operator(phi, spec, nl.CurrentGeometry(9, 4, 1), chain20)
         assert jA.support == jB.support
@@ -257,7 +256,7 @@ class TestCurrentOperator:
 
     def test_geometry_invariance_range_two(self):
         phi, spec = nl.build_fermion_model(1.0, [0.5, 0.25])
-        chain20 = nl.ChainConfig(20, 2, dim_cap=2**20)
+        chain20 = nl.ChainConfig(20, 2)
         jA = nl.current_operator(phi, spec, nl.CurrentGeometry(8, 4, 2), chain20)
         jB = nl.current_operator(phi, spec, nl.CurrentGeometry(9, 5, 2), chain20)
         assert jA.support == jB.support == (0, 1, 2, 19)
@@ -476,16 +475,3 @@ class TestVelocityConstant:
     def test_onsite_value(self):
         phi = nl.Interaction(2, 1, (((0,), PAULI_Z),))
         assert abs(nl.lr_velocity(phi) - 4 * math.e) < 1e-12
-
-
-class TestSerialization:
-    def test_interaction_round_trip(self, rng):
-        # the JSON text reproduces every term matrix bit for bit
-        phi = nl.build_random_interaction(2, 2, rng)
-        doc = json.loads(nl.interaction_to_json(phi))
-        assert doc["range"] == phi.r and doc["site_dim"] == phi.site_dim
-        assert len(doc["terms"]) == len(phi.terms)
-        for (offsets, mat), entry in zip(phi.terms, doc["terms"]):
-            assert tuple(entry["offsets"]) == offsets
-            back = np.array([complex(re, im) for re, im in entry["matrix"]]).reshape(mat.shape)
-            assert back.tobytes() == mat.tobytes()

@@ -35,12 +35,6 @@ class TestChainConfig:
         with pytest.raises(ValueError):
             nl.ChainConfig(0, 2, "open")
 
-    def test_dimension_cap(self):
-        with pytest.raises(PreconditionError):
-            nl.ChainConfig(20, 2)
-        big = nl.ChainConfig(20, 2, dim_cap=2**20)
-        assert big.dim == 2**20
-
     def test_arc_sites(self):
         chain = nl.ChainConfig(6, 2)
         assert nl.arc_sites(-2, 1, chain) == (4, 5, 0, 1)

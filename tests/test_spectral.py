@@ -97,6 +97,18 @@ class TestJointSpectrum:
             else:
                 nl.JointBasis.for_interaction(phi, chain)
 
+    def test_vectors_is_a_fresh_array(self, rng):
+        # a one-sector basis without a frame: writing into the assembled matrix
+        # must leave the sector's eigenvectors as they are
+        phi = nl.build_random_interaction(1, 2, rng)
+        basis = nl.JointBasis.for_interaction(phi, nl.ChainConfig(3, 2))
+        assert len(basis.sectors) == 1 and basis.sectors[0].frame is None
+        W = basis.sectors[0].vectors.copy()
+        V = basis.vectors
+        assert np.array_equal(V, W)
+        V[:] = 0.0
+        assert np.array_equal(basis.sectors[0].vectors, W)
+
     def test_non_invariant_rejected(self, rng):
         chain = nl.ChainConfig(4, 2)
         H = rng.standard_normal((16, 16))
@@ -685,8 +697,7 @@ class TestMomentumDerivative:
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
         sf = nl.spectral_function_rho(state, phi, spec)
-        res = nl.momentum_derivative_check(sf, WindowFunction("hann", 1.5),
-                                           nl.CurrentGeometry(4, 2, 1), chain10,
+        res = nl.momentum_derivative_check(sf, WindowFunction("hann", 1.5), 1,
                                            current_value=0.0)
         assert abs(res["lhs"]) < 1e-9 and abs(res["rhs"]) < 1e-9
 
@@ -694,8 +705,7 @@ class TestMomentumDerivative:
         chain, state, sf = xx10_spectral
         phi, spec = xx_model
         cur = state.expect(nl.current_local(phi, spec, chain)).real
-        res = nl.momentum_derivative_check(sf, WindowFunction("hann", 1.5),
-                                           nl.CurrentGeometry(4, 2, 1), chain,
+        res = nl.momentum_derivative_check(sf, WindowFunction("hann", 1.5), 1,
                                            current_value=cur)
         assert res["rel_err"] <= 0.10
 
@@ -709,7 +719,7 @@ class TestMomentumDerivative:
         scale = abs(SQRT_2PI * cur * win.fourier0())
         geom = nl.CurrentGeometry(4, 2, 1)
         sr = nl.sum_rule_check(state, phi, spec, geom, win, chain)
-        md = nl.momentum_derivative_check(sf, win, geom, chain, current_value=cur)
+        md = nl.momentum_derivative_check(sf, win, geom.M - geom.r, current_value=cur)
         bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, chain)
         resid = abs(md["derivative_term"] - (sr["lhs"] - md["tail_term"] - md["count_term"] - bc))
         assert resid <= 0.05 * scale
@@ -717,11 +727,9 @@ class TestMomentumDerivative:
     def test_boundary_terms_decay_with_window(self, xx10_spectral):
         chain, state, sf = xx10_spectral
         win = WindowFunction("hann", 1.5)
-        geom = nl.CurrentGeometry(4, 2, 1)
         tails, counts = [], []
         for Y in (1, 2, 3):
-            res = nl.momentum_derivative_check(sf, win, geom, chain,
-                                               current_value=0.1, y_halfwidth=Y)
+            res = nl.momentum_derivative_check(sf, win, Y, current_value=0.1)
             tails.append(abs(res["tail_term"]))
             counts.append(abs(res["count_term"]))
         assert tails[0] > tails[1] > tails[2]
