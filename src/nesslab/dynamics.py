@@ -143,10 +143,11 @@ def _half_block_groups(sectors, labels, pos, ck, ops, chain: ChainConfig, image,
     """(G1, G2, groups) for the half block Q1^H A(t) Q2, Q_i = embed(ops[i]).  A group
     joins the sectors A couples (pairs ``ck``) or whose rows share a column of Q1
     or Q2; (shape, [(c, k, rows, cols)], plan) puts G1[c] A(t)[c, k] G2[k]^H at
-    (rows, cols).  With the sector images ``image`` of F, a group that F maps onto
-    an earlier group is left out; with ``fold`` too a group that F maps onto itself
-    keeps one row per F orbit and gets a _fold_plan.  Groups without columns of Q1
-    or Q2 are zero."""
+    (rows, cols).  G2[k] is (G, read): the states ``read`` of sector k that Q2^H
+    touches, and Q2^H's block G on them, its entries in their order.  With the
+    sector images ``image`` of F, a group that F maps onto an earlier group is
+    left out; with ``fold`` too a group that F maps onto itself keeps one row per
+    F orbit and gets a _fold_plan.  Groups without columns of Q1 or Q2 are zero."""
     (G1, cols1, T1), (G2, cols2, T2) = (_sector_isometries(sectors, labels, pos, op, chain)
                                         for op in ops)
     S_A = sp.csr_matrix((np.ones(len(ck)), (ck[:, 0], ck[:, 1])), shape=(len(sectors),) * 2)
@@ -171,6 +172,9 @@ def _half_block_groups(sectors, labels, pos, ck, ops, chain: ChainConfig, image,
         pairs = [(c, k, np.searchsorted(J1, cols1[c]), np.searchsorted(J2, cols2[k]))
                  for c, k in ck.tolist() if glabels[c] == g and len(cols1[c]) and len(cols2[k])]
         groups.append(((len(J1), len(J2)), pairs, plan))
+    reads = [np.unique(G.indices) for G in G2]
+    G2 = [(sp.csr_matrix((G.data, np.searchsorted(read, G.indices), G.indptr),
+                         shape=(G.shape[0], len(read))), read) for G, read in zip(G2, reads)]
     return G1, G2, groups
 
 
@@ -247,7 +251,11 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     sectors it couples (once per F pair of them if ``ctx`` records ``images``),
     and each norm is a maximum over the groups of sectors of the half block
     P1 A(t) P2 (one group of each F pair), or over their two F blocks (see the
-    module docstring).  t = 0 takes the local
+    module docstring).  Per time and pair (c, k) of sectors it holds
+    propagator_c(t) A[c, k] and, per use, only the rows of propagator_k(t) that
+    P2's isometry reads; a group of one pair takes that pair's product as its
+    half block.  The sector vectors may be real or complex; both give the
+    same bits.  t = 0 takes the local
     commutator, exactly 0 for disjoint supports.  Points whose light cones
     could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are excluded from the
     comparison and flagged in the output.  A bad grid is refused before any
@@ -302,18 +310,24 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
                 users = [u for u in uses[c, k] if u[1] in live[t]]
                 if not users:
                     continue
-                P = sectors[c].propagator(t)
-                PM = P @ M
-                P = P if k == c else sectors[k].propagator(t)
+                PM = sectors[c].propagator(t) @ M  # no whole propagator is kept
+                phase = np.exp(1j * sectors[k].energies * t)
                 for i, x, (shape, group_pairs, plan), rows, cols in users:
-                    np.conjugate(R := halves[x][1][k] @ P, out=R)
-                    if i not in acc:
-                        acc[i] = np.zeros(shape, dtype=np.complex128)
-                    acc[i][np.ix_(rows, cols)] += (halves[x][0][c] @ PM) @ R.T
+                    # the rows of G2 P_k, P_k = propagator(t), from the states G2 reads
+                    G2, read = halves[x][1][k]
+                    np.conjugate(R := G2 @ (sectors[k].vectors[read] * phase), out=R)
+                    Y = (halves[x][0][c] @ PM) @ R.T
                     R = None
+                    if len(group_pairs) == 1 and Y.shape == shape:
+                        acc[i] = Y  # the pair fills its group's half block
+                    else:
+                        if i not in acc:
+                            acc[i] = np.zeros(shape, dtype=np.complex128)
+                        acc[i][np.ix_(rows, cols)] += Y
+                    Y = None
                     if group_pairs[-1][:2] == (c, k):
                         sigmas[x, t].append(_group_sigma_max(acc, i, plan))
-                P = PM = None  # release this pair's blocks before building the next
+                PM = None  # release this pair's product before building the next
         A_eig = None
 
     rows = []

@@ -25,11 +25,11 @@ from .operators import (
     assemble_sparse,
     check_hermitian,
     commutator,
-    embed,
+    embed_sparse,
     extract_local,
     kron_le,
     operator_norm,
-    product_operator,
+    sparse_fro_norm,
     translate,
 )
 
@@ -201,13 +201,15 @@ def build_fermion_model(t_hop: float, v) -> tuple:
         mat = coupling * kron_le([FERMION_NUMBER, FERMION_NUMBER])
         terms.append(((0, s), mat))
 
-    # string-cancellation check on an open scratch chain
+    # string-cancellation check on an open scratch chain, with sparse operators
     n_check = r + 2
     chain = ChainConfig(n_check, 2, "open")
 
-    def c_op(x: int) -> np.ndarray:
-        mats = [PAULI_Z] * x + [FERMION_LOWER]
-        return embed(product_operator(tuple(range(x + 1)), mats), chain)
+    def c_op(x: int):
+        out = embed_sparse(LocalOperator((x,), FERMION_LOWER), chain)
+        for y in range(x):
+            out = embed_sparse(LocalOperator((y,), PAULI_Z), chain) @ out
+        return out
 
     c0, c1 = c_op(0), c_op(1)
     n_ops = [c_op(x).conj().T @ c_op(x) for x in range(n_check)]
@@ -217,7 +219,7 @@ def build_fermion_model(t_hop: float, v) -> tuple:
     checks = [(dressed, terms[0])]
     checks += [(v[s - 1] * n_ops[0] @ n_ops[s], terms[s - 1]) for s in range(2, r + 1)]
     for want, (offsets, mat) in checks:
-        if not np.linalg.norm(want - embed(LocalOperator(offsets, mat), chain)) < 1e-12:
+        if not sparse_fro_norm(want - embed_sparse(LocalOperator(offsets, mat), chain)) < 1e-12:
             raise NumericalCheckError(
                 f"Jordan-Wigner string failed to cancel on the term at {offsets}")
 

@@ -219,24 +219,31 @@ class JointBasis:
         a component that F maps onto an earlier one gets index D-1-index of that
         one, row for row, so the same block of H and the same energies and
         vectors (shared arrays); ``images`` records the pairing.  The others get
-        one eigh each; all are certified.
+        one complex eigh each, the largest first (ties by component number), so
+        the largest eigh's workspace is the only sector held while it runs; all
+        are certified.  Eigenvectors whose imaginary parts are all exactly zero,
+        as a real H gives, are kept as real float64 arrays: every product with
+        them rounds as with their complex form.
         """
         H = models.hamiltonian(phi, chain, sparse=True)
         n_comp, comp = connected_components(abs(H))
         mirror = all(_reversal_parity(m) == 1 for _, m in phi.terms)
-        parts, images = [], []
-        for c in range(n_comp):
-            idx = np.flatnonzero(comp == c)
-            partner = int(comp[chain.dim - 1 - idx[0]]) if mirror else c
-            images.append(partner)
-            if partner < c:
-                p = parts[partner]
+        index = [np.flatnonzero(comp == c) for c in range(n_comp)]
+        images = [int(comp[chain.dim - 1 - idx[0]]) if mirror else c
+                  for c, idx in enumerate(index)]
+        parts = [None] * n_comp
+        for c in sorted(range(n_comp), key=lambda c: (-len(index[c]), c)):
+            idx = index[c]
+            if images[c] < c:  # the partner is as large, so it is built already
+                p = parts[images[c]]
                 idx, evals, evecs = chain.dim - 1 - p.index, p.energies, p.vectors
             H_c = H[idx][:, idx]
-            if partner >= c:
+            if images[c] >= c:
                 evals, evecs = np.linalg.eigh(H_c.toarray())
-            parts.append(Sector(idx, evals, evecs))
-            _certify(H_c, parts[-1])
+                if not np.any(evecs.imag):
+                    evecs = np.ascontiguousarray(evecs.real)
+            parts[c] = Sector(idx, evals, evecs)
+            _certify(H_c, parts[c])
         return _ordered_basis(chain, parts, images=tuple(images) if mirror else None)
 
     @property

@@ -1,5 +1,6 @@
 """Heisenberg evolution, the locality bound, scans, and the deviation bound Z."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -73,6 +74,62 @@ class TestEvolutionContext:
         rebuilt = (ctx.vectors * ctx.energies) @ ctx.vectors.conj().T
         assert np.all(np.diff(ctx.energies) >= 0)
         assert np.linalg.norm(rebuilt - H) <= 1e-10 * np.linalg.norm(H)
+
+
+def _interaction(name, rng):
+    if name == "xx":
+        return nl.build_xx_model()[0]
+    if name == "xxz":
+        return nl.build_xxz_model(0.5)[0]
+    if name == "fermion":
+        return nl.build_fermion_model(1.0, [0.5])[0]
+    return nl.build_random_interaction(1, 2, rng)
+
+
+class TestRealStorage:
+    """A real H leaves for_interaction's eigenvectors in float64 storage, which
+    evolves and scans bit for bit as their complex form."""
+
+    @pytest.mark.parametrize("name, dtype", [("xx", np.float64), ("xxz", np.float64),
+                                             ("fermion", np.float64),
+                                             ("random", np.complex128)])
+    def test_vector_dtype(self, rng, name, dtype):
+        ctx = nl.JointBasis.for_interaction(_interaction(name, rng), nl.ChainConfig(8, 2))
+        for s in ctx.sectors:
+            assert s.vectors.dtype == dtype and s.vectors.flags.c_contiguous
+
+    @pytest.mark.parametrize("name, op", [("xx", PAULI_Z), ("xxz", PAULI_X), ("random", PAULI_X)])
+    def test_scan_matches_complex_copy(self, rng, name, op):
+        phi, chain = _interaction(name, rng), nl.ChainConfig(8, 2)
+        ctx = nl.JointBasis.for_interaction(phi, chain)
+        as_complex = dataclasses.replace(ctx, sectors=tuple(
+            dataclasses.replace(s, vectors=s.vectors.astype(np.complex128)) for s in ctx.sectors))
+        A = nl.LocalOperator((0,), op, hermitian=True)
+        args = (phi, A, A, [3, 4], [0.0, 0.1, 0.3, 0.5], chain)
+        csv = [nl.lr_scan_csv(nl.lr_scan(*args, ctx=c, v_emp=1e-6)) for c in (ctx, as_complex)]
+        assert csv[0] == csv[1]
+
+    @pytest.mark.parametrize("name", ["xx", "xxz", "fermion", "random"])
+    def test_sectors_in_component_order(self, rng, name):
+        # the largest sector is diagonalized first, yet every component keeps its
+        # slot, and its eigh gives the energies it gives in component order
+        phi, chain = _interaction(name, rng), nl.ChainConfig(8, 2)
+        ctx = nl.JointBasis.for_interaction(phi, chain)
+        H = nl.hamiltonian(phi, chain, sparse=True)
+        n_comp, comp = nl.operators.connected_components(abs(H))
+        index = [np.flatnonzero(comp == c) for c in range(n_comp)]
+        images = [int(comp[chain.dim - 1 - idx[0]]) for idx in index]
+        assert ctx.images == (None if name in ("fermion", "random") else tuple(images))
+        assert len(ctx.sectors) == n_comp
+        for c, s in enumerate(ctx.sectors):
+            p = c if ctx.images is None else ctx.images[c]
+            if p < c:
+                assert np.array_equal(s.index, chain.dim - 1 - ctx.sectors[p].index)
+                assert s.energies is ctx.sectors[p].energies
+            else:
+                assert np.array_equal(s.index, index[c])
+                H_c = H[index[c]][:, index[c]].toarray()
+                assert np.array_equal(s.energies, np.linalg.eigh(H_c)[0])
 
 
 class TestEvolve:

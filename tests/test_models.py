@@ -1,13 +1,14 @@
 """Model builders, window operators, currents, energy density, V(Phi)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import nesslab as nl
-from nesslab.errors import GeometryError, PreconditionError
+from nesslab.errors import GeometryError, NumericalCheckError, PreconditionError
 from nesslab.models import (
     FERMION_LOWER,
     FERMION_RAISE,
@@ -65,6 +66,25 @@ class TestBuilders:
         assert phi.terms[1][0] == (0, 2)
         res = nl.check_conservation(phi, spec, nl.ChainConfig(8, 2))
         assert res <= 1e-12
+
+    def test_fermion_check_stays_sparse(self):
+        # eight couplings check the terms on 10 sites, where one dense operator
+        # takes 16 MB; the sparse check stays far below that
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            phi, _ = nl.build_fermion_model(1.0, [0.1] * 8)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert phi.r == 8
+        assert peak < 20 * 2**20
+
+    def test_fermion_check_refuses_wrong_terms(self, monkeypatch):
+        # density terms built from a wrong number operator differ from c^dag c
+        monkeypatch.setattr(nl.models, "FERMION_NUMBER", 2 * nl.models.FERMION_NUMBER)
+        with pytest.raises(NumericalCheckError, match="Jordan-Wigner"):
+            nl.build_fermion_model(1.0, [0.5, 0.25])
 
     def test_interaction_validation(self):
         with pytest.raises(ValueError):
