@@ -22,7 +22,7 @@ print(f"XX ring of {N_SITES} sites, beta = {BETA}")
 print(f"\n{'lambda':>7} {'omega(j_0)':>12} {'stationary':>11} {'transl.':>9} {'NESS?':>6}")
 for lam in LAMBDAS:
     state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=BETA, lam=lam), chain)
-    rep = nl.verify_ness(state, phi, spec, chain)
+    rep = nl.verify_ness(state, phi, spec)
     print(f"{lam:>7.2f} {rep.current_value:>12.6f} "
           f"{rep.stationarity_residual:>11.1e} {rep.translation_residual:>9.1e} "
           f"{str(rep.is_ness):>6}")
@@ -34,6 +34,6 @@ try:
 except nl.PreconditionError as exc:
     print(f"  XXZ(0.5): {exc}")
 thermal = nl.build_biased_gibbs(phi_xxz, spec_xxz, nl.BiasSpec(beta=1.0, lam=0.0), chain)
-rep = nl.verify_ness(thermal, phi_xxz, spec_xxz, chain)
+rep = nl.verify_ness(thermal, phi_xxz, spec_xxz)
 print(f"  at lambda = 0 its Gibbs state is stationary ({rep.stationarity_residual:.1e}) "
       f"and carries no current ({rep.current_value:.1e})")

@@ -18,7 +18,7 @@ phi, spec = nl.build_xx_model()
 chain = nl.ChainConfig(N_SITES, 2)
 state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
 
-kernel = nl.correlation_kernel(state, phi, spec, GEOM, chain)
+kernel = nl.correlation_kernel(state, phi, spec, GEOM)
 ts = np.linspace(0.0, 1.5, 7)
 C = kernel.curve(ts)
 norms = nl.z_norms(phi, spec, GEOM.M, chain)

@@ -264,10 +264,7 @@ class _Workspace:
         # fail fast: validate the full geometry before any diagonalization
         self.geom.validate_for_chain(self.chain, wrap_clearance=True)
         self.window = spectral.WindowFunction(cfg.window_kind, cfg.window_T)
-        if self.window.T > spectral.wrap_horizon(self.phi, self.chain):
-            raise PreconditionError(
-                f"window T = {self.window.T} exceeds the wrap horizon of this chain"
-            )
+        spectral.check_horizon(self.window, self.phi, self.chain)
 
     @cached_property
     def state(self):
@@ -277,7 +274,7 @@ class _Workspace:
 
     @cached_property
     def report(self):
-        return steady_state.verify_ness(self.state, self.phi, self.spec, self.chain)
+        return steady_state.verify_ness(self.state, self.phi, self.spec)
 
     @cached_property
     def tables(self):
@@ -341,8 +338,7 @@ def _cmd_ness(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_sumrule(ws: _Workspace, out: str) -> int:
-    kernel = spectral.correlation_kernel(ws.state, ws.phi, ws.spec, ws.geom, ws.chain,
-                                         tables=ws.tables)
+    kernel = spectral.correlation_kernel(ws.state, ws.phi, ws.spec, ws.geom, tables=ws.tables)
     ts = np.linspace(-ws.window.T, ws.window.T, 129)
     curve = kernel.curve(ts)
     lines = ["t,C"] + [f"{t!r},{c!r}" for t, c in zip(ts.tolist(), curve.tolist())]
@@ -365,7 +361,7 @@ def _cmd_sumrule(ws: _Workspace, out: str) -> int:
 
 def _cmd_spectral(ws: _Workspace, out: str) -> int:
     report = ws.report
-    if not report.symmetry_residual <= 1e-10:
+    if not report.symmetry_residual <= steady_state.RESIDUAL_TOL:
         raise PreconditionError(
             "state breaks the charge symmetry; the symmetric-branch identity "
             "does not apply (symmetry-breaking branch is out of scope)"
@@ -375,8 +371,7 @@ def _cmd_spectral(ws: _Workspace, out: str) -> int:
     Y = ws.geom.M - ws.phi.r  # the position window |z| <= Y of both diagnostics
     res = spectral.momentum_derivative_check(sf, ws.window, Y, report.current_value)
     _write_json(os.path.join(out, "derivative.json"), res)
-    diag = spectral.singularity_diagnostic(sf, list(ws.cfg.epsilon_windows),
-                                           z_halfwidth=max(1, Y))
+    diag = spectral.singularity_diagnostic(sf, list(ws.cfg.epsilon_windows), z_halfwidth=Y)
     _write_json(os.path.join(out, "singularity.json"), diag)
     if not (diag["no_current"] or res["rel_err"] <= ws.cfg.derivative_rel_err):
         raise NumericalCheckError(
@@ -400,7 +395,10 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str) -> int:
     """Execute one subcommand; artifacts land in out_dir."""
     if subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out_dir!r} as the output directory: {exc}") from exc
     log.info("validating config %r (model %s on %d sites)", cfg.label,
              cfg.model_kind, cfg.n_sites)
     ws = _Workspace(cfg)

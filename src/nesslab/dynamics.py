@@ -251,15 +251,15 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     sectors it couples (once per F pair of them if ``ctx`` records ``images``),
     and each norm is a maximum over the groups of sectors of the half block
     P1 A(t) P2 (one group of each F pair), or over their two F blocks (see the
-    module docstring).  Per time and pair (c, k) of sectors it holds
-    propagator_c(t) A[c, k] and, per use, only the rows of propagator_k(t) that
-    P2's isometry reads; a group of one pair takes that pair's product as its
-    half block.  The sector vectors may be real or complex; both give the
-    same bits.  t = 0 takes the local
-    commutator, exactly 0 for disjoint supports.  Points whose light cones
-    could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are excluded from the
-    comparison and flagged in the output.  A bad grid is refused before any
-    diagonalization.
+    module docstring).  With P_s(t) = W_s exp(iE_s t), so that exp(iHt) on
+    sector s is P_s(t) W_s^H, it holds per time and pair (c, k) of sectors
+    P_c(t) A[c, k] and, per use, only the rows of P_k(t) that P2's isometry
+    reads; a group of one pair takes that pair's product as its half block.
+    The sector vectors may be real or complex; both give the same bits.
+    t = 0 takes the local commutator, exactly 0 for disjoint supports.  Points
+    whose light cones could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are
+    excluded from the comparison and flagged in the output.  A bad grid is
+    refused before any diagonalization.
     """
     if not (A.hermitian and B.hermitian):
         raise PreconditionError("scan operators must be flagged Hermitian")
@@ -310,10 +310,10 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
                 users = [u for u in uses[c, k] if u[1] in live[t]]
                 if not users:
                     continue
-                PM = sectors[c].propagator(t) @ M  # no whole propagator is kept
+                PM = (sectors[c].vectors * np.exp(1j * sectors[c].energies * t)) @ M  # P_c(t) M
                 phase = np.exp(1j * sectors[k].energies * t)
                 for i, x, (shape, group_pairs, plan), rows, cols in users:
-                    # the rows of G2 P_k, P_k = propagator(t), from the states G2 reads
+                    # the rows of G2 P_k(t), from the states G2 reads
                     G2, read = halves[x][1][k]
                     np.conjugate(R := G2 @ (sectors[k].vectors[read] * phase), out=R)
                     Y = (halves[x][0][c] @ PM) @ R.T

@@ -104,10 +104,6 @@ class Sector:
         for cols, group, Q in self.slabs:
             yield cols, Q @ self.slab_vectors(group)
 
-    def propagator(self, t: float) -> np.ndarray:
-        """W exp(iEt): the sector block of exp(iHt) is propagator(t) @ W^H."""
-        return self.vectors * np.exp(1j * self.energies * t)
-
 
 def _as_sparse(A, chain: ChainConfig) -> sp.csr_matrix:
     """CSR form of a dense, sparse or LocalOperator full-chain operator."""
@@ -647,19 +643,27 @@ def wrap_horizon(phi: models.Interaction, chain: ChainConfig) -> float:
     return chain.n_sites / (2.0 * empirical_velocity(phi))
 
 
+def check_horizon(window: WindowFunction, phi: models.Interaction, chain: ChainConfig) -> float:
+    """The :func:`wrap_horizon`; refuses a window whose support T exceeds it."""
+    if window.T > (horizon := wrap_horizon(phi, chain)):
+        raise PreconditionError(f"window support T = {window.T} exceeds the wrap horizon "
+                                f"{horizon:.3f}")
+    return horizon
+
+
 def empirical_velocity(phi: models.Interaction) -> float:
     """Configured safe estimate of the physical signal speed, 4 r max||Phi||."""
     return 4.0 * phi.r * phi.max_term_norm()
 
 
 def correlation_kernel(state, phi: models.Interaction, spec: models.ChargeSpec,
-                       geom: models.CurrentGeometry, chain: ChainConfig,
+                       geom: models.CurrentGeometry, *,
                        tables: list | None = None) -> CommutatorKernel:
-    """C(t) of A = N_[-L,0] and B = H_[-M,M], reduced from the :func:`term_tables`
-    of the state (built here when not given)."""
-    geom.validate_for_chain(chain, wrap_clearance=True)
+    """C(t) of A = N_[-L,0] and B = H_[-M,M] on the state's chain, reduced from
+    the :func:`term_tables` of the state (built here when not given)."""
+    geom.validate_for_chain(state.chain, wrap_clearance=True)
     tables = term_tables(state, phi, spec) if tables is None else tables
-    _, de, s = _reduce(tables, chain.n_sites, lambda span: (
+    _, de, s = _reduce(tables, state.chain.n_sites, lambda span: (
         np.arange(-geom.L, 1), np.arange(-geom.M, geom.M - span + 1)))
     return CommutatorKernel(de, s[0] - s[1])
 
@@ -675,17 +679,14 @@ def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainC
                    kernel: CommutatorKernel | None = None) -> dict:
     """Windowed current sum rule: int C(t) f_T(t) dt against sqrt(2 pi) w(j_0) ft(0).
 
-    ``kernel`` is the :func:`correlation_kernel` of the same arguments, built
-    here when not given.  ``no_current`` flags |w(j_0)| < NO_CURRENT_TOL, where
-    both sides are rounding noise and ``rel_err`` says nothing.
+    ``chain`` must be the state's and ``kernel`` its :func:`correlation_kernel`
+    for ``geom`` (built here when not given).  ``no_current`` flags |w(j_0)| <
+    NO_CURRENT_TOL, where both sides are rounding noise and ``rel_err`` says nothing.
     """
-    horizon = wrap_horizon(phi, chain)
-    if window.T > horizon:
-        raise PreconditionError(
-            f"window support T = {window.T} exceeds the wrap horizon {horizon:.3f}"
-        )
-    if kernel is None:
-        kernel = correlation_kernel(state, phi, spec, geom, chain)
+    if chain != state.chain:
+        raise PreconditionError(f"the state lives on {state.chain}, not on {chain}")
+    horizon = check_horizon(window, phi, chain)
+    kernel = correlation_kernel(state, phi, spec, geom) if kernel is None else kernel
     lhs = kernel.windowed_integral(window)
     j0 = models.current_local(phi, spec, chain)
     current = float(np.real(state.expect(j0)))
@@ -805,15 +806,15 @@ def momentum_derivative_check(spectral: SpectralFunction, window: WindowFunction
             "derivative_term": derivative_term, "Y": Y}
 
 
-def boundary_commutator_integral(state, phi, spec, geom, window: WindowFunction,
-                                 chain: ChainConfig, tables: list | None = None) -> float:
+def boundary_commutator_integral(state, phi, spec, geom, window: WindowFunction, *,
+                                 tables: list | None = None) -> float:
     """Windowed <i [N_[-L,0], (C_-M + C_M)(t)]>, the boundary-complement piece of
     C(t), reduced from the :func:`term_tables` (built here when not given): the
     complements (:func:`models.boundary_complements`) hold the translates of
     each class at :func:`models.complement_anchors`."""
     tables = term_tables(state, phi, spec) if tables is None else tables
     r_eff = phi.max_diameter()
-    _, de, s = _reduce(tables, chain.n_sites, lambda span: (
+    _, de, s = _reduce(tables, state.chain.n_sites, lambda span: (
         np.arange(-geom.L, 1), models.complement_anchors(span, geom.M, r_eff)))
     return CommutatorKernel(de, s[0] - s[1]).windowed_integral(window)
 

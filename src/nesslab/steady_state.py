@@ -136,17 +136,17 @@ class NessReport:
 
 
 def verify_ness(state: StationaryState, phi: models.Interaction,
-                spec: models.ChargeSpec, chain: ChainConfig) -> NessReport:
+                spec: models.ChargeSpec) -> NessReport:
     """Check the three defining conditions plus the charge-symmetry residual.
 
     Each residual is the certified bound :meth:`JointBasis.residual` on
-    ||[rho, A]||_F, for A = H(phi), the shift and N_chain.  The state is
-    classified as a steady current-carrying state iff both invariance
-    residuals pass and the current expectation clears the threshold; the
-    symmetry residual decides whether the symmetric-branch momentum-derivative
-    identity applies to it.
+    ||[rho, A]||_F, for A = H(phi), the shift and N_chain of the state's chain.
+    The state is classified as a steady current-carrying state iff both
+    invariance residuals pass and the current expectation clears the
+    threshold; the symmetry residual decides whether the symmetric-branch
+    momentum-derivative identity applies to it.
     """
-    basis = state.basis
+    basis, chain = state.basis, state.chain
     stat = basis.residual(models.hamiltonian(phi, chain, sparse=True))
     trans = basis.residual(shift_unitary(chain))
     j0 = models.current_local(phi, spec, chain)

@@ -120,7 +120,7 @@ def test_criterion_4_telescoping(chain12):
 def test_criterion_5_ness(xx_model, chain10, xx10_state):
     """Biased XX state: residuals, current size, oracle agreement, oddness."""
     phi, spec = xx_model
-    rep = nl.verify_ness(xx10_state, phi, spec, chain10)
+    rep = nl.verify_ness(xx10_state, phi, spec)
     assert rep.stationarity_residual <= 1e-10
     assert rep.translation_residual <= 1e-10
     assert abs(rep.current_value) > 1e-3
@@ -145,7 +145,7 @@ def test_criterion_6_flatness(xx12_state, xx_model, chain12):
     """|C(t) - C(0)| <= Z_{M,L}(t) on t in [0, 1] for the acceptance geometry."""
     phi, spec = xx_model
     geom = nl.CurrentGeometry(L=7, M=3, r=1)
-    kernel = nl.correlation_kernel(xx12_state, phi, spec, geom, chain12)
+    kernel = nl.correlation_kernel(xx12_state, phi, spec, geom)
     norms = nl.z_norms(phi, spec, geom.M, chain12)
     ts = np.linspace(0.0, 1.0, 11)
     C = kernel.curve(ts)
@@ -220,7 +220,7 @@ def test_criterion_7_sum_rule_m_trend(xx12_state, xx_model, chain12):
 def test_criterion_8_momentum_derivative(xx12_state, xx12_spectral, xx_model, chain12):
     """Integrated derivative identity within 10%, boundary terms decay with M."""
     phi, spec = xx_model
-    rep = nl.verify_ness(xx12_state, phi, spec, chain12)
+    rep = nl.verify_ness(xx12_state, phi, spec)
     assert rep.symmetry_residual <= 1e-10  # symmetric-branch precondition
     win = WindowFunction("hann", 2.0)
     geom = nl.CurrentGeometry(7, 3, 1)

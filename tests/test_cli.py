@@ -227,6 +227,21 @@ class TestSubcommands:
         out = str(tmp_path / "out")
         assert cli.main(["build", "--config", str(tmp_path / "nope.ini"), "--out", out]) == 2
 
+    @pytest.mark.parametrize("taken", [False, True], ids=["empty", "existing_file"])
+    def test_exit_code_unusable_out(self, small_cfg_path, tmp_path, monkeypatch, capsys, taken):
+        # an --out that cannot be a directory is a config error, reported on stderr only
+        monkeypatch.chdir(tmp_path)
+        out = ""
+        if taken:
+            out = str(tmp_path / "taken")
+            open(out, "w").close()
+        assert cli.main(["build", "--config", small_cfg_path, "--out", out]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert sorted(os.listdir(tmp_path)) == (["taken"] if taken else [])
+        if taken:
+            assert os.path.getsize(out) == 0
+
     def test_exit_code_geometry(self, small_cfg_path, tmp_path):
         out = str(tmp_path / "geom")
         os.environ["NESSLAB_GEOMETRY__L"] = "6"  # L + M + r = 9 >= n_sites = 8

@@ -13,7 +13,7 @@ def _agree(state, chain, lam, M, L, window):
     """sum_rule_check's lhs and rhs and the kernel's C(t) match the oracle to 1e-12."""
     phi, spec = nl.build_xx_model()
     geom = nl.CurrentGeometry(L, M, 1)
-    kernel = nl.correlation_kernel(state, phi, spec, geom, chain)
+    kernel = nl.correlation_kernel(state, phi, spec, geom)
     ed = nl.sum_rule_check(state, phi, spec, geom, window, chain, kernel=kernel)
     oracle = FreeFermionXX(chain.n_sites, 1.0, lam, M)
     want = oracle.sum_rule(M, L, window)

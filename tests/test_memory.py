@@ -78,7 +78,7 @@ def test_sum_rule_holds_one_pair(xx8):
     geom = nl.CurrentGeometry(L=4, M=2, r=1)
 
     def run():
-        kernel = nl.correlation_kernel(state, phi, spec, geom, chain)
+        kernel = nl.correlation_kernel(state, phi, spec, geom)
         nl.sum_rule_check(state, phi, spec, geom, nl.WindowFunction("hann", 1.5), chain,
                           kernel=kernel)
 
@@ -92,7 +92,7 @@ def test_kernel_keeps_no_blocks(xx8):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        kernel = nl.correlation_kernel(state, phi, spec, geom, chain)
+        kernel = nl.correlation_kernel(state, phi, spec, geom)
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()

@@ -461,7 +461,7 @@ class TestQuadrature:
         phi, spec = xx_model
         geom = nl.CurrentGeometry(4, 2, 1)
         win = WindowFunction(kind, 1.5)
-        kernel = nl.correlation_kernel(xx10_state, phi, spec, geom, chain10)
+        kernel = nl.correlation_kernel(xx10_state, phi, spec, geom)
         ref = gauss_legendre(kernel.curve, win)
         assert abs(kernel.windowed_integral(win) - ref) < 1e-9 * (1.0 + abs(ref))
 
@@ -471,13 +471,13 @@ class TestCorrelation:
         phi, spec = xx_model
         geom = nl.CurrentGeometry(4, 2, 1)
         j0 = nl.current_local(phi, spec, chain10)
-        c0 = nl.correlation_kernel(xx10_state, phi, spec, geom, chain10).at(0.0)
+        c0 = nl.correlation_kernel(xx10_state, phi, spec, geom).at(0.0)
         assert abs(c0 - xx10_state.expect(j0).real) < 1e-10
 
     def test_zero_current_state_flat_zero(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
-        kernel = nl.correlation_kernel(state, phi, spec, nl.CurrentGeometry(4, 2, 1), chain10)
+        kernel = nl.correlation_kernel(state, phi, spec, nl.CurrentGeometry(4, 2, 1))
         assert np.max(np.abs(kernel.curve(np.linspace(0, 1.5, 7)))) < 1e-10
 
     def test_forward_backward_consistency(self, xx10_state, xx_model, chain10):
@@ -500,7 +500,7 @@ class TestCorrelation:
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
         N = nl.models.charge_sparse(spec, (-4, 0), chain)
         H_M = nl.models.window_hamiltonian_sparse(phi, (-2, 2), chain)
-        kernel = nl.correlation_kernel(state, phi, spec, nl.CurrentGeometry(4, 2, 1), chain)
+        kernel = nl.correlation_kernel(state, phi, spec, nl.CurrentGeometry(4, 2, 1))
         V = state.basis.vectors
         rho = (V * state.probs) @ V.conj().T
         N, H_M = N.toarray(), H_M.toarray()
@@ -513,7 +513,7 @@ class TestCorrelation:
     def test_flatness_within_bound(self, xx10_state, xx_model, chain10):
         phi, spec = xx_model
         geom = nl.CurrentGeometry(4, 2, 1)
-        kernel = nl.correlation_kernel(xx10_state, phi, spec, geom, chain10)
+        kernel = nl.correlation_kernel(xx10_state, phi, spec, geom)
         norms = nl.z_norms(phi, spec, geom.M, chain10)
         ts = np.linspace(0.0, 1.0, 6)
         C = kernel.curve(ts)
@@ -542,6 +542,27 @@ class TestSumRule:
             nl.sum_rule_check(xx10_state, phi, spec, nl.CurrentGeometry(4, 2, 1),
                               WindowFunction("hann", 4.0), chain10)
 
+    def test_chain_other_than_the_state_refused(self, xx_model):
+        # the state's tables reduced on a 10-site ring would give lhs 0.1332, not 0.0866
+        phi, spec = xx_model
+        state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5),
+                                      nl.ChainConfig(8, 2))
+        args = (state, phi, spec, nl.CurrentGeometry(4, 2, 1), WindowFunction("hann", 1.5))
+        with pytest.raises(PreconditionError):
+            nl.sum_rule_check(*args, nl.ChainConfig(10, 2))
+        assert nl.sum_rule_check(*args, nl.ChainConfig(8, 2))["rel_err"] <= 0.05
+
+    def test_analyses_take_no_chain(self, xx10_state, xx_model, chain10):
+        # the chain of an old positional call is refused, not taken for the tables
+        phi, spec = xx_model
+        geom, win = nl.CurrentGeometry(4, 2, 1), WindowFunction("hann", 1.5)
+        with pytest.raises(TypeError):
+            nl.correlation_kernel(xx10_state, phi, spec, geom, chain10)
+        with pytest.raises(TypeError):
+            nl.boundary_commutator_integral(xx10_state, phi, spec, geom, win, chain10)
+        with pytest.raises(TypeError):
+            nl.verify_ness(xx10_state, phi, spec, chain10)
+
 
 @pytest.fixture(scope="module")
 def xx10_spectral(request):
@@ -564,7 +585,7 @@ def complement_table_gap(state, phi, spec, L, M, chain, tables, win):
     N = nl.models.charge_sparse(spec, (-L, 0), chain)
     cm, cp = nl.boundary_complements(phi, M, chain)
     C = nl.embed_sparse(cm, chain) + nl.embed_sparse(cp, chain)
-    bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, chain, tables=tables)
+    bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, tables=tables)
     return abs(bc - table_kernel(state, N, C).windowed_integral(win))
 
 
@@ -603,7 +624,7 @@ class TestTermTables:
             N = nl.models.charge_sparse(spec, (-L, 0), chain)
             H_M = nl.models.window_hamiltonian_sparse(phi, (-M, M), chain)
             ref = table_kernel(state, N, H_M)
-            kernel = nl.correlation_kernel(state, phi, spec, geom, chain, tables=tables)
+            kernel = nl.correlation_kernel(state, phi, spec, geom, tables=tables)
             assert abs(kernel.windowed_integral(win) - ref.windowed_integral(win)) < 1e-15
             assert np.max(np.abs(kernel.curve(ts) - ref.curve(ts))) < 1e-15
             assert complement_table_gap(state, phi, spec, L, M, chain, tables, win) < 1e-15
@@ -720,7 +741,7 @@ class TestMomentumDerivative:
         geom = nl.CurrentGeometry(4, 2, 1)
         sr = nl.sum_rule_check(state, phi, spec, geom, win, chain)
         md = nl.momentum_derivative_check(sf, win, geom.M - geom.r, current_value=cur)
-        bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, chain)
+        bc = nl.boundary_commutator_integral(state, phi, spec, geom, win)
         resid = abs(md["derivative_term"] - (sr["lhs"] - md["tail_term"] - md["count_term"] - bc))
         assert resid <= 0.05 * scale
 

@@ -51,7 +51,7 @@ class TestConstruction:
         chain = nl.ChainConfig(8, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain)
         assert state.basis.bias_values is None
-        rep = nl.verify_ness(state, phi, spec, chain)
+        rep = nl.verify_ness(state, phi, spec)
         assert rep.is_stationary and rep.is_translation_invariant and not rep.is_ness
         assert abs(rep.current_value) < 1e-12
         H = nl.hamiltonian(phi, chain)
@@ -130,7 +130,7 @@ class TestExpectation:
 class TestVerifyNess:
     def test_biased_state_is_ness(self, xx10_state, xx_model, chain10):
         phi, spec = xx_model
-        rep = nl.verify_ness(xx10_state, phi, spec, chain10)
+        rep = nl.verify_ness(xx10_state, phi, spec)
         assert rep.is_ness
         assert rep.stationarity_residual <= 1e-10
         assert rep.translation_residual <= 1e-10
@@ -142,16 +142,16 @@ class TestVerifyNess:
         phi, spec = xx_model
         chain = nl.ChainConfig(8, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
-        rep = nl.verify_ness(state, phi, spec, chain)
+        rep = nl.verify_ness(state, phi, spec)
         bare = StationaryState(basis=state.basis, probs=state.probs)
-        assert nl.verify_ness(bare, phi, spec, chain) == rep
+        assert nl.verify_ness(bare, phi, spec) == rep
         other, _ = nl.build_xx_model()  # an equal model, but another object
-        assert nl.verify_ness(state, other, spec, chain) == rep
+        assert nl.verify_ness(state, other, spec) == rep
 
     def test_other_interaction_not_stationary(self, xx10_state, chain10):
         # the XX state under an XXZ(0.5) H: the certificate is not vacuous
         phi, spec = nl.build_xxz_model(0.5)
-        rep = nl.verify_ness(xx10_state, phi, spec, chain10)
+        rep = nl.verify_ness(xx10_state, phi, spec)
         assert not rep.is_stationary and not rep.is_ness
         assert rep.stationarity_residual > 1e-3
         assert rep.translation_residual <= 1e-12 and rep.symmetry_residual <= 1e-12
@@ -159,7 +159,7 @@ class TestVerifyNess:
     def test_thermal_not_ness(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
-        rep = nl.verify_ness(state, phi, spec, chain10)
+        rep = nl.verify_ness(state, phi, spec)
         assert rep.is_stationary and rep.is_translation_invariant
         assert not rep.is_ness
         assert abs(rep.current_value) < 1e-10
@@ -167,8 +167,8 @@ class TestVerifyNess:
     def test_current_odd_in_bias(self, xx_model, chain10, xx10_state):
         phi, spec = xx_model
         minus = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=-0.5), chain10)
-        cur_p = nl.verify_ness(xx10_state, phi, spec, chain10).current_value
-        cur_m = nl.verify_ness(minus, phi, spec, chain10).current_value
+        cur_p = nl.verify_ness(xx10_state, phi, spec).current_value
+        cur_m = nl.verify_ness(minus, phi, spec).current_value
         assert abs(cur_p + cur_m) < 1e-10
 
     def test_flat_current_profile(self, xx10_state, xx_model, chain10):
@@ -206,7 +206,7 @@ class TestVerifyNess:
 class TestSummary:
     def test_json_ready(self, xx10_state, xx_model, chain10):
         phi, spec = xx_model
-        rep = nl.verify_ness(xx10_state, phi, spec, chain10)
+        rep = nl.verify_ness(xx10_state, phi, spec)
         doc = state_summary(xx10_state, rep)
         text = json.dumps(doc)
         back = json.loads(text)
