@@ -18,7 +18,7 @@ phi, spec = nl.build_xx_model()
 chain = nl.ChainConfig(N_SITES, 2)
 state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
 
-kernel = nl.correlation_kernel(state, phi, spec, GEOM)
+kernel = nl.correlation_kernel(state, GEOM)  # the model is the state's
 ts = np.linspace(0.0, 1.5, 7)
 C = kernel.curve(ts)
 norms = nl.z_norms(phi, spec, GEOM.M, chain)
@@ -28,7 +28,7 @@ for t, c in zip(ts, C):
     z = nl.deviation_bound_Z(phi, GEOM.M, GEOM.L, float(t), norms)
     print(f"{t:>5.2f} {c:>12.8f} {abs(c - C[0]):>12.2e} {z:>12.3e}")
 
-res = nl.sum_rule_check(state, phi, spec, GEOM, WINDOW, chain)
+res = nl.sum_rule_check(state, phi, spec, GEOM, WINDOW, chain)  # refuses another model or chain
 print(f"\nsum rule with a Hann window, T = {WINDOW.T}:")
 print(f"  lhs  = int C(t) f_T(t) dt          = {res['lhs']:.8f}")
 print(f"  rhs  = sqrt(2 pi) omega(j_0) f~(0) = {res['rhs']:.8f}")

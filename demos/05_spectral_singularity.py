@@ -20,8 +20,8 @@ phi, spec = nl.build_xx_model()
 print("integrated momentum-derivative identity on 10 sites:")
 chain = nl.ChainConfig(10, 2)
 state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=BETA, lam=LAM), chain)
-sf = nl.spectral_function_rho(state, phi, spec)
-cur = state.expect(nl.current_local(phi, spec, chain)).real
+sf = nl.spectral_function_rho(state)
+cur = state.current  # <j_0>, measured once and kept by the state
 res = nl.momentum_derivative_check(sf, WINDOW, 1, current_value=cur)  # Y = M - r, M = 2
 print(f"  spectral entries: {len(sf.weights)}")
 print(f"  lhs = {res['lhs']:.6f}  vs  omega(j_0) f~(0) = {res['rhs']:.6f} "
@@ -32,7 +32,7 @@ print(f"\nconcentration of the derivative mass in |de| < {EPS0}:")
 for n in (8, 10):
     chain = nl.ChainConfig(n, 2)
     state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=BETA, lam=LAM), chain)
-    sf = nl.spectral_function_rho(state, phi, spec)
+    sf = nl.spectral_function_rho(state)
     M_max = (n - 3 * phi.r - 1) // 2
     diag = nl.singularity_diagnostic(sf, [EPS0, 0.5, np.inf],
                                      z_halfwidth=M_max - phi.r)

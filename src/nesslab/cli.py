@@ -274,12 +274,12 @@ class _Workspace:
 
     @cached_property
     def report(self):
-        return steady_state.verify_ness(self.state, self.phi, self.spec)
+        return steady_state.verify_ness(self.state)
 
     @cached_property
     def tables(self):
         """The state's transfer tables, one per term class, shared by every windowed sum."""
-        return spectral.term_tables(self.state, self.phi, self.spec)
+        return spectral.term_tables(self.state)
 
 
 def _pairs(mat: np.ndarray) -> list:
@@ -338,7 +338,7 @@ def _cmd_ness(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_sumrule(ws: _Workspace, out: str) -> int:
-    kernel = spectral.correlation_kernel(ws.state, ws.phi, ws.spec, ws.geom, tables=ws.tables)
+    kernel = spectral.correlation_kernel(ws.state, ws.geom, tables=ws.tables)
     ts = np.linspace(-ws.window.T, ws.window.T, 129)
     curve = kernel.curve(ts)
     lines = ["t,C"] + [f"{t!r},{c!r}" for t, c in zip(ts.tolist(), curve.tolist())]
@@ -366,7 +366,7 @@ def _cmd_spectral(ws: _Workspace, out: str) -> int:
             "state breaks the charge symmetry; the symmetric-branch identity "
             "does not apply (symmetry-breaking branch is out of scope)"
         )
-    sf = spectral.spectral_function_rho(ws.state, ws.phi, ws.spec, tables=ws.tables)
+    sf = spectral.spectral_function_rho(ws.state, tables=ws.tables)
     _atomic_write(os.path.join(out, "spectral.csv"), sf.to_csv())
     Y = ws.geom.M - ws.phi.r  # the position window |z| <= Y of both diagnostics
     res = spectral.momentum_derivative_check(sf, ws.window, Y, report.current_value)

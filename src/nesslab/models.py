@@ -90,6 +90,12 @@ class Interaction:
             canon.append((offsets, mat))
         object.__setattr__(self, "terms", tuple(canon))
 
+    def __eq__(self, other):  # in value: the generated __eq__ cannot compare the matrices
+        if not isinstance(other, Interaction):
+            return NotImplemented
+        a, b = ([p.site_dim, p.r, [(o, m.tolist()) for o, m in p.terms]] for p in (self, other))
+        return a == b
+
     def max_diameter(self) -> int:
         """Largest diameter among terms that are actually nonzero."""
         diam = 0
@@ -117,9 +123,8 @@ class ChargeSpec:
         n0.flags.writeable = False
         object.__setattr__(self, "n0", n0)
 
-    @property
-    def site_dim(self) -> int:
-        return self.n0.shape[0]
+    def __eq__(self, other):  # in value, as Interaction's
+        return isinstance(other, ChargeSpec) and self.n0.tolist() == other.n0.tolist()
 
 
 @dataclass(frozen=True)

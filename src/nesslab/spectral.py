@@ -521,14 +521,14 @@ def _transfer_table(state, A, B) -> tuple:
     return dk, de, 1j * s
 
 
-def term_tables(state, phi: models.Interaction, spec: models.ChargeSpec) -> list:
+def term_tables(state) -> list:
     """[(span, dk, de, s)]: the :func:`_transfer_table` of n_0 against each term
-    class of ``phi`` at the origin.  In the joint basis a translate is a phase,
+    class of the state's ``phi`` at the origin.  In the joint basis a translate is a phase,
     <m|tau_x(O)|n> = e^{i k x} O_mn, so these give the table of every window
     sum of n_0 and the terms (:func:`_reduce`)."""
-    n0 = LocalOperator((0,), spec.n0)
+    n0 = LocalOperator((0,), state.spec.n0)
     return [(offsets[-1], *_transfer_table(state, n0, LocalOperator(offsets, mat)))
-            for offsets, mat in phi.terms]
+            for offsets, mat in state.phi.terms]
 
 
 def _phase_sum(dk_idx: np.ndarray, n_sites: int, zs, weights=1.0) -> np.ndarray:
@@ -656,13 +656,12 @@ def empirical_velocity(phi: models.Interaction) -> float:
     return 4.0 * phi.r * phi.max_term_norm()
 
 
-def correlation_kernel(state, phi: models.Interaction, spec: models.ChargeSpec,
-                       geom: models.CurrentGeometry, *,
+def correlation_kernel(state, geom: models.CurrentGeometry, *,
                        tables: list | None = None) -> CommutatorKernel:
     """C(t) of A = N_[-L,0] and B = H_[-M,M] on the state's chain, reduced from
     the :func:`term_tables` of the state (built here when not given)."""
     geom.validate_for_chain(state.chain, wrap_clearance=True)
-    tables = term_tables(state, phi, spec) if tables is None else tables
+    tables = term_tables(state) if tables is None else tables
     _, de, s = _reduce(tables, state.chain.n_sites, lambda span: (
         np.arange(-geom.L, 1), np.arange(-geom.M, geom.M - span + 1)))
     return CommutatorKernel(de, s[0] - s[1])
@@ -679,20 +678,18 @@ def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainC
                    kernel: CommutatorKernel | None = None) -> dict:
     """Windowed current sum rule: int C(t) f_T(t) dt against sqrt(2 pi) w(j_0) ft(0).
 
-    ``chain`` must be the state's and ``kernel`` its :func:`correlation_kernel`
-    for ``geom`` (built here when not given).  ``no_current`` flags |w(j_0)| <
-    NO_CURRENT_TOL, where both sides are rounding noise and ``rel_err`` says nothing.
+    ``phi``, ``spec`` and ``chain`` must equal the state's and ``kernel`` be its
+    :func:`correlation_kernel` for ``geom`` (built here when not given).  ``no_current``
+    flags |w(j_0)| < NO_CURRENT_TOL: both sides are rounding noise, ``rel_err`` means nothing.
     """
-    if chain != state.chain:
-        raise PreconditionError(f"the state lives on {state.chain}, not on {chain}")
+    if (phi, spec, chain) != (state.phi, state.spec, state.chain):
+        raise PreconditionError("the phi, spec or chain given is not the state's own")
     horizon = check_horizon(window, phi, chain)
-    kernel = correlation_kernel(state, phi, spec, geom) if kernel is None else kernel
+    kernel = correlation_kernel(state, geom) if kernel is None else kernel
     lhs = kernel.windowed_integral(window)
-    j0 = models.current_local(phi, spec, chain)
-    current = float(np.real(state.expect(j0)))
-    rhs = SQRT_2PI * current * window.fourier0()
-    return {**_compared(lhs, rhs), "current": current,
-            "no_current": abs(current) < NO_CURRENT_TOL, "horizon": horizon, "T": window.T,
+    rhs = SQRT_2PI * state.current * window.fourier0()
+    return {**_compared(lhs, rhs), "current": state.current,
+            "no_current": abs(state.current) < NO_CURRENT_TOL, "horizon": horizon, "T": window.T,
             "M": geom.M, "L": geom.L}
 
 
@@ -730,10 +727,9 @@ class SpectralFunction:
         return "\n".join(lines) + "\n"
 
 
-def spectral_function_rho(state, phi: models.Interaction, spec: models.ChargeSpec,
-                          tables: list | None = None) -> SpectralFunction:
+def spectral_function_rho(state, *, tables: list | None = None) -> SpectralFunction:
     """Weights w(dk, de) = sum p_m i <m|n^|n><n|h^|m> grouped by transfer, for
-    n^ = n_0 - <n_0> and h^ = h - <h>, h the energy density of ``phi``.
+    n^ = n_0 - <n_0> and h^ = h - <h>, h the energy density of the state's ``phi``.
 
     h sums the term classes anchored at -(span_c // 2), so w is the p_m sum of
     the :func:`term_tables` (built here when not given) with those phases, one
@@ -742,13 +738,12 @@ def spectral_function_rho(state, phi: models.Interaction, spec: models.ChargeSpe
     the p_n sums pair with them as the hermiticity of n^ and h^ requires,
     conj(w(dk, de)) = -w_n(-dk, -de).
     """
-    chain = state.chain
-    n = chain.n_sites
-    tables = term_tables(state, phi, spec) if tables is None else tables
+    chain, n = state.chain, state.chain.n_sites
+    tables = term_tables(state) if tables is None else tables
     dk, de, s = _reduce(tables, n, lambda span: ((0,), (-(span // 2),)))
     de = np.round(de, DE_DECIMALS) + 0.0  # the key, written without a sign on zero
-    N, H = (embed_sparse(op, chain)
-            for op in (LocalOperator((0,), spec.n0), models.energy_density(phi, chain)))
+    N, H = (embed_sparse(op, chain) for op in (LocalOperator((0,), state.spec.n0),
+                                                models.energy_density(state.phi, chain)))
     means = 1j * state.expect(N) * state.expect(H)
     s[:, (dk == 0) & (de == 0)] -= means
     w, w_n = s
@@ -806,16 +801,15 @@ def momentum_derivative_check(spectral: SpectralFunction, window: WindowFunction
             "derivative_term": derivative_term, "Y": Y}
 
 
-def boundary_commutator_integral(state, phi, spec, geom, window: WindowFunction, *,
+def boundary_commutator_integral(state, geom, window: WindowFunction, *,
                                  tables: list | None = None) -> float:
     """Windowed <i [N_[-L,0], (C_-M + C_M)(t)]>, the boundary-complement piece of
     C(t), reduced from the :func:`term_tables` (built here when not given): the
     complements (:func:`models.boundary_complements`) hold the translates of
     each class at :func:`models.complement_anchors`."""
-    tables = term_tables(state, phi, spec) if tables is None else tables
-    r_eff = phi.max_diameter()
+    tables = term_tables(state) if tables is None else tables
     _, de, s = _reduce(tables, state.chain.n_sites, lambda span: (
-        np.arange(-geom.L, 1), models.complement_anchors(span, geom.M, r_eff)))
+        np.arange(-geom.L, 1), models.complement_anchors(span, geom.M, state.phi.max_diameter())))
     return CommutatorKernel(de, s[0] - s[1]).windowed_integral(window)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +38,13 @@ class BiasSpec:
 
 @dataclass(frozen=True)
 class StationaryState:
-    """Density operator diagonal in a joint (H, shift) eigenbasis."""
+    """Density operator diagonal in a joint (H, shift) eigenbasis, with its model and bias."""
 
     basis: JointBasis
     probs: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
+    phi: models.Interaction
+    spec: models.ChargeSpec
+    bias: BiasSpec | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -56,6 +59,20 @@ class StationaryState:
     @property
     def chain(self) -> ChainConfig:
         return self.basis.chain
+
+    @cached_property
+    def certificates(self) -> tuple:
+        """Bounds on ||[rho, H(phi)]||_F and ||[rho, shift]||_F (:meth:`JointBasis.residual`)."""
+        H = models.hamiltonian(self.phi, self.chain, sparse=True)
+        return self.basis.residual(H), self.basis.residual(shift_unitary(self.chain))
+
+    @cached_property
+    def current(self) -> float:
+        """<j_0>, the current of ``phi`` and ``spec`` at the origin."""
+        value = self.expect(models.current_local(self.phi, self.spec, self.chain))
+        if not abs(value.imag) <= 1e-10:
+            raise NumericalCheckError(f"current expectation came out complex: {value}")
+        return float(value.real)
 
     def expect(self, A) -> complex:
         """sum_n p_n <n|A|n>; A may be dense, sparse or a LocalOperator."""
@@ -98,8 +115,8 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
     """rho proportional to exp(-beta (H - lambda J_tot)) on the periodic chain.
 
     Refuses what :func:`biased_generator` refuses; at lambda = 0 the state is
-    the Gibbs state of any translation-invariant H.  The basis of the returned
-    state is certified by :meth:`JointBasis.residual` of H and of the shift.
+    the Gibbs state of any translation-invariant H.  The returned state is
+    refused unless both of its :attr:`StationaryState.certificates` pass.
     """
     H, J = biased_generator(phi, spec, bias.lam, chain)
     basis = joint_spectrum(H, chain, bias=J)
@@ -107,20 +124,15 @@ def build_biased_gibbs(phi: models.Interaction, spec: models.ChargeSpec,
         tilt = 0.0 if basis.bias_values is None else bias.lam * basis.bias_values
         logw = -bias.beta * (basis.energies - tilt)
     if not np.all(np.isfinite(logw)):
-        raise NumericalCheckError(
-            f"the weights exp(-beta (E - lambda J)) overflow at beta = {bias.beta!r}, "
-            f"lambda = {bias.lam!r}"
-        )
-    stat, trans = basis.residual(H), basis.residual(shift_unitary(chain))
+        raise NumericalCheckError(f"the weights exp(-beta (E - lambda J)) overflow at "
+                                  f"beta = {bias.beta!r}, lambda = {bias.lam!r}")
+    p = np.exp(logw - logw.max())
+    state = StationaryState(basis=basis, probs=p / p.sum(), phi=phi, spec=spec, bias=bias)
+    stat, trans = state.certificates
     if not (stat <= RESIDUAL_TOL and trans <= RESIDUAL_TOL):
-        raise NumericalCheckError(
-            f"constructed state violates residual tolerances: [rho,H] {stat:.2e}, "
-            f"[rho,T] {trans:.2e}"
-        )
-    logw -= logw.max()
-    p = np.exp(logw)
-    p /= p.sum()
-    return StationaryState(basis=basis, probs=p, meta={"beta": bias.beta, "lambda": bias.lam})
+        raise NumericalCheckError(f"constructed state violates residual tolerances: "
+                                  f"[rho,H] {stat:.2e}, [rho,T] {trans:.2e}")
+    return state
 
 
 @dataclass(frozen=True)
@@ -135,49 +147,38 @@ class NessReport:
     current_threshold: float
 
 
-def verify_ness(state: StationaryState, phi: models.Interaction,
-                spec: models.ChargeSpec) -> NessReport:
+def verify_ness(state: StationaryState) -> NessReport:
     """Check the three defining conditions plus the charge-symmetry residual.
 
-    Each residual is the certified bound :meth:`JointBasis.residual` on
-    ||[rho, A]||_F, for A = H(phi), the shift and N_chain of the state's chain.
-    The state is classified as a steady current-carrying state iff both
-    invariance residuals pass and the current expectation clears the
-    threshold; the symmetry residual decides whether the symmetric-branch
-    momentum-derivative identity applies to it.
+    The invariance residuals and the current are the state's own (its
+    certificates and <j_0>), the symmetry residual is :meth:`JointBasis.residual`
+    of N_chain.  The state is a steady current-carrying state iff both invariance
+    residuals pass and the current clears the threshold; the symmetry residual
+    decides whether the symmetric-branch momentum-derivative identity applies.
     """
-    basis, chain = state.basis, state.chain
-    stat = basis.residual(models.hamiltonian(phi, chain, sparse=True))
-    trans = basis.residual(shift_unitary(chain))
-    j0 = models.current_local(phi, spec, chain)
-    current = state.expect(j0)
-    if not abs(current.imag) <= 1e-10:
-        raise NumericalCheckError(f"current expectation came out complex: {current}")
-    sym = basis.residual(models.charge_sparse(spec, (0, chain.n_sites - 1), chain))
-    is_stationary = stat <= RESIDUAL_TOL
-    is_trans = trans <= RESIDUAL_TOL
-    is_ness = is_stationary and is_trans and abs(current.real) > CURRENT_THRESHOLD
+    chain = state.chain
+    stat, trans = state.certificates
+    sym = state.basis.residual(models.charge_sparse(state.spec, (0, chain.n_sites - 1), chain))
+    is_stationary, is_trans = stat <= RESIDUAL_TOL, trans <= RESIDUAL_TOL
     return NessReport(
         stationarity_residual=stat,
         translation_residual=trans,
-        current_value=float(current.real),
+        current_value=state.current,
         symmetry_residual=sym,
         is_stationary=is_stationary,
         is_translation_invariant=is_trans,
-        is_ness=is_ness,
+        is_ness=is_stationary and is_trans and abs(state.current) > CURRENT_THRESHOLD,
         current_threshold=CURRENT_THRESHOLD,
     )
 
 
-def state_summary(state: StationaryState, report: NessReport | None = None) -> dict:
+def state_summary(state: StationaryState, report: NessReport) -> dict:
     """JSON-ready summary: sizes, bias, current, residuals and the spectrum."""
-    doc = {
+    return {
         "n_sites": state.chain.n_sites,
         "site_dim": state.chain.site_dim,
-        "beta": state.meta.get("beta"),
-        "lambda": state.meta.get("lambda"),
+        "beta": getattr(state.bias, "beta", None),  # None for a state given no bias
+        "lambda": getattr(state.bias, "lam", None),
         "spectrum": [[e, k, p] for e, k, p in state.spectrum_rows()],
+        **asdict(report),
     }
-    if report is not None:
-        doc.update(asdict(report))
-    return doc

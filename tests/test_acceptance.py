@@ -26,9 +26,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def xx12_spectral(xx12_state, xx_model, chain12):
-    phi, spec = xx_model
-    return nl.spectral_function_rho(xx12_state, phi, spec)
+def xx12_spectral(xx12_state):
+    return nl.spectral_function_rho(xx12_state)
 
 
 def test_criterion_1_conservation(chain10):
@@ -120,7 +119,7 @@ def test_criterion_4_telescoping(chain12):
 def test_criterion_5_ness(xx_model, chain10, xx10_state):
     """Biased XX state: residuals, current size, oracle agreement, oddness."""
     phi, spec = xx_model
-    rep = nl.verify_ness(xx10_state, phi, spec)
+    rep = nl.verify_ness(xx10_state)
     assert rep.stationarity_residual <= 1e-10
     assert rep.translation_residual <= 1e-10
     assert abs(rep.current_value) > 1e-3
@@ -145,7 +144,7 @@ def test_criterion_6_flatness(xx12_state, xx_model, chain12):
     """|C(t) - C(0)| <= Z_{M,L}(t) on t in [0, 1] for the acceptance geometry."""
     phi, spec = xx_model
     geom = nl.CurrentGeometry(L=7, M=3, r=1)
-    kernel = nl.correlation_kernel(xx12_state, phi, spec, geom)
+    kernel = nl.correlation_kernel(xx12_state, geom)
     norms = nl.z_norms(phi, spec, geom.M, chain12)
     ts = np.linspace(0.0, 1.0, 11)
     C = kernel.curve(ts)
@@ -217,10 +216,9 @@ def test_criterion_7_sum_rule_m_trend(xx12_state, xx_model, chain12):
     )
 
 
-def test_criterion_8_momentum_derivative(xx12_state, xx12_spectral, xx_model, chain12):
+def test_criterion_8_momentum_derivative(xx12_state, xx12_spectral, chain12):
     """Integrated derivative identity within 10%, boundary terms decay with M."""
-    phi, spec = xx_model
-    rep = nl.verify_ness(xx12_state, phi, spec)
+    rep = nl.verify_ness(xx12_state)
     assert rep.symmetry_residual <= 1e-10  # symmetric-branch precondition
     win = WindowFunction("hann", 2.0)
     geom = nl.CurrentGeometry(7, 3, 1)
@@ -257,7 +255,7 @@ def test_criterion_9_singularity_trend(xx_model, xx10_state, xx12_state):
         else:
             state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5),
                                           chain)
-        sf = nl.spectral_function_rho(state, phi, spec)
+        sf = nl.spectral_function_rho(state)
         # largest M with wrap clearance on this ring: L = M + 2r and
         # L + M + r < n, i.e. M = floor((n - 3r - 1) / 2)
         M_max = (n - 3 * phi.r - 1) // 2

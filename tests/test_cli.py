@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import nesslab as nl
 import nesslab.cli as cli
 from nesslab.errors import ConfigError
+from nesslab.steady_state import StationaryState
 
 SMALL_CONFIG = """\
 [run]
@@ -399,6 +400,32 @@ class TestSubcommands:
             nl.models.charge_sparse(spec, (0, 7), chain))
         assert max(doc[k] for k in ("stationarity_residual", "translation_residual",
                                     "symmetry_residual")) <= 1e-12
+
+    def test_all_measures_each_certificate_and_the_current_once(self, tmp_path, monkeypatch):
+        # the state keeps residual(H), residual(T) and <j_0>; every step that
+        # reads them reuses them, and verify_ness adds only residual(N_tot)
+        phi, spec = nl.build_xx_model()
+        chain = nl.ChainConfig(8, 2)
+        named = {"H": nl.hamiltonian(phi, chain, sparse=True), "T": nl.shift_unitary(chain),
+                 "N_tot": nl.models.charge_sparse(spec, (0, 7), chain)}
+        j0 = nl.current_local(phi, spec, chain)
+        counts = dict.fromkeys([*named, "other", "<j_0>"], 0)
+        residual, expect = nl.JointBasis.residual, StationaryState.expect
+
+        def counted_residual(basis, A):
+            counts[next((k for k, B in named.items() if abs(A - B).sum() == 0), "other")] += 1
+            return residual(basis, A)
+
+        def counted_expect(state, A):
+            if (isinstance(A, nl.LocalOperator) and A.support == j0.support
+                    and np.array_equal(A.coeffs, j0.coeffs)):
+                counts["<j_0>"] += 1
+            return expect(state, A)
+
+        monkeypatch.setattr(nl.JointBasis, "residual", counted_residual)
+        monkeypatch.setattr(StationaryState, "expect", counted_expect)
+        assert cli.run("all", cli.parse_config(SMALL_CONFIG, env={}), str(tmp_path)) == 0
+        assert counts == {"H": 1, "T": 1, "N_tot": 1, "other": 0, "<j_0>": 1}
 
     def test_sumrule_without_current(self, small_cfg_path, tmp_path, monkeypatch):
         # at lambda = 0 both sides of the sum rule are rounding noise: the check

@@ -13,7 +13,7 @@ def _agree(state, chain, lam, M, L, window):
     """sum_rule_check's lhs and rhs and the kernel's C(t) match the oracle to 1e-12."""
     phi, spec = nl.build_xx_model()
     geom = nl.CurrentGeometry(L, M, 1)
-    kernel = nl.correlation_kernel(state, phi, spec, geom)
+    kernel = nl.correlation_kernel(state, geom)
     ed = nl.sum_rule_check(state, phi, spec, geom, window, chain, kernel=kernel)
     oracle = FreeFermionXX(chain.n_sites, 1.0, lam, M)
     want = oracle.sum_rule(M, L, window)
@@ -57,8 +57,7 @@ def _spectral_functionals(sf, n):
 
 
 def _spectral_agree(state, n, lam):
-    phi, spec = nl.build_xx_model()
-    ed = _spectral_functionals(nl.spectral_function_rho(state, phi, spec), n)
+    ed = _spectral_functionals(nl.spectral_function_rho(state), n)
     oracle = _spectral_functionals(FreeFermionXX(n, 1.0, lam, n // 2).spectral(), n)
     assert ed.keys() == oracle.keys()
     for key, value in ed.items():

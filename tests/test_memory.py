@@ -78,7 +78,7 @@ def test_sum_rule_holds_one_pair(xx8):
     geom = nl.CurrentGeometry(L=4, M=2, r=1)
 
     def run():
-        kernel = nl.correlation_kernel(state, phi, spec, geom)
+        kernel = nl.correlation_kernel(state, geom)
         nl.sum_rule_check(state, phi, spec, geom, nl.WindowFunction("hann", 1.5), chain,
                           kernel=kernel)
 
@@ -92,7 +92,7 @@ def test_kernel_keeps_no_blocks(xx8):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        kernel = nl.correlation_kernel(state, phi, spec, geom)
+        kernel = nl.correlation_kernel(state, geom)
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -103,7 +103,7 @@ def test_kernel_keeps_no_blocks(xx8):
 def test_spectral_function_holds_one_pair(xx8):
     phi, spec, chain, state, unit = xx8
     sf = []
-    peak = _traced_peak(lambda: sf.append(nl.spectral_function_rho(state, phi, spec)))
+    peak = _traced_peak(lambda: sf.append(nl.spectral_function_rho(state)))
     assert peak < 4.0 * unit
     assert np.isfinite(sf[0].weights).all()
 
@@ -118,6 +118,6 @@ def test_table_pass_holds_momentum_slabs():
     state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
     unit = 16 * sum(math.comb(10, q) ** 2 for q in range(11))
     tables = []
-    peak = _traced_peak(lambda: tables.append(nl.spectral.term_tables(state, phi, spec)))
+    peak = _traced_peak(lambda: tables.append(nl.spectral.term_tables(state)))
     assert peak < 0.5 * unit
     assert all(np.isfinite(s).all() for _, _, _, s in tables[0])

@@ -326,7 +326,7 @@ class TestOrbitFrame:
         assert np.linalg.norm(H @ V - V * basis.energies) < 1e-12
         T = nl.shift_unitary(chain)
         assert np.linalg.norm(T @ V - V * np.exp(-1j * basis.momenta)) < 1e-12
-        if state.meta["lambda"] != 0:
+        if state.bias.lam != 0:
             J = nl.total_current(phi, spec, chain)
             assert np.linalg.norm(V.conj().T @ J @ V - np.diag(basis.bias_values)) < 1e-12
 
@@ -456,12 +456,11 @@ class TestQuadrature:
             assert abs(win.fourier(eps) - ref) < 1e-12
 
     @pytest.mark.parametrize("kind", ["hann", "truncated_gaussian"])
-    def test_closed_form_windowed_integral(self, xx10_state, xx_model, chain10, kind):
+    def test_closed_form_windowed_integral(self, xx10_state, chain10, kind):
         # sqrt(2 pi) sum W ft(dE) against quadrature of the kernel's own curve
-        phi, spec = xx_model
         geom = nl.CurrentGeometry(4, 2, 1)
         win = WindowFunction(kind, 1.5)
-        kernel = nl.correlation_kernel(xx10_state, phi, spec, geom)
+        kernel = nl.correlation_kernel(xx10_state, geom)
         ref = gauss_legendre(kernel.curve, win)
         assert abs(kernel.windowed_integral(win) - ref) < 1e-9 * (1.0 + abs(ref))
 
@@ -471,13 +470,13 @@ class TestCorrelation:
         phi, spec = xx_model
         geom = nl.CurrentGeometry(4, 2, 1)
         j0 = nl.current_local(phi, spec, chain10)
-        c0 = nl.correlation_kernel(xx10_state, phi, spec, geom).at(0.0)
+        c0 = nl.correlation_kernel(xx10_state, geom).at(0.0)
         assert abs(c0 - xx10_state.expect(j0).real) < 1e-10
 
     def test_zero_current_state_flat_zero(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
-        kernel = nl.correlation_kernel(state, phi, spec, nl.CurrentGeometry(4, 2, 1))
+        kernel = nl.correlation_kernel(state, nl.CurrentGeometry(4, 2, 1))
         assert np.max(np.abs(kernel.curve(np.linspace(0, 1.5, 7)))) < 1e-10
 
     def test_forward_backward_consistency(self, xx10_state, xx_model, chain10):
@@ -500,7 +499,7 @@ class TestCorrelation:
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
         N = nl.models.charge_sparse(spec, (-4, 0), chain)
         H_M = nl.models.window_hamiltonian_sparse(phi, (-2, 2), chain)
-        kernel = nl.correlation_kernel(state, phi, spec, nl.CurrentGeometry(4, 2, 1))
+        kernel = nl.correlation_kernel(state, nl.CurrentGeometry(4, 2, 1))
         V = state.basis.vectors
         rho = (V * state.probs) @ V.conj().T
         N, H_M = N.toarray(), H_M.toarray()
@@ -513,7 +512,7 @@ class TestCorrelation:
     def test_flatness_within_bound(self, xx10_state, xx_model, chain10):
         phi, spec = xx_model
         geom = nl.CurrentGeometry(4, 2, 1)
-        kernel = nl.correlation_kernel(xx10_state, phi, spec, geom)
+        kernel = nl.correlation_kernel(xx10_state, geom)
         norms = nl.z_norms(phi, spec, geom.M, chain10)
         ts = np.linspace(0.0, 1.0, 6)
         C = kernel.curve(ts)
@@ -552,16 +551,38 @@ class TestSumRule:
             nl.sum_rule_check(*args, nl.ChainConfig(10, 2))
         assert nl.sum_rule_check(*args, nl.ChainConfig(8, 2))["rel_err"] <= 0.05
 
+    def test_model_other_than_the_state_refused(self, xx10_state, xx_model, chain10):
+        # under XXZ(0.5) the lhs would read 0.115512, not 0.115397; under the
+        # fermion charge the lhs and the current would change sign
+        phi, spec = xx_model
+        geom, win = nl.CurrentGeometry(5, 3, 1), WindowFunction("hann", 2.0)
+        xxz, _ = nl.build_xxz_model(0.5)
+        _, fermion_charge = nl.build_fermion_model(1.0, [0.5])
+        for other in ((xxz, spec), (phi, fermion_charge)):
+            with pytest.raises(PreconditionError):
+                nl.sum_rule_check(xx10_state, *other, geom, win, chain10)
+        for own in ((phi, spec), nl.build_xx_model()):  # the same objects, and equal ones
+            res = nl.sum_rule_check(xx10_state, *own, geom, win, chain10)
+            assert abs(res["lhs"] - 0.115397) < 1e-6 and res["current"] > 0
+
     def test_analyses_take_no_chain(self, xx10_state, xx_model, chain10):
-        # the chain of an old positional call is refused, not taken for the tables
+        # the chain, phi or spec of an old positional call is refused, not
+        # taken for the geometry or the tables
         phi, spec = xx_model
         geom, win = nl.CurrentGeometry(4, 2, 1), WindowFunction("hann", 1.5)
-        with pytest.raises(TypeError):
-            nl.correlation_kernel(xx10_state, phi, spec, geom, chain10)
-        with pytest.raises(TypeError):
-            nl.boundary_commutator_integral(xx10_state, phi, spec, geom, win, chain10)
-        with pytest.raises(TypeError):
-            nl.verify_ness(xx10_state, phi, spec, chain10)
+        old_calls = [
+            (nl.verify_ness, (xx10_state, phi, spec)),
+            (nl.verify_ness, (xx10_state, phi, spec, chain10)),
+            (nl.spectral.term_tables, (xx10_state, phi, spec)),
+            (nl.correlation_kernel, (xx10_state, phi, spec, geom)),
+            (nl.correlation_kernel, (xx10_state, phi, spec, geom, chain10)),
+            (nl.spectral_function_rho, (xx10_state, phi, spec)),
+            (nl.boundary_commutator_integral, (xx10_state, phi, spec, geom, win)),
+            (nl.boundary_commutator_integral, (xx10_state, phi, spec, geom, win, chain10)),
+        ]
+        for fn, args in old_calls:
+            with pytest.raises(TypeError):
+                fn(*args)
 
 
 @pytest.fixture(scope="module")
@@ -569,7 +590,7 @@ def xx10_spectral(request):
     phi, spec = nl.build_xx_model()
     chain = nl.ChainConfig(10, 2)
     state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
-    return chain, state, nl.spectral_function_rho(state, phi, spec)
+    return chain, state, nl.spectral_function_rho(state)
 
 
 def xx_with_field():
@@ -585,7 +606,7 @@ def complement_table_gap(state, phi, spec, L, M, chain, tables, win):
     N = nl.models.charge_sparse(spec, (-L, 0), chain)
     cm, cp = nl.boundary_complements(phi, M, chain)
     C = nl.embed_sparse(cm, chain) + nl.embed_sparse(cp, chain)
-    bc = nl.boundary_commutator_integral(state, phi, spec, geom, win, tables=tables)
+    bc = nl.boundary_commutator_integral(state, geom, win, tables=tables)
     return abs(bc - table_kernel(state, N, C).windowed_integral(win))
 
 
@@ -597,7 +618,7 @@ def assert_spectral_matches_table(state, phi, spec, chain, tables):
     n_hat, h_hat = (nl.embed_sparse(op, chain) - state.expect(op) * sp.identity(chain.dim)
                     for op in (n_op, h_op))
     dk, de, (w, w_n) = _transfer_table(state, n_hat, h_hat)
-    sf = nl.spectral_function_rho(state, phi, spec, tables=tables)
+    sf = nl.spectral_function_rho(state, tables=tables)
     assert np.array_equal(sf.dk_index, dk)
     assert np.array_equal(sf.de, np.round(de, nl.spectral.DE_DECIMALS) + 0.0)
     assert np.max(np.abs(sf.weights - w)) < 1e-15
@@ -612,7 +633,7 @@ class TestTermTables:
         phi, spec = model()
         chain = nl.ChainConfig(8, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
-        tables = nl.spectral.term_tables(state, phi, spec)
+        tables = nl.spectral.term_tables(state)
         assert len(tables) == len(phi.terms)
         win = WindowFunction("hann", 1.5)
         ts = np.linspace(-1.5, 1.5, 13)
@@ -624,7 +645,7 @@ class TestTermTables:
             N = nl.models.charge_sparse(spec, (-L, 0), chain)
             H_M = nl.models.window_hamiltonian_sparse(phi, (-M, M), chain)
             ref = table_kernel(state, N, H_M)
-            kernel = nl.correlation_kernel(state, phi, spec, geom, tables=tables)
+            kernel = nl.correlation_kernel(state, geom, tables=tables)
             assert abs(kernel.windowed_integral(win) - ref.windowed_integral(win)) < 1e-15
             assert np.max(np.abs(kernel.curve(ts) - ref.curve(ts))) < 1e-15
             assert complement_table_gap(state, phi, spec, L, M, chain, tables, win) < 1e-15
@@ -637,7 +658,7 @@ class TestTermTables:
         spec = nl.models.ChargeSpec(S3)
         chain = nl.ChainConfig(9, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain)
-        tables = nl.spectral.term_tables(state, phi, spec)
+        tables = nl.spectral.term_tables(state)
         win = WindowFunction("hann", 1.5)
         assert complement_table_gap(state, phi, spec, 8, 4, chain, tables, win) < 1e-14
         assert_spectral_matches_table(state, phi, spec, chain, tables)
@@ -654,7 +675,7 @@ class TestTermTables:
         for a, b in pairs:
             assert a.support == b.support and np.array_equal(a.coeffs, b.coeffs)
         got, want = (nl.spectral_function_rho(
-            nl.build_biased_gibbs(p, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain), p, spec)
+            nl.build_biased_gibbs(p, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain))
             for p in (phi, ref))
         assert np.array_equal(got.dk_index, want.dk_index)
         assert np.array_equal(got.de, want.de)
@@ -696,9 +717,10 @@ class TestSpectralFunction:
         chain = nl.ChainConfig(8, 2)
         H = nl.hamiltonian(phi, chain, sparse=True)
         basis = nl.joint_spectrum(H, chain)
-        flat = StationaryState(basis=basis, probs=np.full(chain.dim, 1.0 / chain.dim))
         onsite = nl.Interaction(site_dim=2, r=1, terms=(((0,), spec.n0),))
-        sf = nl.spectral_function_rho(flat, onsite, spec)
+        flat = StationaryState(basis=basis, probs=np.full(chain.dim, 1.0 / chain.dim),
+                               phi=onsite, spec=spec)
+        sf = nl.spectral_function_rho(flat)
         table = {(int(k), round(float(d), 9)): w
                  for k, d, w in zip(sf.dk_index, sf.de, sf.weights)}
         for (k, d), w in table.items():
@@ -717,7 +739,7 @@ class TestMomentumDerivative:
     def test_zero_current_state(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
-        sf = nl.spectral_function_rho(state, phi, spec)
+        sf = nl.spectral_function_rho(state)
         res = nl.momentum_derivative_check(sf, WindowFunction("hann", 1.5), 1,
                                            current_value=0.0)
         assert abs(res["lhs"]) < 1e-9 and abs(res["rhs"]) < 1e-9
@@ -741,7 +763,7 @@ class TestMomentumDerivative:
         geom = nl.CurrentGeometry(4, 2, 1)
         sr = nl.sum_rule_check(state, phi, spec, geom, win, chain)
         md = nl.momentum_derivative_check(sf, win, geom.M - geom.r, current_value=cur)
-        bc = nl.boundary_commutator_integral(state, phi, spec, geom, win)
+        bc = nl.boundary_commutator_integral(state, geom, win)
         resid = abs(md["derivative_term"] - (sr["lhs"] - md["tail_term"] - md["count_term"] - bc))
         assert resid <= 0.05 * scale
 
@@ -766,7 +788,7 @@ class TestSingularity:
     def test_no_current_flagged(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
-        sf = nl.spectral_function_rho(state, phi, spec)
+        sf = nl.spectral_function_rho(state)
         diag = nl.singularity_diagnostic(sf, [0.2], z_halfwidth=2)
         assert diag["no_current"]
         assert diag["fractions"][0.2] is None

@@ -51,7 +51,7 @@ class TestConstruction:
         chain = nl.ChainConfig(8, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain)
         assert state.basis.bias_values is None
-        rep = nl.verify_ness(state, phi, spec)
+        rep = nl.verify_ness(state)
         assert rep.is_stationary and rep.is_translation_invariant and not rep.is_ness
         assert abs(rep.current_value) < 1e-12
         H = nl.hamiltonian(phi, chain)
@@ -128,9 +128,8 @@ class TestExpectation:
 
 
 class TestVerifyNess:
-    def test_biased_state_is_ness(self, xx10_state, xx_model, chain10):
-        phi, spec = xx_model
-        rep = nl.verify_ness(xx10_state, phi, spec)
+    def test_biased_state_is_ness(self, xx10_state, chain10):
+        rep = nl.verify_ness(xx10_state)
         assert rep.is_ness
         assert rep.stationarity_residual <= 1e-10
         assert rep.translation_residual <= 1e-10
@@ -138,20 +137,21 @@ class TestVerifyNess:
         assert abs(rep.current_value) > 1e-3
 
     def test_builder_residuals_reused(self, xx_model):
-        # the report depends on the basis, the probabilities and phi's value only
+        # the report depends on the basis, the probabilities and the model's value only
         phi, spec = xx_model
         chain = nl.ChainConfig(8, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
-        rep = nl.verify_ness(state, phi, spec)
-        bare = StationaryState(basis=state.basis, probs=state.probs)
-        assert nl.verify_ness(bare, phi, spec) == rep
+        rep = nl.verify_ness(state)
+        bare = StationaryState(basis=state.basis, probs=state.probs, phi=phi, spec=spec)
+        assert nl.verify_ness(bare) == rep
         other, _ = nl.build_xx_model()  # an equal model, but another object
-        assert nl.verify_ness(state, other, spec) == rep
+        assert nl.verify_ness(dataclasses.replace(state, phi=other)) == rep
 
     def test_other_interaction_not_stationary(self, xx10_state, chain10):
-        # the XX state under an XXZ(0.5) H: the certificate is not vacuous
+        # the XX state's basis and probabilities under an XXZ(0.5) H: the
+        # certificate is not vacuous
         phi, spec = nl.build_xxz_model(0.5)
-        rep = nl.verify_ness(xx10_state, phi, spec)
+        rep = nl.verify_ness(StationaryState(xx10_state.basis, xx10_state.probs, phi, spec))
         assert not rep.is_stationary and not rep.is_ness
         assert rep.stationarity_residual > 1e-3
         assert rep.translation_residual <= 1e-12 and rep.symmetry_residual <= 1e-12
@@ -159,7 +159,7 @@ class TestVerifyNess:
     def test_thermal_not_ness(self, xx_model, chain10):
         phi, spec = xx_model
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain10)
-        rep = nl.verify_ness(state, phi, spec)
+        rep = nl.verify_ness(state)
         assert rep.is_stationary and rep.is_translation_invariant
         assert not rep.is_ness
         assert abs(rep.current_value) < 1e-10
@@ -167,8 +167,8 @@ class TestVerifyNess:
     def test_current_odd_in_bias(self, xx_model, chain10, xx10_state):
         phi, spec = xx_model
         minus = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=-0.5), chain10)
-        cur_p = nl.verify_ness(xx10_state, phi, spec).current_value
-        cur_m = nl.verify_ness(minus, phi, spec).current_value
+        cur_p = nl.verify_ness(xx10_state).current_value
+        cur_m = nl.verify_ness(minus).current_value
         assert abs(cur_p + cur_m) < 1e-10
 
     def test_flat_current_profile(self, xx10_state, xx_model, chain10):
@@ -204,9 +204,8 @@ class TestVerifyNess:
 
 
 class TestSummary:
-    def test_json_ready(self, xx10_state, xx_model, chain10):
-        phi, spec = xx_model
-        rep = nl.verify_ness(xx10_state, phi, spec)
+    def test_json_ready(self, xx10_state, chain10):
+        rep = nl.verify_ness(xx10_state)
         doc = state_summary(xx10_state, rep)
         text = json.dumps(doc)
         back = json.loads(text)
@@ -217,11 +216,11 @@ class TestSummary:
     def test_probability_validation(self, xx10_state):
         basis = xx10_state.basis
         with pytest.raises(ValueError):
-            StationaryState(basis=basis, probs=np.full(len(basis.energies), 0.5))
+            dataclasses.replace(xx10_state, probs=np.full(len(basis.energies), 0.5))
         nan = np.zeros(len(basis.energies))
         nan[:2] = np.nan, 1.0  # sums to nan, which no comparison refuses
         with pytest.raises(ValueError):
-            StationaryState(basis=basis, probs=nan)
+            dataclasses.replace(xx10_state, probs=nan)
 
     def test_row_order_survives_degenerate_rounding(self, xx_model, rng):
         # an eigensolver that returns the same levels 1e-15 apart, with its
@@ -239,6 +238,7 @@ class TestSummary:
                                     columns=tuple(rank[c] for c in b.columns))
         assert not np.array_equal(perm, np.arange(len(perm)))  # the columns did move
         rows = np.array(state.spectrum_rows())
-        again = np.array(StationaryState(moved, state.probs[perm]).spectrum_rows())
+        again = np.array(dataclasses.replace(state, basis=moved, probs=state.probs[perm])
+                         .spectrum_rows())
         assert np.array_equal(rows[:, 1], again[:, 1])  # momenta in the same places
         assert np.allclose(rows, again, rtol=1e-12, atol=1e-14)
