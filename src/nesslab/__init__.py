@@ -22,7 +22,6 @@ from .operators import (
     product_operator,
     shift_unitary,
     translate,
-    translate_global,
 )
 from .models import (
     ChargeSpec,

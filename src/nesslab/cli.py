@@ -276,11 +276,6 @@ class _Workspace:
     def report(self):
         return steady_state.verify_ness(self.state)
 
-    @cached_property
-    def tables(self):
-        """The state's transfer tables, one per term class, shared by every windowed sum."""
-        return spectral.term_tables(self.state)
-
 
 def _pairs(mat: np.ndarray) -> list:
     """A complex matrix as [re, im] pairs in row-major order; JSON reads them back bit for bit."""
@@ -338,13 +333,11 @@ def _cmd_ness(ws: _Workspace, out: str) -> int:
 
 
 def _cmd_sumrule(ws: _Workspace, out: str) -> int:
-    kernel = spectral.correlation_kernel(ws.state, ws.geom, tables=ws.tables)
     ts = np.linspace(-ws.window.T, ws.window.T, 129)
-    curve = kernel.curve(ts)
+    curve = spectral.correlation_kernel(ws.state, ws.geom).curve(ts)
     lines = ["t,C"] + [f"{t!r},{c!r}" for t, c in zip(ts.tolist(), curve.tolist())]
     _atomic_write(os.path.join(out, "c_curve.csv"), "\n".join(lines) + "\n")
-    res = spectral.sum_rule_check(ws.state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain,
-                                  kernel=kernel)
+    res = spectral.sum_rule_check(ws.state, ws.phi, ws.spec, ws.geom, ws.window, ws.chain)
     _write_json(os.path.join(out, "sumrule.json"), res)
     if res["no_current"]:  # both sides are rounding noise: their ratio means nothing
         if not res["abs_err"] <= spectral.NO_CURRENT_TOL:
@@ -366,7 +359,7 @@ def _cmd_spectral(ws: _Workspace, out: str) -> int:
             "state breaks the charge symmetry; the symmetric-branch identity "
             "does not apply (symmetry-breaking branch is out of scope)"
         )
-    sf = spectral.spectral_function_rho(ws.state, tables=ws.tables)
+    sf = spectral.spectral_function_rho(ws.state)
     _atomic_write(os.path.join(out, "spectral.csv"), sf.to_csv())
     Y = ws.geom.M - ws.phi.r  # the position window |z| <= Y of both diagnostics
     res = spectral.momentum_derivative_check(sf, ws.window, Y, report.current_value)

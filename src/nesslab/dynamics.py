@@ -28,7 +28,7 @@ from .operators import (ChainConfig, LocalOperator, _global_indices, _reversal_p
                         comm_norm, connected_components, embed, embed_sparse,
                         embedded_entries, operator_norm, translate)
 from . import models
-from .spectral import JointBasis, empirical_velocity
+from .spectral import JointBasis, _wrap_time, empirical_velocity
 
 
 # the benchmark harness (perfbench/child.py) traces and calls
@@ -257,9 +257,10 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     reads; a group of one pair takes that pair's product as its half block.
     The sector vectors may be real or complex; both give the same bits.
     t = 0 takes the local commutator, exactly 0 for disjoint supports.  Points
-    whose light cones could wrap the ring (|x| + 2 v_emp |t| >= n_sites) are
-    excluded from the comparison and flagged in the output.  A bad grid is
-    refused before any diagonalization.
+    whose light cones could wrap the ring (|x| + 2 v_emp |t| >= n_sites, the
+    rule of :func:`~nesslab.spectral.wrap_horizon`) are excluded from the
+    comparison and flagged in the output.  A bad grid is refused before any
+    diagonalization.
     """
     if not (A.hermitian and B.hermitian):
         raise PreconditionError("scan operators must be flagged Hermitian")
@@ -270,7 +271,7 @@ def lr_scan(phi: models.Interaction, A: LocalOperator, B: LocalOperator,
     params = {x: LRBoundParams(d1=A.width(), d2=B.width(), x=x, normA=normA, normB=normB,
                                V=V, site_dim=chain.site_dim) for x in x_values}
     ts = sorted(set(float(t) for t in t_values))
-    live = {t: [x for x in x_values if abs(x) + 2.0 * v_emp * abs(t) < chain.n_sites]
+    live = {t: [x for x in x_values if abs(t) < _wrap_time(chain.n_sites - abs(x), v_emp)]
             for t in ts}
     if params and ts and not any(live.values()):
         raise PreconditionError("every requested scan point lies beyond the wrap horizon")

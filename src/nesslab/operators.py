@@ -253,20 +253,6 @@ def shift_unitary(chain: ChainConfig) -> sp.csr_matrix:
     return sp.coo_matrix((np.ones(D), (t, np.arange(D))), shape=(D, D)).tocsr()
 
 
-def translate_global(G: np.ndarray, x: int, chain: ChainConfig) -> np.ndarray:
-    """Apply tau_x to a full-chain operator by basis-index permutation (no matmul)."""
-    if not chain.periodic:
-        raise PreconditionError("global translation requires a periodic chain")
-    t = shift_index_map(chain)
-    tx = np.arange(chain.dim)
-    for _ in range(x % chain.n_sites):
-        tx = t[tx]
-    # (T^x G T^-x)[i, j] = G[tinv(i), tinv(j)]; tx is the forward map, so gather by it
-    tinv = np.empty_like(tx)
-    tinv[tx] = np.arange(chain.dim)
-    return G[np.ix_(tinv, tinv)]
-
-
 def extract_local(G: np.ndarray, support, chain: ChainConfig) -> LocalOperator:
     """Reduce a full-chain operator to a LocalOperator on ``support``.
 

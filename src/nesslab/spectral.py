@@ -523,7 +523,8 @@ def _transfer_table(state, A, B) -> tuple:
 
 def term_tables(state) -> list:
     """[(span, dk, de, s)]: the :func:`_transfer_table` of n_0 against each term
-    class of the state's ``phi`` at the origin.  In the joint basis a translate is a phase,
+    class of the state's ``phi`` at the origin, built anew; a state keeps its
+    own as ``state.tables``.  In the joint basis a translate is a phase,
     <m|tau_x(O)|n> = e^{i k x} O_mn, so these give the table of every window
     sum of n_0 and the terms (:func:`_reduce`)."""
     n0 = LocalOperator((0,), state.spec.n0)
@@ -638,9 +639,14 @@ class CommutatorKernel:
         return SQRT_2PI * float(np.dot(self._w.real, window.fourier(self._de)))
 
 
+def _wrap_time(sites, v_emp: float) -> float:
+    """Time a light cone spreading to both sides at ``v_emp`` takes to cover ``sites`` sites."""
+    return sites / (2.0 * v_emp)
+
+
 def wrap_horizon(phi: models.Interaction, chain: ChainConfig) -> float:
     """Time for the fastest empirical signal to cross half the ring."""
-    return chain.n_sites / (2.0 * empirical_velocity(phi))
+    return _wrap_time(chain.n_sites, empirical_velocity(phi))
 
 
 def check_horizon(window: WindowFunction, phi: models.Interaction, chain: ChainConfig) -> float:
@@ -656,15 +662,20 @@ def empirical_velocity(phi: models.Interaction) -> float:
     return 4.0 * phi.r * phi.max_term_norm()
 
 
-def correlation_kernel(state, geom: models.CurrentGeometry, *,
-                       tables: list | None = None) -> CommutatorKernel:
-    """C(t) of A = N_[-L,0] and B = H_[-M,M] on the state's chain, reduced from
-    the :func:`term_tables` of the state (built here when not given)."""
+def _window_kernel(state, geom: models.CurrentGeometry, anchors) -> CommutatorKernel:
+    """The kernel of A = N_[-L,0] against the translates u = anchors(span_c) of each
+    term class, reduced from ``state.tables``; refuses a geometry that the state's
+    chain cannot host with wrap clearance."""
     geom.validate_for_chain(state.chain, wrap_clearance=True)
-    tables = term_tables(state) if tables is None else tables
-    _, de, s = _reduce(tables, state.chain.n_sites, lambda span: (
-        np.arange(-geom.L, 1), np.arange(-geom.M, geom.M - span + 1)))
+    _, de, s = _reduce(state.tables, state.chain.n_sites,
+                       lambda span: (np.arange(-geom.L, 1), anchors(span)))
     return CommutatorKernel(de, s[0] - s[1])
+
+
+def correlation_kernel(state, geom: models.CurrentGeometry) -> CommutatorKernel:
+    """C(t) of A = N_[-L,0] and B = H_[-M,M] on the state's chain, reduced from
+    the state's tables (:attr:`StationaryState.tables`)."""
+    return _window_kernel(state, geom, lambda span: np.arange(-geom.M, geom.M - span + 1))
 
 
 def _compared(lhs: float, rhs: float) -> dict:
@@ -674,19 +685,17 @@ def _compared(lhs: float, rhs: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "abs_err": abs_err, "rel_err": rel_err}
 
 
-def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainConfig,
-                   kernel: CommutatorKernel | None = None) -> dict:
-    """Windowed current sum rule: int C(t) f_T(t) dt against sqrt(2 pi) w(j_0) ft(0).
+def sum_rule_check(state, phi, spec, geom, window: WindowFunction, chain: ChainConfig) -> dict:
+    """Windowed current sum rule: int C(t) f_T(t) dt, from the state's
+    :func:`correlation_kernel` for ``geom``, against sqrt(2 pi) w(j_0) ft(0).
 
-    ``phi``, ``spec`` and ``chain`` must equal the state's and ``kernel`` be its
-    :func:`correlation_kernel` for ``geom`` (built here when not given).  ``no_current``
-    flags |w(j_0)| < NO_CURRENT_TOL: both sides are rounding noise, ``rel_err`` means nothing.
+    ``phi``, ``spec`` and ``chain`` must equal the state's.  ``no_current`` flags
+    |w(j_0)| < NO_CURRENT_TOL: both sides are rounding noise, ``rel_err`` means nothing.
     """
     if (phi, spec, chain) != (state.phi, state.spec, state.chain):
         raise PreconditionError("the phi, spec or chain given is not the state's own")
     horizon = check_horizon(window, phi, chain)
-    kernel = correlation_kernel(state, geom) if kernel is None else kernel
-    lhs = kernel.windowed_integral(window)
+    lhs = correlation_kernel(state, geom).windowed_integral(window)
     rhs = SQRT_2PI * state.current * window.fourier0()
     return {**_compared(lhs, rhs), "current": state.current,
             "no_current": abs(state.current) < NO_CURRENT_TOL, "horizon": horizon, "T": window.T,
@@ -727,20 +736,19 @@ class SpectralFunction:
         return "\n".join(lines) + "\n"
 
 
-def spectral_function_rho(state, *, tables: list | None = None) -> SpectralFunction:
+def spectral_function_rho(state) -> SpectralFunction:
     """Weights w(dk, de) = sum p_m i <m|n^|n><n|h^|m> grouped by transfer, for
     n^ = n_0 - <n_0> and h^ = h - <h>, h the energy density of the state's ``phi``.
 
     h sums the term classes anchored at -(span_c // 2), so w is the p_m sum of
-    the :func:`term_tables` (built here when not given) with those phases, one
+    the state's tables (:attr:`StationaryState.tables`) with those phases, one
     row per transfer that occurs; the means move only w(0, 0), by -i <n_0> <h>.
     Two checks always run: the weights add up to i <n^ h^> (completeness), and
     the p_n sums pair with them as the hermiticity of n^ and h^ requires,
     conj(w(dk, de)) = -w_n(-dk, -de).
     """
     chain, n = state.chain, state.chain.n_sites
-    tables = term_tables(state) if tables is None else tables
-    dk, de, s = _reduce(tables, n, lambda span: ((0,), (-(span // 2),)))
+    dk, de, s = _reduce(state.tables, n, lambda span: ((0,), (-(span // 2),)))
     de = np.round(de, DE_DECIMALS) + 0.0  # the key, written without a sign on zero
     N, H = (embed_sparse(op, chain) for op in (LocalOperator((0,), state.spec.n0),
                                                 models.energy_density(state.phi, chain)))
@@ -801,16 +809,13 @@ def momentum_derivative_check(spectral: SpectralFunction, window: WindowFunction
             "derivative_term": derivative_term, "Y": Y}
 
 
-def boundary_commutator_integral(state, geom, window: WindowFunction, *,
-                                 tables: list | None = None) -> float:
+def boundary_commutator_integral(state, geom, window: WindowFunction) -> float:
     """Windowed <i [N_[-L,0], (C_-M + C_M)(t)]>, the boundary-complement piece of
-    C(t), reduced from the :func:`term_tables` (built here when not given): the
-    complements (:func:`models.boundary_complements`) hold the translates of
-    each class at :func:`models.complement_anchors`."""
-    tables = term_tables(state) if tables is None else tables
-    _, de, s = _reduce(tables, state.chain.n_sites, lambda span: (
-        np.arange(-geom.L, 1), models.complement_anchors(span, geom.M, state.phi.max_diameter())))
-    return CommutatorKernel(de, s[0] - s[1]).windowed_integral(window)
+    C(t), reduced from the state's tables as :func:`correlation_kernel` is, and
+    refusing what it refuses: the complements (:func:`models.boundary_complements`)
+    hold the translates of each class at :func:`models.complement_anchors`."""
+    return _window_kernel(state, geom, lambda span: models.complement_anchors(
+        span, geom.M, state.phi.max_diameter())).windowed_integral(window)
 
 
 def singularity_diagnostic(spectral: SpectralFunction, epsilon_windows,

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericalCheckError, PreconditionError
 from .operators import ChainConfig, shift_unitary, sparse_fro_norm
 from . import models
-from .spectral import COMMUTE_TOL, JointBasis, joint_spectrum
+from .spectral import COMMUTE_TOL, JointBasis, joint_spectrum, term_tables
 
 RESIDUAL_TOL = 1e-10
 CURRENT_THRESHOLD = 1e-6  # |<j_0>| a steady state must exceed to count as current-carrying
@@ -73,6 +73,12 @@ class StationaryState:
         if not abs(value.imag) <= 1e-10:
             raise NumericalCheckError(f"current expectation came out complex: {value}")
         return float(value.real)
+
+    @cached_property
+    def tables(self) -> list:
+        """The :func:`~nesslab.spectral.term_tables` of n_0 against each term class of
+        ``phi``, from which every windowed analysis of the state reduces."""
+        return term_tables(self)
 
     def expect(self, A) -> complex:
         """sum_n p_n <n|A|n>; A may be dense, sparse or a LocalOperator."""

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 import nesslab as nl
 import nesslab.cli as cli
@@ -604,20 +604,28 @@ FUZZ_MODELS = {
 FUZZ_KEYS = [(section, key) for section, key, _, _ in cli._SETTINGS] + [
     ("chain", "n_site"), ("extra", "key")]
 FUZZ_VALUES = ["0", "-1", "nan", "inf", "1e308", "abc", "", "15", "40"]
+# the [checks] tolerances and the [bias] values also draw on their own, so that
+# valid configs reach the numerical checks: a tolerance of 0 or 1e-300 fails its
+# check and a beta or lambda of 1e308 overflows the state's weights, both exit 4
+FUZZ_CHECKED = ([("checks", key) for key in ("sum_rule_rel_err", "derivative_rel_err",
+                                             "conservation_tol")],
+                [("bias", "beta"), ("bias", "lambda")])
+FUZZ_CHECKED_VALUES = ["0", "1e-300", "1e308"]
+FUZZ_CASES = st.tuples(
+    st.sampled_from(sorted(FUZZ_MODELS)),
+    st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), max_size=2),
+    *(st.dictionaries(st.sampled_from(keys), st.sampled_from(FUZZ_CHECKED_VALUES),
+                      max_size=len(keys)) for keys in FUZZ_CHECKED),
+    st.sampled_from(sorted(cli._SUBCOMMANDS)))
 ERROR_KINDS = {2: "config", 3: "precondition", 4: "numerical-check"}
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(model=st.sampled_from(sorted(FUZZ_MODELS)),
-       edits=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
-                             max_size=2),
-       subcommand=st.sampled_from(sorted(cli._SUBCOMMANDS)))
-def test_exit_code_contract_fuzz(model, edits, subcommand):
-    # every input, good or bad, exits 0, 2, 3 or 4, with error.json naming the kind
+def fuzz_exit(model, edits, tolerances, bias, subcommand) -> int:
+    """Run one drawn input; it must exit 0, 2, 3 or 4, with error.json naming the kind."""
     sections = {"model": dict(FUZZ_MODELS[model]), "chain": {"n_sites": "8"},
                 "geometry": {"M": "2", "L": "4"}, "window": {"T": "0.5"},
                 "scan": {"x_values": "3", "t_values": "0, 0.1"}}
-    for (section, key), value in edits.items():
+    for (section, key), value in [*edits.items(), *tolerances.items(), *bias.items()]:
         sections.setdefault(section, {})[key] = value
     text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
                    for section, keys in sections.items())
@@ -632,3 +640,18 @@ def test_exit_code_contract_fuzz(model, edits, subcommand):
             assert not os.path.exists(error), text
         else:
             assert json.loads(open(error).read())["error"] == ERROR_KINDS[code], text
+    return code
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=FUZZ_CASES)
+def test_exit_code_contract_fuzz(case):
+    fuzz_exit(*case)
+
+
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_exit_code_fuzz_reaches_every_code(code):
+    # the fuzz's own strategy draws an input of each exit code, exit 4 included
+    find(FUZZ_CASES, lambda case: fuzz_exit(*case) == code,
+         settings=settings(derandomize=True, max_examples=150, deadline=None,
+                           phases=[Phase.generate]))

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 import nesslab as nl
 from nesslab.errors import PreconditionError
 from nesslab.models import PAULI_X, PAULI_Z
-from nesslab.spectral import empirical_velocity, wrap_horizon
+from nesslab.spectral import WindowFunction, check_horizon, empirical_velocity, wrap_horizon
 
 
 @pytest.fixture(scope="module")
@@ -403,3 +403,18 @@ class TestHorizon:
         chain = nl.ChainConfig(12, 2)
         assert abs(empirical_velocity(phi) - 2.0) < 1e-12  # 4 * r * max||Phi||
         assert abs(wrap_horizon(phi, chain) - 3.0) < 1e-12
+
+    def test_scan_point_on_the_cone_excluded(self, xx8):
+        # |x| + 2 v_emp |t| = n_sites exactly: the two cones meet around the ring
+        phi, _, chain, ctx = xx8
+        sz = nl.LocalOperator((0,), PAULI_Z, hermitian=True)
+        assert empirical_velocity(phi) == 2.0
+        rows = nl.lr_scan(phi, sz, sz, [4], [0.5, 1.0], chain, ctx=ctx)
+        assert {r.t: r.excluded for r in rows} == {0.5: False, 1.0: True}
+
+    def test_window_at_the_horizon_accepted(self, xx_model, chain12):
+        # a window reaching exactly to the wrap horizon is accepted, one ulp past it is not
+        phi, _ = xx_model
+        assert check_horizon(WindowFunction("hann", 3.0), phi, chain12) == 3.0
+        with pytest.raises(PreconditionError):
+            check_horizon(WindowFunction("hann", math.nextafter(3.0, math.inf)), phi, chain12)

@@ -14,7 +14,7 @@ def _agree(state, chain, lam, M, L, window):
     phi, spec = nl.build_xx_model()
     geom = nl.CurrentGeometry(L, M, 1)
     kernel = nl.correlation_kernel(state, geom)
-    ed = nl.sum_rule_check(state, phi, spec, geom, window, chain, kernel=kernel)
+    ed = nl.sum_rule_check(state, phi, spec, geom, window, chain)
     oracle = FreeFermionXX(chain.n_sites, 1.0, lam, M)
     want = oracle.sum_rule(M, L, window)
     assert abs(ed["lhs"] - want["lhs"]) < 1e-12

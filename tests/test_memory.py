@@ -78,9 +78,8 @@ def test_sum_rule_holds_one_pair(xx8):
     geom = nl.CurrentGeometry(L=4, M=2, r=1)
 
     def run():
-        kernel = nl.correlation_kernel(state, geom)
-        nl.sum_rule_check(state, phi, spec, geom, nl.WindowFunction("hann", 1.5), chain,
-                          kernel=kernel)
+        nl.correlation_kernel(state, geom)
+        nl.sum_rule_check(state, phi, spec, geom, nl.WindowFunction("hann", 1.5), chain)
 
     assert _traced_peak(run) < 3.0 * unit
 

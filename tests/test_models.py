@@ -220,7 +220,8 @@ class TestCharge:
         chain = nl.ChainConfig(8, 2)
         N = charge_sparse(spec, (0, 2), chain).toarray()
         Nshift = charge_sparse(spec, (3, 5), chain).toarray()
-        assert np.linalg.norm(nl.translate_global(N, 3, chain) - Nshift) < 1e-13
+        T3 = spla.matrix_power(nl.shift_unitary(chain), 3)
+        assert np.linalg.norm(T3 @ N @ T3.conj().T - Nshift) < 1e-13
 
 
 class TestConservation:

@@ -138,7 +138,6 @@ class TestTranslate:
             for _ in range(x % 5):
                 Gx = T @ Gx @ T.conj().T
             assert np.linalg.norm(nl.embed(nl.translate(op, x, chain), chain) - Gx) < 1e-12
-            assert np.linalg.norm(nl.translate_global(G, x, chain) - Gx) < 1e-12
 
     def test_spectrum_preserved_under_wrap(self, rng):
         chain = nl.ChainConfig(6, 2)

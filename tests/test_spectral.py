@@ -7,14 +7,16 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import nesslab as nl
-from nesslab.errors import NumericalCheckError, PreconditionError
+from nesslab.errors import GeometryError, NumericalCheckError, PreconditionError
 from nesslab.models import SPIN_HALF
 from nesslab.spectral import (
     CommutatorKernel,
     SQRT_2PI,
     WindowFunction,
+    _reduce,
     _transfer_table,
     centered_mode,
     momentum_sector_basis,
@@ -583,6 +585,17 @@ class TestSumRule:
         for fn, args in old_calls:
             with pytest.raises(TypeError):
                 fn(*args)
+        # nor a table or kernel of another state: each analysis reads the state's own
+        tables, kernel = xx10_state.tables, nl.correlation_kernel(xx10_state, geom)
+        old_keywords = [
+            (nl.correlation_kernel, (xx10_state, geom), {"tables": tables}),
+            (nl.spectral_function_rho, (xx10_state,), {"tables": tables}),
+            (nl.boundary_commutator_integral, (xx10_state, geom, win), {"tables": tables}),
+            (nl.sum_rule_check, (xx10_state, phi, spec, geom, win, chain10), {"kernel": kernel}),
+        ]
+        for fn, args, kwargs in old_keywords:
+            with pytest.raises(TypeError):
+                fn(*args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -599,18 +612,15 @@ def xx_with_field():
     return nl.Interaction(site_dim=2, r=1, terms=phi.terms + (((0,), 0.3 * S3),)), spec
 
 
-def complement_table_gap(state, phi, spec, L, M, chain, tables, win):
-    """|boundary_commutator_integral - the same integral from the generic table
-    of (N_[-L,0], C_-M + C_M)|."""
-    geom = nl.CurrentGeometry(L, M, phi.r)
+def complement_integral(state, phi, spec, L, M, chain, win):
+    """The windowed integral of the generic table of (N_[-L,0], C_-M + C_M)."""
     N = nl.models.charge_sparse(spec, (-L, 0), chain)
     cm, cp = nl.boundary_complements(phi, M, chain)
     C = nl.embed_sparse(cm, chain) + nl.embed_sparse(cp, chain)
-    bc = nl.boundary_commutator_integral(state, geom, win, tables=tables)
-    return abs(bc - table_kernel(state, N, C).windowed_integral(win))
+    return table_kernel(state, N, C).windowed_integral(win)
 
 
-def assert_spectral_matches_table(state, phi, spec, chain, tables):
+def assert_spectral_matches_table(state, phi, spec, chain):
     """spectral_function_rho has the keys of the generic table of (n^, h^) and
     its weights to 1e-15."""
     n_op = nl.LocalOperator((0,), spec.n0)
@@ -618,7 +628,7 @@ def assert_spectral_matches_table(state, phi, spec, chain, tables):
     n_hat, h_hat = (nl.embed_sparse(op, chain) - state.expect(op) * sp.identity(chain.dim)
                     for op in (n_op, h_op))
     dk, de, (w, w_n) = _transfer_table(state, n_hat, h_hat)
-    sf = nl.spectral_function_rho(state, tables=tables)
+    sf = nl.spectral_function_rho(state)
     assert np.array_equal(sf.dk_index, dk)
     assert np.array_equal(sf.de, np.round(de, nl.spectral.DE_DECIMALS) + 0.0)
     assert np.max(np.abs(sf.weights - w)) < 1e-15
@@ -633,8 +643,7 @@ class TestTermTables:
         phi, spec = model()
         chain = nl.ChainConfig(8, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
-        tables = nl.spectral.term_tables(state)
-        assert len(tables) == len(phi.terms)
+        assert len(state.tables) == len(phi.terms)
         win = WindowFunction("hann", 1.5)
         ts = np.linspace(-1.5, 1.5, 13)
         geometries = [(L, M) for M in range(2, 8) for L in range(M + 2, 8)
@@ -645,23 +654,62 @@ class TestTermTables:
             N = nl.models.charge_sparse(spec, (-L, 0), chain)
             H_M = nl.models.window_hamiltonian_sparse(phi, (-M, M), chain)
             ref = table_kernel(state, N, H_M)
-            kernel = nl.correlation_kernel(state, geom, tables=tables)
+            kernel = nl.correlation_kernel(state, geom)
             assert abs(kernel.windowed_integral(win) - ref.windowed_integral(win)) < 1e-15
             assert np.max(np.abs(kernel.curve(ts) - ref.curve(ts))) < 1e-15
-            assert complement_table_gap(state, phi, spec, L, M, chain, tables, win) < 1e-15
-        assert_spectral_matches_table(state, phi, spec, chain, tables)
+            bc = nl.boundary_commutator_integral(state, geom, win)
+            assert abs(bc - complement_integral(state, phi, spec, L, M, chain, win)) < 1e-15
+        assert_spectral_matches_table(state, phi, spec, chain)
 
     def test_reductions_beyond_range_one(self, rng):
         # classes of span 0, 1 and 2, anchored in h at 0, 0 and -1; (L, M) = (8, 4)
-        # is the smallest r = 2 geometry, and N_[-8,0] needs a ring of 9 sites
+        # is the smallest r = 2 geometry, and N_[-8,0] needs a ring of 9 sites.
+        # With wrap clearance it needs 15, so the reduction that
+        # boundary_commutator_integral makes is taken here without that check
         phi = nl.build_random_interaction(2, 2, rng)
         spec = nl.models.ChargeSpec(S3)
         chain = nl.ChainConfig(9, 2)
         state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.0), chain)
-        tables = nl.spectral.term_tables(state)
         win = WindowFunction("hann", 1.5)
-        assert complement_table_gap(state, phi, spec, 8, 4, chain, tables, win) < 1e-14
-        assert_spectral_matches_table(state, phi, spec, chain, tables)
+        _, de, s = _reduce(state.tables, chain.n_sites, lambda span: (
+            np.arange(-8, 1), nl.models.complement_anchors(span, 4, phi.max_diameter())))
+        bc = CommutatorKernel(de, s[0] - s[1]).windowed_integral(win)
+        assert abs(bc - complement_integral(state, phi, spec, 8, 4, chain, win)) < 1e-14
+        assert_spectral_matches_table(state, phi, spec, chain)
+
+    def test_boundary_integral_refuses_what_the_kernel_refuses(self):
+        # (L, M) = (8, 4) with r = 2 on 9 sites breaks the wrap clearance
+        # L + M + r < n_sites; both reductions refuse it
+        phi = nl.build_random_interaction(2, 2, np.random.default_rng(0))
+        chain = nl.ChainConfig(9, 2)
+        state = nl.build_biased_gibbs(phi, nl.models.ChargeSpec(S3),
+                                      nl.BiasSpec(beta=1.0, lam=0.0), chain)
+        geom = nl.CurrentGeometry(8, 4, 2)
+        with pytest.raises(GeometryError):
+            nl.correlation_kernel(state, geom)
+        with pytest.raises(GeometryError):
+            nl.boundary_commutator_integral(state, geom, WindowFunction("hann", 1.5))
+
+    def test_one_table_pass_per_term_class(self, monkeypatch):
+        # every windowed analysis of one state reduces the state's own tables
+        phi, spec = xx_with_field()
+        chain = nl.ChainConfig(8, 2)
+        state = nl.build_biased_gibbs(phi, spec, nl.BiasSpec(beta=1.0, lam=0.5), chain)
+        passes = []
+        table = nl.spectral._transfer_table
+
+        def counted(*args):
+            passes.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(nl.spectral, "_transfer_table", counted)
+        geom, win = nl.CurrentGeometry(4, 2, 1), WindowFunction("hann", 1.5)
+        for _ in range(2):
+            nl.correlation_kernel(state, geom)
+        nl.spectral_function_rho(state)
+        nl.boundary_commutator_integral(state, geom, win)
+        nl.sum_rule_check(state, phi, spec, geom, win, chain)
+        assert len(passes) == len(phi.terms) == 2
 
     def test_zero_term_class_changes_nothing(self):
         # v = [0.5, 0.0] carries a zero (0, 2) class: h, C_-M, C_M and the
@@ -706,7 +754,8 @@ class TestSpectralFunction:
         n_hat = nl.embed(n_op, chain) - nbar * np.eye(chain.dim)
         for (z, t) in ((2, 0.4), (0, 0.0), (-3, 1.1)):
             h_t = dense_evolve(nl.embed(h_op, chain), state.basis, -t)
-            h_zt = nl.translate_global(h_t, -z, chain) - hbar * np.eye(chain.dim)
+            Tz = spla.matrix_power(nl.shift_unitary(chain), -z % chain.n_sites)
+            h_zt = Tz @ h_t @ Tz.conj().T - hbar * np.eye(chain.dim)
             direct = state.expect(1j * (n_hat @ h_zt)) / (2 * math.pi * SQRT_2PI)
             assert abs(sf.rho_position(z, t) - direct) < 1e-9
 
